@@ -25,8 +25,9 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
+        # own copies: a view of the caller's array would move with it
+        R = np.array(self.rotation, dtype=float)
+        t = np.array(self.translation, dtype=float).reshape(3)
         if R.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
         if not np.all(np.isfinite(R)) or not np.all(np.isfinite(t)):

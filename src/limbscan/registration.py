@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import solveh_banded
+from scipy.sparse.csgraph import dijkstra, reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateSegment, NonFiniteEnergy, OutOfBindingReach
@@ -88,24 +88,18 @@ class DeformationGraph:
         tree = cKDTree(self.node_positions)
         k_eff = min(k + 1, self.n_nodes)
         d, idx = tree.query(p, k=k_eff)
-        d = np.atleast_2d(d.reshape(len(p), k_eff))
-        idx = np.atleast_2d(idx.reshape(len(p), k_eff))
-        bind_idx = np.full((len(p), k), -1, dtype=int)
-        bind_w = np.zeros((len(p), k))
-        for i in range(len(p)):
-            within = d[i] <= reach
-            if not within[0]:
-                raise OutOfBindingReach(f"point {i} beyond reach of every node")
-            cand = idx[i][within][:k]
-            cd = d[i][within][:k]
-            d_max = d[i][len(cand)] if len(d[i]) > len(cand) else 1.1 * max(cd[-1], 1e-12)
-            w = np.maximum(1.0 - cd / d_max, 0.0) ** 2
-            if w.sum() <= 0:
-                w = np.ones(len(cand))
-            w = w / w.sum()
-            bind_idx[i, :len(cand)] = cand
-            bind_w[i, :len(cand)] = w
-        return bind_idx, bind_w
+        # pad to k + 1 columns; the padding is never within reach
+        d = np.pad(d.reshape(len(p), k_eff), ((0, 0), (0, k + 1 - k_eff)),
+                   constant_values=np.inf)
+        idx = np.pad(idx.reshape(len(p), k_eff), ((0, 0), (0, k + 1 - k_eff)))
+        found = d[:, :k] <= reach
+        if not found[:, 0].all():
+            raise OutOfBindingReach(
+                f"point {int(np.argmin(found[:, 0]))} beyond reach of every node")
+        rows, n_cand = np.arange(len(p)), found.sum(axis=1)
+        d_max = np.where(np.isfinite(d[rows, n_cand]), d[rows, n_cand],
+                         1.1 * np.maximum(d[rows, n_cand - 1], 1e-12))
+        return np.where(found, idx[:, :k], -1), _binding_weights(d[:, :k], found, d_max)
 
     def to_dict(self) -> dict:
         return {
@@ -240,6 +234,15 @@ def initial_align(source: ArmObservation, target: ArmObservation,
 
 # ---------------------------------------------------------------- graph
 
+def _binding_weights(cd: np.ndarray, found: np.ndarray, d_max: np.ndarray) -> np.ndarray:
+    """Convex weights (1 - d / d_max)^2 over each row's found candidates,
+    uniform where they all vanish."""
+    w = np.where(found, np.maximum(1.0 - cd / d_max[:, None], 0.0) ** 2, 0.0)
+    flat = w.sum(axis=1) <= 0
+    w[flat] = found[flat]
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def build_graph(points: np.ndarray, radius: float, binding_k: int = 4,
                 knn_k: int = 8) -> DeformationGraph:
     """Geodesic first-fit node sampling plus vertex bindings.
@@ -262,63 +265,58 @@ def build_graph(points: np.ndarray, radius: float, binding_k: int = 4,
 
     reach = 2.0 * radius
     min_dist = np.full(n, np.inf)
+    # each vertex's binding_k + 1 nearest nodes, ascending; ties keep the
+    # lower node index because rows arrive in node order
+    near_d = np.full((n, binding_k + 1), np.inf)
+    near_i = np.full((n, binding_k + 1), -1)
     node_vertices: list[int] = []
-    node_rows: list[np.ndarray] = []
+    reached: list[np.ndarray] = []
     for v in range(n):
         if min_dist[v] <= radius:
             continue
         dist = dijkstra(graph, indices=v, limit=reach)
-        node_vertices.append(v)
-        node_rows.append(dist)
         np.minimum(min_dist, dist, out=min_dist)
+        rows = np.flatnonzero(dist < near_d[:, -1])
+        cand_d = np.hstack([near_d[rows], dist[rows, None]])
+        cand_i = np.hstack([near_i[rows], np.full((len(rows), 1), len(node_vertices))])
+        order = np.argsort(cand_d, axis=1, kind="stable")[:, :-1]
+        near_d[rows] = np.take_along_axis(cand_d, order, axis=1)
+        near_i[rows] = np.take_along_axis(cand_i, order, axis=1)
+        node_vertices.append(v)
+        reached.append(np.flatnonzero(np.isfinite(dist)))
 
     m = len(node_vertices)
-    node_pos = p[node_vertices]
-    dist_to_nodes = np.vstack(node_rows)      # (m, n), inf beyond reach
-
-    neighbors: list[list[int]] = []
     node_arr = np.asarray(node_vertices)
-    for i in range(m):
-        dn = dist_to_nodes[i, node_arr]
-        nb = [int(j) for j in np.nonzero(np.isfinite(dn))[0] if j != i]
-        neighbors.append(nb)
-    # enforce symmetry (dijkstra limits can truncate one direction)
-    for i in range(m):
-        for j in neighbors[i]:
-            if i not in neighbors[j]:
-                neighbors[j].append(i)
-    neighbors = [sorted(nb) for nb in neighbors]
+    # nodes x nodes reachability, symmetrized because dijkstra limits can
+    # truncate one direction
+    counts = np.array([len(r) for r in reached])
+    reach_rows = sp.csr_matrix(
+        (np.ones(counts.sum(), dtype=bool), np.concatenate(reached),
+         np.concatenate([[0], np.cumsum(counts)])), shape=(m, n))
+    adj = reach_rows[:, node_arr].toarray()
+    adj |= adj.T
+    np.fill_diagonal(adj, False)
+    neighbors = [np.flatnonzero(row).tolist() for row in adj]
 
     k = min(binding_k, m)
-    bind_idx = np.full((n, k), -1, dtype=int)
-    bind_w = np.zeros((n, k))
-    order = np.argsort(dist_to_nodes, axis=0, kind="stable")
-    sorted_d = np.take_along_axis(dist_to_nodes, order, axis=0)
-    for v in range(n):
-        finite = np.isfinite(sorted_d[:, v])
-        cand = order[finite, v][:k]
-        cd = sorted_d[finite, v][:k]
-        if len(cand) == 0:
-            raise OutOfBindingReach(f"vertex {v} unreachable from every node")
-        n_finite = int(finite.sum())
-        d_max = sorted_d[n_finite - 1, v] * 1.0 if n_finite <= len(cand) else sorted_d[len(cand), v]
-        if n_finite <= len(cand):
-            d_max = max(1.1 * cd[-1], 1e-12) if len(cand) > 1 else max(reach, 1e-12)
-        w = np.maximum(1.0 - cd / d_max, 0.0) ** 2
-        if w.sum() <= 0:
-            w = np.ones(len(cand))
-        w = w / w.sum()
-        bind_idx[v, :len(cand)] = cand
-        bind_w[v, :len(cand)] = w
+    cd = near_d[:, :k]
+    found = np.isfinite(cd)
+    n_cand = found.sum(axis=1)
+    if not n_cand.all():
+        raise OutOfBindingReach(f"vertex {int(np.argmin(n_cand))} unreachable from every node")
+    next_d = near_d[:, k]
+    last_d = cd[np.arange(n), n_cand - 1]
+    d_max = np.where(np.isfinite(next_d), next_d,
+                     np.where(n_cand > 1, np.maximum(1.1 * last_d, 1e-12), max(reach, 1e-12)))
 
     return DeformationGraph(
-        node_positions=node_pos,
+        node_positions=p[node_arr],
         affines=np.tile(np.eye(3), (m, 1, 1)),
         translations=np.zeros((m, 3)),
         neighbors=neighbors,
         sampling_radius=radius,
-        bind_idx=bind_idx,
-        bind_w=bind_w,
+        bind_idx=np.where(found, near_i[:, :k], -1),
+        bind_w=_binding_weights(cd, found, d_max),
         node_vertex_indices=node_arr,
     )
 
@@ -330,152 +328,158 @@ def welsch(sq_dist: np.ndarray, c: float) -> np.ndarray:
     return c * c * (1.0 - np.exp(-np.asarray(sq_dist, dtype=float) / (c * c)))
 
 
+def _edges(graph: DeformationGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Directed edges (i, j), one per j in neighbors[i]."""
+    ei = np.repeat(np.arange(graph.n_nodes), [len(nb) for nb in graph.neighbors])
+    ej = np.array([j for nb in graph.neighbors for j in nb], dtype=int)
+    return ei, ej
+
+
+def _residuals(graph: DeformationGraph, verts: np.ndarray, corr_idx: np.ndarray,
+               targets: np.ndarray, edges: tuple[np.ndarray, np.ndarray]):
+    """Unweighted residual blocks of the energy, shared by the energy, the
+    line search and the Gauss-Newton step.
+
+    Returns (r_ali (q, 3), r_reg (e, 3), r_rot (m, 9), r_det (m,)): deformed
+    correspondence minus target, an edge's predicted minus actual neighbour
+    position, A^T A - I and det(A) - 1.
+    """
+    ei, ej = edges
+    g, A, t = graph.node_positions, graph.affines, graph.translations
+    deformed = graph.deform(verts[corr_idx], graph.bind_idx[corr_idx], graph.bind_w[corr_idx])
+    pred = np.einsum("eij,ej->ei", A[ei], g[ej] - g[ei]) + g[ei] + t[ei]
+    ata = np.einsum("nij,nik->njk", A, A)
+    return (deformed - targets, pred - (g[ej] + t[ej]),
+            (ata - np.eye(3)).reshape(-1, 9), np.linalg.det(A) - 1.0)
+
+
+def _energy(blocks, alpha1: float, alpha2: float, welsch_c: float) -> EnergyBreakdown:
+    r_ali, r_reg, r_rot, r_det = blocks
+    return EnergyBreakdown(float(np.sum(welsch(np.sum(r_ali ** 2, axis=1), welsch_c))),
+                           float(np.sum(r_reg ** 2)),
+                           float(np.sum(r_rot ** 2) + np.sum(r_det ** 2)), alpha1, alpha2)
+
+
 def energy(graph: DeformationGraph, vertices: np.ndarray,
            corr_idx: np.ndarray, corr_targets: np.ndarray,
            alpha1: float, alpha2: float, welsch_c: float) -> EnergyBreakdown:
     """Alignment + neighbor-consistency + local-rigidity energy."""
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
-    deformed = graph.deform(v[corr_idx], graph.bind_idx[corr_idx], graph.bind_w[corr_idx])
-    sq = np.sum((deformed - corr_targets) ** 2, axis=1)
-    l_ali = float(np.sum(welsch(sq, welsch_c)))
-
-    g = graph.node_positions
-    t = graph.translations
-    l_reg = 0.0
-    for i, nb in enumerate(graph.neighbors):
-        if not nb:
-            continue
-        gj = g[nb]
-        pred = (gj - g[i]) @ graph.affines[i].T + g[i] + t[i]
-        l_reg += float(np.sum((pred - (gj + t[nb])) ** 2))
-
-    A = graph.affines
-    ata = np.einsum("nij,nik->njk", A, A)
-    ortho = np.sum((ata - np.eye(3)) ** 2, axis=(1, 2))
-    det = np.linalg.det(A)
-    l_rot = float(np.sum(ortho + (det - 1.0) ** 2))
-    return EnergyBreakdown(l_ali, l_reg, l_rot, alpha1, alpha2)
+    return _energy(_residuals(graph, v, corr_idx, corr_targets, _edges(graph)),
+                   alpha1, alpha2, welsch_c)
 
 
 # ---------------------------------------------------------------- solver
 
-def _assemble(graph: DeformationGraph, verts: np.ndarray, corr_idx: np.ndarray,
-              targets: np.ndarray, params: SolveParams):
-    """Residual vector and sparse Jacobian at the current graph parameters.
+# per-node unknowns are A.ravel() then t; _GROUP[a] lists (A[a, :], t[a]),
+# the four unknowns that alignment and edge rows touch in coordinate a
+_GROUP = np.array([[0, 1, 2, 9], [3, 4, 5, 10], [6, 7, 8, 11]])
 
-    Alignment rows carry frozen Welsch IRLS weights, so the Gauss-Newton
-    direction is a descent direction for the true robust energy.
+
+class _BandedNormalEquations:
+    """Gauss-Newton normal equations of one solve, H = J^T J, in lower
+    banded storage under a reverse Cuthill-McKee order of H's 12 x 12
+    node-pair blocks.
+
+    The pattern never changes within a solve: the bindings, the
+    correspondence subset and the edges are fixed. Alignment and edge rows
+    blend node maps, so in coordinate a their Jacobian at a slot node is a
+    fixed 4-vector u over _GROUP[a] times the square root of the row's
+    weight: the Welsch IRLS weight exp(-|r|^2 / c^2) for alignment (frozen
+    per step, so the step descends the robust energy), alpha1 for edges.
+    That part of H is a fixed linear map of the row weights; only the
+    per-node rigidity blocks are rebuilt from A on each step.
     """
-    m = graph.n_nodes
-    n_par = 12 * m
-    g = graph.node_positions
-    A = graph.affines
-    t = graph.translations
-    c2 = params.welsch_c ** 2
 
-    rows_list, cols_list, vals_list, res_list = [], [], [], []
-    row0 = 0
+    def __init__(self, graph: DeformationGraph, verts: np.ndarray, corr_idx: np.ndarray,
+                 edges: tuple[np.ndarray, np.ndarray]):
+        m = graph.n_nodes
+        self.n = n = 12 * m
+        g = graph.node_positions
+        ei, ej = edges
+        bi = graph.bind_idx[corr_idx]
+        (q, K), bw = bi.shape, graph.bind_w[corr_idx] * (bi >= 0)
+        # rows are correspondences then edges; slots are their nodes (-1 pads)
+        nodes = np.full((q + len(ei), max(K, 2)), -1)
+        nodes[:q, :K] = bi
+        nodes[q:, :2] = np.stack([ei, ej], axis=1)
+        u = np.zeros(nodes.shape + (4,))
+        u[:q, :K, :3] = bw[..., None] * (verts[corr_idx][:, None, :] - g[bi])
+        u[:q, :K, 3] = bw
+        u[q:, 0, :3] = g[ej] - g[ei]
+        u[q:, 0, 3] = 1.0
+        u[q:, 1, 3] = -1.0
 
-    # --- alignment block
-    bi = graph.bind_idx[corr_idx]              # (q, K)
-    bw = graph.bind_w[corr_idx]
-    q, K = bi.shape
-    safe = np.where(bi < 0, 0, bi)
-    rel = verts[corr_idx][:, None, :] - g[safe]          # (q, K, 3)
-    mapped = np.einsum("qkij,qkj->qki", A[safe], rel) + g[safe] + t[safe]
-    pred = np.sum(bw[..., None] * mapped, axis=1)
-    r_ali = pred - targets
-    sq = np.sum(r_ali ** 2, axis=1)
-    sw = np.exp(-sq / c2) ** 0.5                          # sqrt IRLS weight
-    res_list.append((r_ali * sw[:, None]).ravel())
+        # gradient: self.grad @ (weight * residual).ravel()
+        r, k = np.nonzero(nodes >= 0)
+        self.grad = sp.csr_matrix(
+            (np.repeat(u[r, k, None, :], 3, axis=1).ravel(),
+             ((12 * nodes[r, k, None, None] + _GROUP).ravel(),
+              np.repeat(3 * r[:, None] + np.arange(3), 4, axis=1).ravel())),
+            shape=(n, 3 * len(nodes)))
+        # 4 x 4 core of each ordered node-pair block: self.core @ weight
+        r, k1, k2 = np.nonzero((nodes >= 0)[:, :, None] & (nodes >= 0)[:, None, :])
+        pairs, pair_of = np.unique(nodes[r, k1] * m + nodes[r, k2], return_inverse=True)
+        self.core = sp.csr_matrix(
+            ((u[r, k1, :, None] * u[r, k2, None, :]).ravel(),
+             ((16 * pair_of[:, None] + np.arange(16)).ravel(), np.repeat(r, 16))),
+            shape=(16 * len(pairs), len(nodes)))
 
-    wk = bw * (bi >= 0)                                   # zero padded slots
-    base_row = row0 + 3 * np.arange(q)
-    # d r_a / d A[j][a, b] = w * rel_b ; d r_a / d t[j][a] = w
-    for kslot in range(K):
-        j = safe[:, kslot]
-        w = wk[:, kslot] * sw
-        for a in range(3):
-            rws = base_row + a
-            for b in range(3):
-                rows_list.append(rws)
-                cols_list.append(12 * j + 3 * a + b)
-                vals_list.append(w * rel[:, kslot, b])
-            rows_list.append(rws)
-            cols_list.append(12 * j + 9 + a)
-            vals_list.append(w)
-    row0 += 3 * q
+        j1, j2 = np.divmod(pairs, m)
+        adj = sp.csr_matrix((np.ones(len(pairs)), (j1, j2)), shape=(m, m))
+        order = reverse_cuthill_mckee(adj + sp.identity(m, format="csr"), symmetric_mode=True)
+        self.perm = (12 * order[:, None] + np.arange(12)).ravel()
+        pos = np.empty(n, dtype=int)
+        pos[self.perm] = np.arange(n)
+        # scalar entries: the core replicated on each _GROUP[a], then each
+        # node's 9 x 9 affine block (rigidity); keep the lower triangle
+        c1, c2 = np.divmod(np.arange(16), 4)
+        lin_r = pos[12 * j1[:, None, None] + _GROUP[:, c1]]
+        lin_c = pos[12 * j2[:, None, None] + _GROUP[:, c2]]
+        lin_src = np.broadcast_to(16 * np.arange(len(pairs))[:, None, None] + np.arange(16),
+                                  lin_r.shape)
+        a, b = np.divmod(np.arange(81), 9)
+        rot_r = pos[12 * np.arange(m)[:, None] + a]
+        rot_c = pos[12 * np.arange(m)[:, None] + b]
+        self.bandwidth = int(max(np.max(lin_r - lin_c), np.max(rot_r - rot_c)))
+        keep = lin_r >= lin_c
+        self.lin_at, self.lin_src = (lin_r - lin_c)[keep] * n + lin_c[keep], lin_src[keep]
+        self.rot_keep = rot_r >= rot_c
+        self.rot_at = (rot_r - rot_c)[self.rot_keep] * n + rot_c[self.rot_keep]
 
-    # --- regularization block
-    s1 = np.sqrt(params.alpha1)
-    edges = [(i, j) for i, nb in enumerate(graph.neighbors) for j in nb]
-    if edges and params.alpha1 > 0:
-        ei = np.array([e[0] for e in edges])
-        ej = np.array([e[1] for e in edges])
-        e_vec = g[ej] - g[ei]
-        pred = np.einsum("eij,ej->ei", A[ei], e_vec) + g[ei] + t[ei]
-        r_reg = s1 * (pred - (g[ej] + t[ej]))
-        res_list.append(r_reg.ravel())
-        base_row = row0 + 3 * np.arange(len(edges))
-        ones = np.full(len(edges), s1)
-        for a in range(3):
-            rws = base_row + a
-            for b in range(3):
-                rows_list.append(rws)
-                cols_list.append(12 * ei + 3 * a + b)
-                vals_list.append(s1 * e_vec[:, b])
-            rows_list.append(rws)
-            cols_list.append(12 * ei + 9 + a)
-            vals_list.append(ones)
-            rows_list.append(rws)
-            cols_list.append(12 * ej + 9 + a)
-            vals_list.append(-ones)
-        row0 += 3 * len(edges)
+    def step(self, blocks, affines: np.ndarray, params: SolveParams) -> np.ndarray:
+        """Damped Gauss-Newton step from the residual blocks at the current
+        parameters. Raises np.linalg.LinAlgError if H is not positive definite."""
+        r_ali, r_reg, r_rot, r_det = blocks
+        m = len(affines)
+        weight = np.concatenate([np.exp(-np.sum(r_ali ** 2, axis=1) / params.welsch_c ** 2),
+                                 np.full(len(r_reg), params.alpha1)])
+        res = np.concatenate([r_ali, r_reg])
+        grad = self.grad @ (weight[:, None] * res).ravel()
 
-    # --- rigidity block
-    if params.alpha2 > 0:
-        s2 = np.sqrt(params.alpha2)
-        ata = np.einsum("nij,nik->njk", A, A)
-        r_rot = s2 * (ata - np.eye(3)).reshape(m, 9)
-        res_list.append(r_rot.ravel())
-        node_ids = np.arange(m)
-        base_row = row0 + 9 * node_ids
-        # d (A^T A)_{ab} / d A_{cd} = delta_{ad} A_{cb} + delta_{bd} A_{ca}
-        for a in range(3):
-            for b in range(3):
-                rws = base_row + 3 * a + b
-                for c in range(3):
-                    rows_list.append(rws)
-                    cols_list.append(12 * node_ids + 3 * c + a)
-                    vals_list.append(s2 * A[:, c, b])
-                    rows_list.append(rws)
-                    cols_list.append(12 * node_ids + 3 * c + b)
-                    vals_list.append(s2 * A[:, c, a])
-        row0 += 9 * m
+        # d (A^T A)_ab / d A_cd = delta_ad A_cb + delta_bd A_ca;
+        # d det / d A[i, :] = A[i+1, :] x A[i+2, :]
+        eye = np.eye(3)
+        j_rot = (np.einsum("ad,ncb->nabcd", eye, affines)
+                 + np.einsum("bd,nca->nabcd", eye, affines)).reshape(m, 9, 9)
+        j_det = np.cross(affines[:, [1, 2, 0]], affines[:, [2, 0, 1]]).reshape(m, 9)
+        h_rot = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
+                                 + j_det[:, :, None] * j_det[:, None, :])
+        grad.reshape(m, 12)[:, :9] += params.alpha2 * (
+            np.einsum("nri,nr->ni", j_rot, r_rot) + j_det * r_det[:, None])
 
-        det = np.linalg.det(A)
-        res_list.append(s2 * (det - 1.0))
-        base_row = row0 + node_ids
-        # d det / d A[i, :] = cross(A[i+1, :], A[i+2, :])
-        for i in range(3):
-            grad = np.cross(A[:, (i + 1) % 3, :], A[:, (i + 2) % 3, :])
-            for jcol in range(3):
-                rows_list.append(base_row)
-                cols_list.append(12 * node_ids + 3 * i + jcol)
-                vals_list.append(s2 * grad[:, jcol])
-        row0 += m
-
-    residual = np.concatenate(res_list)
-    J = sp.coo_matrix(
-        (np.concatenate(vals_list),
-         (np.concatenate(rows_list), np.concatenate(cols_list))),
-        shape=(row0, n_par)).tocsr()
-    return residual, J
+        band = np.zeros((self.bandwidth + 1, self.n))
+        flat = band.reshape(-1)
+        flat[self.lin_at] = (self.core @ weight)[self.lin_src]
+        flat[self.rot_at] += h_rot.reshape(m, 81)[self.rot_keep]
+        band[0] += params.levenberg * max(band[0].max(), 1.0)
+        delta = np.empty(self.n)
+        delta[self.perm] = solveh_banded(band, -grad[self.perm], overwrite_ab=True, lower=True)
+        return delta
 
 
 def _pack(graph: DeformationGraph) -> np.ndarray:
-    return np.concatenate([np.hstack([graph.affines.reshape(-1, 9),
-                                      graph.translations]).ravel()])
+    return np.hstack([graph.affines.reshape(-1, 9), graph.translations]).ravel()
 
 
 def _unpack(graph: DeformationGraph, x: np.ndarray) -> None:
@@ -501,6 +505,8 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
     stride = max(1, n // params.max_correspondences)
     corr_idx = np.arange(0, n, stride)
     tree = cKDTree(tgt)
+    edges = _edges(graph)
+    normal = _BandedNormalEquations(graph, verts, corr_idx, edges)
 
     def closest_targets():
         deformed = graph.deform(verts[corr_idx], graph.bind_idx[corr_idx],
@@ -508,47 +514,39 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
         _, ti = tree.query(deformed)
         return tgt[ti]
 
-    def total_energy(targets):
-        return energy(graph, verts, corr_idx, targets, params.alpha1,
-                      params.alpha2, params.welsch_c).total
+    def evaluate(targets):
+        blocks = _residuals(graph, verts, corr_idx, targets, edges)
+        return blocks, _energy(blocks, params.alpha1, params.alpha2, params.welsch_c).total
 
-    history: list[float] = []
     targets = closest_targets()
-    e_current = total_energy(targets)
-    history.append(e_current)
+    blocks, e_current = evaluate(targets)
+    history = [e_current]
 
-    for _ in range(params.max_outer):
+    for outer in range(params.max_outer):
         e_outer_start = e_current
-
-        targets = closest_targets()
-        e_current = total_energy(targets)
-        history.append(e_current)
+        if outer > 0:
+            targets = closest_targets()
+            blocks, e_current = evaluate(targets)
+            history.append(e_current)
 
         for _ in range(params.max_inner):
-            residual, J = _assemble(graph, verts, corr_idx, targets, params)
-            H = (J.T @ J).tocsc()
-            scale = max(H.diagonal().max(), 1.0)
-            H = H + params.levenberg * scale * sp.identity(H.shape[0], format="csc")
-            grad = J.T @ residual
             try:
-                delta = spsolve(H, -grad)
-            except Exception:
+                delta = normal.step(blocks, graph.affines, params)
+            except np.linalg.LinAlgError:
                 break
             if not np.all(np.isfinite(delta)):
                 break
             x0 = _pack(graph)
             alpha = 1.0
-            accepted = False
             for _ in range(30):
                 _unpack(graph, x0 + alpha * delta)
-                e_new = total_energy(targets)
+                trial, e_new = evaluate(targets)
                 if e_new < e_current - 1e-15:
-                    e_current = e_new
+                    blocks, e_current = trial, e_new
                     history.append(e_current)
-                    accepted = True
                     break
                 alpha *= 0.5
-            if not accepted:
+            else:
                 _unpack(graph, x0)
                 break
 

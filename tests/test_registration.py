@@ -6,7 +6,8 @@ from scipy.spatial import cKDTree
 from limbscan.errors import DegenerateSegment, OutOfBindingReach
 from limbscan.geometry import PointCloud3, RigidTransform
 from limbscan.registration import (ArmObservation, DeformationGraph,
-                                   SolveParams, build_graph, energy,
+                                   SolveParams, _BandedNormalEquations, _edges,
+                                   _residuals, build_graph, energy,
                                    initial_align, solve, transfer_trajectory,
                                    welsch)
 from limbscan.trajectory import ScanTrajectory
@@ -31,6 +32,15 @@ def _line_cloud(n=400, step=0.5):
     pts = np.zeros((n, 3))
     pts[:, 0] = np.arange(n) * step
     return pts
+
+
+def _perturbed_graph(rng, n=300, radius=8.0):
+    """A graph on a flat slab with random non-identity node maps."""
+    pts = rng.uniform(0.0, 60.0, (n, 3)) * np.array([1.0, 0.4, 0.1])
+    g = build_graph(pts, radius)
+    g.affines = g.affines + rng.normal(scale=0.05, size=g.affines.shape)
+    g.translations = rng.normal(scale=0.5, size=g.translations.shape)
+    return g, pts, pts + rng.normal(scale=0.3, size=pts.shape)
 
 
 class TestWelsch:
@@ -157,6 +167,64 @@ class TestEnergy:
         assert e.l_rot == pytest.approx(0.0, abs=1e-20)
 
 
+    def test_matches_per_node_loop_formula(self, rng):
+        g, pts, target = _perturbed_graph(rng)
+        idx = np.arange(0, len(pts), 2)
+        e = energy(g, pts, idx, target[idx], 10.0, 100.0, 5.0)
+
+        deformed = g.deform(pts[idx], g.bind_idx[idx], g.bind_w[idx])
+        sq = np.sum((deformed - target[idx]) ** 2, axis=1)
+        l_ali = np.sum(25.0 * (1.0 - np.exp(-sq / 25.0)))
+        l_reg = l_rot = 0.0
+        for i, nb in enumerate(g.neighbors):
+            A, gi, ti = g.affines[i], g.node_positions[i], g.translations[i]
+            for j in nb:
+                gj, tj = g.node_positions[j], g.translations[j]
+                l_reg += np.sum((A @ (gj - gi) + gi + ti - (gj + tj)) ** 2)
+            l_rot += np.sum((A.T @ A - np.eye(3)) ** 2) + (np.linalg.det(A) - 1.0) ** 2
+        assert l_reg > 0.0 and l_rot > 0.0
+        assert e.l_ali == pytest.approx(l_ali, rel=1e-12)
+        assert e.l_reg == pytest.approx(l_reg, rel=1e-12)
+        assert e.l_rot == pytest.approx(l_rot, rel=1e-12)
+        assert e.total == pytest.approx(l_ali + 10.0 * l_reg + 100.0 * l_rot, rel=1e-12)
+
+
+class TestBandedNormalEquations:
+    def test_step_matches_dense_solve(self, rng):
+        g, pts, target = _perturbed_graph(rng, n=200)
+        params = SolveParams()
+        idx = np.arange(len(pts))
+        edges = _edges(g)
+        x0 = np.hstack([g.affines.reshape(-1, 9), g.translations]).ravel()
+        r_ali = _residuals(g, pts, idx, target, edges)[0]
+        sw = np.exp(-np.sum(r_ali ** 2, axis=1) / params.welsch_c ** 2) ** 0.5
+
+        def weighted_residual(x):
+            h = DeformationGraph(g.node_positions, x[:, :9].reshape(-1, 3, 3), x[:, 9:],
+                                 g.neighbors, g.sampling_radius, g.bind_idx, g.bind_w)
+            r_ali, r_reg, r_rot, r_det = _residuals(h, pts, idx, target, edges)
+            return np.concatenate([(sw[:, None] * r_ali).ravel(),
+                                   np.sqrt(params.alpha1) * r_reg.ravel(),
+                                   np.sqrt(params.alpha2) * r_rot.ravel(),
+                                   np.sqrt(params.alpha2) * r_det])
+
+        # complex-step Jacobian: exact to rounding for these polynomial residuals
+        n_par = len(x0)
+        J = np.empty((len(weighted_residual(x0.reshape(-1, 12))), n_par))
+        for c in range(n_par):
+            x = x0.astype(complex)
+            x[c] += 1e-30j
+            J[:, c] = weighted_residual(x.reshape(-1, 12)).imag / 1e-30
+        H = J.T @ J
+        H += params.levenberg * max(H.diagonal().max(), 1.0) * np.eye(n_par)
+        expected = np.linalg.solve(H, -J.T @ weighted_residual(x0.reshape(-1, 12)))
+
+        normal = _BandedNormalEquations(g, pts, idx, edges)
+        got = normal.step(_residuals(g, pts, idx, target, edges), g.affines, params)
+        assert normal.bandwidth < n_par - 1  # the RCM order leaves a true band
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 class TestInitialAlign:
     def test_recovers_yaw_and_translation(self, atlas):
         src = _observation(atlas)
@@ -221,6 +289,18 @@ class TestSolve:
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
         d, _ = cKDTree(target).query(g.deform(pts))
         assert np.median(d) < 1.0
+
+    def test_first_outer_iteration_reuses_opening_energy(self, template):
+        # the energy at the opening correspondences is recorded once, so
+        # the second entry is already the first accepted step
+        from limbscan.scene import hinge_points
+        shell, axial, _ = template.top_shell()
+        keep = (axial > 180.0) & (axial < 320.0)
+        pts = shell.points[keep]
+        target = hinge_points(pts, axial[keep], template.elbow, 150.0, 30.0)
+        _, history = solve(build_graph(pts, radius=15.0), pts, target,
+                           SolveParams(max_outer=2))
+        assert history[1] < history[0]
 
 
 class TestTransferTrajectory:

@@ -142,6 +142,21 @@ class TestRunScan:
         late = [abs(e["error_mm"]) for e in settled.values() if e["frame"] >= 10]
         assert late and max(late) <= 0.5
 
+    def test_frame_pose_is_where_it_was_imaged(self, atlas):
+        # a correction moves the station after its frame was imaged; the
+        # frame must keep the pose it was imaged at
+        params = ScanParams(lateral_bias=3.0, sigma=0.8)
+        result = run_scan(atlas, straight_trajectory(atlas), params)
+        assert len(result.corrections) > 0
+        np.testing.assert_allclose(result.frames[0].probe_pose.translation[:2],
+                                   [100.0, -3.0], atol=1e-12)
+        sampler = VesselSampler(atlas.centerline.points, atlas.vessel_radius,
+                                params.resample_step)
+        for f in result.frames:
+            again = image_slice(atlas, f.probe_pose, f.width_px, f.height_px, f.pitch,
+                                sampler)
+            np.testing.assert_array_equal(again.mask, f.mask)
+
     def test_requires_poses(self, atlas):
         from limbscan.trajectory import ScanTrajectory
         bare = ScanTrajectory(np.zeros((3, 3)), np.arange(3))
