@@ -14,17 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from . import pointio
-from .errors import ConfigError, LimbscanError, StageError
+from .errors import ConfigError, LimbscanError
 from .extraction import ExtractionParams, JointPixels, extract_arm
-from .geometry import PointCloud3, RigidTransform
-from .pipeline import (PipelineConfig, config_from_dict, load_config,
-                       run_pipeline, sweep)
-from .registration import (ArmObservation, SolveParams, build_graph,
-                           initial_align, solve)
-from .scan import ScanParams, radius_report, reconstruct, run_scan
-from .scene import (UP, ArticulatedPose, DepthImage, articulate,
-                    default_camera, joint_pixels, make_template, render_depth)
-from .trajectory import ScanTrajectory, project_trajectory, smooth_centerline
+from .geometry import RigidTransform
+from .pipeline import (PipelineConfig, RegistrationConfig, build_scene,
+                       load_config, plan_scan, register_atlas, render_scene,
+                       run_pipeline, summarize_scan, sweep, write_frames,
+                       write_poses)
+from .registration import ArmObservation, attach_probe_poses
+from .scan import run_scan
+from .scene import UP, DepthImage, joint_pixels
+from .trajectory import ScanTrajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,36 +32,19 @@ EXIT_STAGE = 3
 
 
 def _load_cfg(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else config_from_dict({})
+    cfg = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "out", None):
         cfg = replace(cfg, output_dir=args.out)
     if getattr(args, "angle", None) is not None:
-        cfg = config_from_dict({**_cfg_dict(cfg),
-                                "scene": {**_cfg_dict(cfg)["scene"],
-                                          "elbow_angle": args.angle}})
+        cfg = replace(cfg, scene=replace(cfg.scene, elbow_angle=args.angle))
     return cfg
-
-
-def _cfg_dict(cfg: PipelineConfig) -> dict:
-    from .pipeline import config_to_dict
-    return config_to_dict(cfg)
-
-
-def _build_scene(cfg: PipelineConfig):
-    template = make_template(seed=cfg.seed,
-                             length_forearm=cfg.scene.length_forearm,
-                             length_upperarm=cfg.scene.length_upperarm)
-    atlas = articulate(template, ArticulatedPose(180.0))
-    posed = articulate(template, ArticulatedPose(
-        cfg.scene.elbow_angle, blend_halfwidth=cfg.scene.blend_halfwidth))
-    return template, atlas, posed
 
 
 def _cmd_scene(args) -> int:
     cfg = _load_cfg(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, atlas, posed = _build_scene(cfg)
+    _, atlas, posed = build_scene(cfg)
     pointio.write_ply(out / "atlas_surface.ply", atlas.surface)
     pointio.write_ply(out / "scene_surface.ply", posed.surface)
     pointio.write_points_csv(out / "atlas_centerline.csv", atlas.centerline.points)
@@ -77,11 +60,8 @@ def _cmd_render(args) -> int:
     cfg = _load_cfg(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, _, posed = _build_scene(cfg)
-    camera, w, h = default_camera(posed, height=cfg.scene.camera_height,
-                                  pitch=cfg.scene.render_pitch)
-    img = render_depth(posed, camera, w, h, cfg.scene.render_pitch,
-                       noise_sigma=cfg.scene.noise_sigma, noise_seed=cfg.seed)
+    _, _, posed = build_scene(cfg)
+    img = render_scene(posed, cfg.scene, cfg.seed)
     pointio.write_depth_pgm(out / "depth.pgm", img.depth)
     meta = {"pitch": img.pitch, "table_depth": img.table_depth,
             "camera_rotation": img.camera_pose.rotation.tolist(),
@@ -145,14 +125,8 @@ def _cmd_plan(args) -> int:
     cfg = _load_cfg(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, atlas, _ = _build_scene(cfg)
-    ca = atlas.centerline_axial
-    lo = cfg.plan.scan_start_mm
-    hi = lo + cfg.plan.scan_length_mm
-    span = (ca >= lo - 1e-9) & (ca <= hi + 1e-9)
-    cl = smooth_centerline(atlas.centerline.points[span], cfg.plan.smooth_window)
-    shell, _, _ = atlas.top_shell()
-    traj = project_trajectory(cl, shell, UP)
+    _, atlas, _ = build_scene(cfg)
+    traj = plan_scan(atlas, cfg.plan)
     rows = np.column_stack([np.arange(len(traj)), traj.centerline_indices,
                             traj.surface_points])
     pointio.write_points_csv(out / "atlas_trajectory.csv", rows,
@@ -177,10 +151,8 @@ def _cmd_register(args) -> int:
     tgt = ArmObservation(pointio.read_ply(args.scene_forearm),
                          pointio.read_ply(args.scene_upperarm),
                          *_parse_joints_xyz(args.joints_scene))
-    aligned, _, _, _ = initial_align(src, tgt)
-    graph = build_graph(aligned.union_points(), args.radius)
-    params = SolveParams(alpha1=args.alpha1, alpha2=args.alpha2)
-    graph, history = solve(graph, aligned.union_points(), tgt.union_points(), params)
+    reg = RegistrationConfig(alpha1=args.alpha1, alpha2=args.alpha2, radius=args.radius)
+    _, graph, history = register_atlas(src, tgt, reg)
     Path(args.out_graph).write_text(json.dumps(graph.to_dict(), sort_keys=True) + "\n")
     if args.out_history:
         Path(args.out_history).write_text(
@@ -196,28 +168,16 @@ def _cmd_scan(args) -> int:
         scan_cfg = replace(scan_cfg, sigma=args.sigma)
     if args.bias_inject is not None:
         scan_cfg = replace(scan_cfg, lateral_bias=args.bias_inject)
-    _, _, posed = _build_scene(cfg)
-    data = pointio.read_points_csv(args.traj)
-    pts = data[:, -3:]
+    _, _, posed = build_scene(cfg)
+    pts = pointio.read_points_csv(args.traj)[:, -3:]
     # probe orientations: z into the skin via the nearest scene surface normal
-    from .registration import transfer_trajectory
-    from .registration import DeformationGraph
     shell, _, _ = posed.top_shell()
-    identity = _identity_graph(pts)
-    traj = transfer_trajectory(ScanTrajectory(pts, np.arange(len(pts))),
-                               identity, shell, UP)
+    traj = attach_probe_poses(ScanTrajectory(pts, np.arange(len(pts))), shell, UP)
     result = run_scan(posed, traj, scan_cfg)
     frames_dir = Path(args.out_frames)
-    frames_dir.mkdir(parents=True, exist_ok=True)
-    for i, f in enumerate(result.frames):
-        pointio.write_mask_pgm(frames_dir / f"frame_{i:04d}.pgm", f.mask)
-    rows = [np.concatenate([p.translation, p.rotation.ravel()])
-            for p in result.executed_poses]
-    pointio.write_points_csv(frames_dir / "poses.csv", np.asarray(rows),
-                             header="tx,ty,tz," + ",".join(
-                                 f"r{i}{j}" for i in range(3) for j in range(3)))
-    vessel = reconstruct(result.frames)
-    radii = radius_report(vessel, 14, posed)
+    write_frames(frames_dir, result.frames)
+    write_poses(frames_dir / "poses.csv", result.executed_poses)
+    radii = summarize_scan(result.frames, posed)
     report = {
         "sub_segments": [list(s) for s in radii.sub_segments],
         "global_mean_radius": radii.global_mean,
@@ -231,17 +191,6 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _identity_graph(pts: np.ndarray):
-    from .registration import DeformationGraph
-    span = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) + 1.0
-    return DeformationGraph(
-        node_positions=pts.mean(axis=0, keepdims=True),
-        affines=np.eye(3)[None], translations=np.zeros((1, 3)),
-        neighbors=[[]], sampling_radius=span,
-        bind_idx=np.zeros((len(pts), 1), dtype=int),
-        bind_w=np.ones((len(pts), 1)))
-
-
 def _cmd_pipeline(args) -> int:
     cfg = _load_cfg(args)
     report = run_pipeline(cfg)
@@ -251,10 +200,17 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+def _parse_list(text: str, kind, flag: str) -> tuple:
+    try:
+        return tuple(kind(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must be a comma-separated list: {exc}") from exc
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    angles = tuple(float(a) for a in args.angles.split(","))
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    angles = _parse_list(args.angles, float, "--angles")
+    seeds = _parse_list(args.seeds, int, "--seeds")
     rows = sweep(cfg, angles=angles, seeds=seeds, out_csv=args.out_csv)
     failed = [r for r in rows if r["status"] != "ok"]
     print(f"sweep: {len(rows)} cells, {len(failed)} failed, CSV at {args.out_csv}")
@@ -338,9 +294,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STAGE
     except LimbscanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE

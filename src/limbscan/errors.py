@@ -13,8 +13,8 @@ class EmptyCloud(LimbscanError):
     pass
 
 
-class InvalidParams(LimbscanError):
-    pass
+class InvalidParams(LimbscanError, ValueError):
+    """A parameter or input value is malformed or out of range."""
 
 
 class OutOfFrame(LimbscanError):
@@ -43,10 +43,6 @@ class NoSurfaceAbove(LimbscanError):
 
 class DegenerateSegment(LimbscanError):
     """Joint landmarks of a segment coincide."""
-
-
-class DisconnectedSurface(LimbscanError):
-    pass
 
 
 class NonFiniteEnergy(LimbscanError):

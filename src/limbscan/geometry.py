@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateConfiguration, EmptyCloud
+from .errors import DegenerateConfiguration, EmptyCloud, InvalidParams
 
 _ORTHO_TOL = 1e-9
 
@@ -29,13 +29,13 @@ class RigidTransform:
         R = np.array(self.rotation, dtype=float)
         t = np.array(self.translation, dtype=float).reshape(3)
         if R.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
+            raise InvalidParams("rotation must be 3x3")
         if not np.all(np.isfinite(R)) or not np.all(np.isfinite(t)):
-            raise ValueError("non-finite transform")
+            raise InvalidParams("non-finite transform")
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-6:
-            raise ValueError("rotation is not orthonormal")
+            raise InvalidParams("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-6:
-            raise ValueError("rotation determinant is not +1")
+            raise InvalidParams("rotation determinant is not +1")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
@@ -71,17 +71,17 @@ class PointCloud3:
     def __post_init__(self):
         p = np.atleast_2d(np.asarray(self.points, dtype=float))
         if p.shape[1] != 3:
-            raise ValueError("points must be (n, 3)")
+            raise InvalidParams("points must be (n, 3)")
         if not np.all(np.isfinite(p)):
-            raise ValueError("non-finite points")
+            raise InvalidParams("non-finite points")
         self.points = p
         if self.normals is not None:
             n = np.atleast_2d(np.asarray(self.normals, dtype=float))
             if n.shape != p.shape:
-                raise ValueError("normals shape must match points")
+                raise InvalidParams("normals shape must match points")
             norms = np.linalg.norm(n, axis=1)
             if np.max(np.abs(norms - 1.0)) > 1e-6:
-                raise ValueError("normals must be unit length")
+                raise InvalidParams("normals must be unit length")
             self.normals = n
 
     def __len__(self) -> int:
@@ -105,7 +105,7 @@ class ObbScale:
         es = np.asarray(self.extents_source, dtype=float).reshape(3)
         et = np.asarray(self.extents_target, dtype=float).reshape(3)
         if np.any(es <= 0) or np.any(et <= 0):
-            raise ValueError("extents must be strictly positive")
+            raise InvalidParams("extents must be strictly positive")
         self.extents_source = es
         self.extents_target = et
         self.factors = et / es
@@ -163,7 +163,7 @@ def knn(query: np.ndarray, points: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     if n == 0:
         raise EmptyCloud("knn on empty cloud")
     if not (1 <= k <= n):
-        raise ValueError(f"k={k} out of range for cloud of {n}")
+        raise InvalidParams(f"k={k} out of range for cloud of {n}")
     if n <= _KNN_EXHAUSTIVE_LIMIT:
         d = np.linalg.norm(p - q, axis=1)
         idx = np.lexsort((np.arange(n), d))[:k]
@@ -180,11 +180,11 @@ def knn(query: np.ndarray, points: np.ndarray, k: int) -> tuple[np.ndarray, np.n
 def estimate_normals(cloud: PointCloud3, k: int, up_hint: np.ndarray) -> PointCloud3:
     """Per-point normals from k-NN covariance, oriented toward up_hint."""
     if k < 3:
-        raise ValueError("k must be >= 3")
+        raise InvalidParams("k must be >= 3")
     p = cloud.points
     n = p.shape[0]
     if n < k:
-        raise ValueError("cloud smaller than neighborhood")
+        raise InvalidParams("cloud smaller than neighborhood")
     up = np.asarray(up_hint, dtype=float).reshape(3)
     up = up / np.linalg.norm(up)
     tree = cKDTree(p)

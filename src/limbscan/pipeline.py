@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -18,18 +20,21 @@ import numpy as np
 import yaml
 
 from . import pointio
-from .errors import ConfigError, LimbscanError, StageError
+from .errors import ConfigError, InvalidParams, LimbscanError, StageError
 from .extraction import ExtractionParams, JointPixels, extract_arm
 from .geometry import PointCloud3
-from .registration import (ArmObservation, SolveParams, build_graph,
-                           initial_align, solve, transfer_trajectory)
-from .scan import ScanParams, radius_report, reconstruct, run_scan
-from .scene import (UP, ArticulatedPose, articulate, default_camera,
-                    hinge_points, joint_pixels, make_template, render_depth)
+from .registration import (ArmObservation, DeformationGraph, SolveParams,
+                           build_graph, initial_align, solve, transfer_trajectory)
+from .scan import (RadiusReport, ScanParams, radius_report, reconstruct,
+                   run_scan)
+from .scene import (UP, ArmTemplate, ArticulatedPose, DepthImage, articulate,
+                    default_camera, hinge_points, joint_pixels, make_template,
+                    render_depth)
 from .trajectory import ScanTrajectory, project_trajectory, smooth_centerline
 
 STAGES = ("scene", "render", "extract", "plan", "register", "transfer",
           "scan", "report")
+RADIUS_SEGMENTS = 14
 
 
 @dataclass(frozen=True)
@@ -42,12 +47,32 @@ class SceneConfig:
     render_pitch: float = 1.0
     camera_height: float = 800.0
 
+    def __post_init__(self):
+        # the template is only articulable without self-intersection above 90 deg
+        if not (90.0 < self.elbow_angle <= 180.0):
+            raise ConfigError(f"field 'scene.elbow_angle' = {self.elbow_angle} "
+                              "outside valid range (90, 180]")
+        if not (self.length_forearm > 50 and self.length_upperarm > 50):
+            raise ConfigError("field 'scene.length_forearm'/'scene.length_upperarm' "
+                              "must exceed 50 mm")
+        if not self.noise_sigma >= 0:
+            raise ConfigError("field 'scene.noise_sigma' must be >= 0")
+        if not (self.render_pitch > 0 and self.camera_height > 0):
+            raise ConfigError("field 'scene.render_pitch'/'scene.camera_height' "
+                              "must be positive")
+
 
 @dataclass(frozen=True)
 class PlanConfig:
     scan_start_mm: float = 100.0
     scan_length_mm: float = 70.0
     smooth_window: int = 5
+
+    def __post_init__(self):
+        if not self.scan_length_mm > 0:
+            raise ConfigError("field 'plan.scan_length_mm' must be positive")
+        if self.smooth_window < 1 or self.smooth_window % 2 == 0:
+            raise ConfigError("field 'plan.smooth_window' must be odd and >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,6 +81,14 @@ class RegistrationConfig:
     alpha2: float = 100.0
     radius: float = 15.0
     tol: float = 1e-5
+
+    def __post_init__(self):
+        if not (self.alpha1 >= 0 and self.alpha2 >= 0):
+            raise ConfigError("field 'registration.alpha1'/'alpha2' must be >= 0")
+        if not self.radius > 0:
+            raise ConfigError("field 'registration.radius' must be positive")
+        if not self.tol > 0:
+            raise ConfigError("field 'registration.tol' must be positive")
 
 
 @dataclass(frozen=True)
@@ -68,82 +101,59 @@ class PipelineConfig:
     registration: RegistrationConfig = field(default_factory=RegistrationConfig)
     scan: ScanParams = field(default_factory=ScanParams)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("field 'seed' must be >= 0")
+        margin = 5.0
+        start, end = self.plan.scan_start_mm, self.plan.scan_start_mm + self.plan.scan_length_mm
+        if not (margin <= start and end <= self.scene.length_forearm - margin):
+            raise ConfigError(
+                "field 'plan.scan_start_mm': scan span must stay within the forearm "
+                f"vessel, [{margin}, {self.scene.length_forearm - margin}] mm")
+
 
 _SECTIONS = {"scene": SceneConfig, "extraction": ExtractionParams,
              "plan": PlanConfig, "registration": RegistrationConfig,
              "scan": ScanParams}
+
+# annotation -> (accepts, description); floats take ints as they are, so a
+# config written with `elbow_angle: 140` round-trips to the same report bytes
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: (isinstance(v, int) and not isinstance(v, bool))
+              or (isinstance(v, float) and math.isfinite(v)), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_fields(cls, values: dict, prefix: str) -> None:
+    """Reject unknown keys and values of the wrong type for cls's fields."""
+    fields = cls.__dataclass_fields__
+    for name, value in values.items():
+        if name not in fields:
+            raise ConfigError(f"unknown config field '{prefix}{name}'")
+        accepts, kind = _FIELD_TYPES[fields[name].type]
+        if not accepts(value):
+            raise ConfigError(f"field '{prefix}{name}' must be {kind}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
     """Build and validate a PipelineConfig; errors name the offending field."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    known = {"seed", "output_dir", *_SECTIONS}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown config field '{key}'")
-    kwargs = {}
-    if "seed" in data:
-        if not isinstance(data["seed"], int) or isinstance(data["seed"], bool):
-            raise ConfigError("field 'seed' must be an integer")
-        kwargs["seed"] = data["seed"]
-    if "output_dir" in data:
-        if not isinstance(data["output_dir"], str):
-            raise ConfigError("field 'output_dir' must be a string")
-        kwargs["output_dir"] = data["output_dir"]
+    top = {k: v for k, v in data.items() if k not in _SECTIONS}
+    _check_fields(PipelineConfig, top, "")
     for section, cls in _SECTIONS.items():
         sub = data.get(section, {})
         if not isinstance(sub, dict):
             raise ConfigError(f"section '{section}' must be a mapping")
-        valid = set(cls.__dataclass_fields__)
-        for fname, value in sub.items():
-            if fname not in valid:
-                raise ConfigError(f"unknown field '{section}.{fname}'")
-            if isinstance(value, bool) and cls.__dataclass_fields__[fname].type != "bool":
-                raise ConfigError(f"field '{section}.{fname}' must be numeric")
+        _check_fields(cls, sub, f"{section}.")
         try:
-            kwargs[section] = cls(**sub)
-        except LimbscanError as exc:
+            top[section] = cls(**sub)
+        except InvalidParams as exc:
             raise ConfigError(f"section '{section}': {exc}") from exc
-        except TypeError as exc:
-            raise ConfigError(f"section '{section}': {exc}") from exc
-    cfg = PipelineConfig(**kwargs)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: PipelineConfig) -> None:
-    sc = cfg.scene
-    # the template is only articulable without self-intersection above 90 deg
-    if not (90.0 < sc.elbow_angle <= 180.0):
-        raise ConfigError(
-            f"field 'scene.elbow_angle' = {sc.elbow_angle} outside valid range (90, 180]")
-    if sc.length_forearm <= 50 or sc.length_upperarm <= 50:
-        raise ConfigError("field 'scene.length_forearm'/'scene.length_upperarm' "
-                          "must exceed 50 mm")
-    if sc.noise_sigma < 0:
-        raise ConfigError("field 'scene.noise_sigma' must be >= 0")
-    if sc.render_pitch <= 0 or sc.camera_height <= 0:
-        raise ConfigError("field 'scene.render_pitch'/'scene.camera_height' "
-                          "must be positive")
-    pl = cfg.plan
-    margin = 5.0
-    if pl.scan_length_mm <= 0:
-        raise ConfigError("field 'plan.scan_length_mm' must be positive")
-    if pl.smooth_window < 1 or pl.smooth_window % 2 == 0:
-        raise ConfigError("field 'plan.smooth_window' must be odd and >= 1")
-    if not (margin <= pl.scan_start_mm
-            and pl.scan_start_mm + pl.scan_length_mm <= sc.length_forearm - margin):
-        raise ConfigError(
-            "field 'plan.scan_start_mm': scan span must stay within the forearm "
-            f"vessel, [{margin}, {sc.length_forearm - margin}] mm")
-    rg = cfg.registration
-    if rg.alpha1 < 0 or rg.alpha2 < 0:
-        raise ConfigError("field 'registration.alpha1'/'alpha2' must be >= 0")
-    if rg.radius <= 0:
-        raise ConfigError("field 'registration.radius' must be positive")
-    if rg.tol <= 0:
-        raise ConfigError("field 'registration.tol' must be positive")
+    return PipelineConfig(**top)
 
 
 def load_config(path) -> PipelineConfig:
@@ -176,11 +186,90 @@ class RunReport:
         return asdict(self)
 
 
-def _observation_from_atlas(atlas) -> ArmObservation:
+# ---------------------------------------------------------------- stages
+# One function per stage, shared by run_pipeline and the CLI subcommands.
+# The extract stage is extraction.extract_arm and the scan stage
+# scan.run_scan, called directly.
+
+def build_scene(cfg: PipelineConfig) -> tuple[ArmTemplate, ArmTemplate, ArmTemplate]:
+    """The arm template, its neutral pose (the atlas) and the posed scene."""
+    template = make_template(seed=cfg.seed,
+                             length_forearm=cfg.scene.length_forearm,
+                             length_upperarm=cfg.scene.length_upperarm)
+    atlas = articulate(template, ArticulatedPose(180.0))
+    posed = articulate(template, ArticulatedPose(
+        cfg.scene.elbow_angle, blend_halfwidth=cfg.scene.blend_halfwidth))
+    return template, atlas, posed
+
+
+def render_scene(posed: ArmTemplate, scene: SceneConfig, seed: int) -> DepthImage:
+    """Top-down depth image of the posed scene, noise seeded by the config seed."""
+    camera, w, h = default_camera(posed, height=scene.camera_height, pitch=scene.render_pitch)
+    return render_depth(posed, camera, w, h, scene.render_pitch,
+                        noise_sigma=scene.noise_sigma, noise_seed=seed)
+
+
+def plan_scan(atlas: ArmTemplate, plan: PlanConfig) -> ScanTrajectory:
+    """Project the smoothed atlas vessel centerline over the scan span onto the skin."""
+    ca = atlas.centerline_axial
+    lo = plan.scan_start_mm
+    hi = lo + plan.scan_length_mm
+    span = (ca >= lo - 1e-9) & (ca <= hi + 1e-9)
+    cl = smooth_centerline(atlas.centerline.points[span], plan.smooth_window)
+    shell, _, _ = atlas.top_shell()
+    return project_trajectory(cl, shell, UP)
+
+
+def _observation_from_atlas(atlas: ArmTemplate) -> ArmObservation:
     cloud, axial, _ = atlas.top_shell()
     fm = axial <= atlas.elbow_axial
     return ArmObservation(PointCloud3(cloud.points[fm]), PointCloud3(cloud.points[~fm]),
                           atlas.wrist, atlas.elbow, atlas.shoulder)
+
+
+def register_atlas(source: ArmObservation, target: ArmObservation,
+                   reg: RegistrationConfig) -> tuple[dict, DeformationGraph, list]:
+    """Initial per-segment alignment, then the deformation-graph solve.
+
+    Returns (segment point maps, solved graph, energy history).
+    """
+    aligned, _, _, maps = initial_align(source, target)
+    graph = build_graph(aligned.union_points(), reg.radius)
+    params = SolveParams(alpha1=reg.alpha1, alpha2=reg.alpha2, tol=reg.tol)
+    graph, history = solve(graph, aligned.union_points(), target.union_points(), params)
+    return maps, graph, history
+
+
+def transfer_plan(plan: ScanTrajectory, atlas: ArmTemplate, maps: dict,
+                  graph: DeformationGraph, target: PointCloud3) -> ScanTrajectory:
+    """Carry the atlas plan through its segment map and the solved graph."""
+    # plan points live on the neutral atlas; their x coordinate is the axial
+    # coordinate, which picks the segment map to apply first
+    pts = plan.surface_points
+    fm = pts[:, 0] <= atlas.elbow_axial
+    pre = np.empty_like(pts)
+    if fm.any():
+        pre[fm] = maps["forearm"](pts[fm])
+    if (~fm).any():
+        pre[~fm] = maps["upperarm"](pts[~fm])
+    return transfer_trajectory(ScanTrajectory(pre, plan.centerline_indices), graph, target, UP)
+
+
+def summarize_scan(frames: list, posed: ArmTemplate) -> RadiusReport:
+    """Reconstruct the vessel from the frames and report its sub-segment radii."""
+    return radius_report(reconstruct(frames), RADIUS_SEGMENTS, posed)
+
+
+def write_frames(frame_dir: Path, frames: list) -> None:
+    frame_dir.mkdir(parents=True, exist_ok=True)
+    for i, f in enumerate(frames):
+        pointio.write_mask_pgm(frame_dir / f"frame_{i:04d}.pgm", f.mask)
+
+
+def write_poses(path: Path, poses: list) -> None:
+    rows = [np.concatenate([p.translation, p.rotation.ravel()]) for p in poses]
+    pointio.write_points_csv(path, np.asarray(rows), header="tx,ty,tz," + ",".join(
+        f"r{i}{j}" for i in range(3) for j in range(3)))
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
@@ -194,130 +283,64 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     timings: dict[str, float] = {}
     completed: list[str] = []
 
+    @contextmanager
     def stage(name):
-        def wrap(fn):
-            t0 = time.perf_counter()
-            try:
-                result = fn()
-            except LimbscanError as exc:
-                raise StageError(name, exc) from exc
-            timings[name] = time.perf_counter() - t0
-            completed.append(name)
-            return result
-        return wrap
+        t0 = time.perf_counter()
+        try:
+            yield
+        except LimbscanError as exc:
+            raise StageError(name, exc) from exc
+        timings[name] = time.perf_counter() - t0
+        completed.append(name)
 
-    # ---- scene
-    def _scene():
-        template = make_template(seed=cfg.seed,
-                                 length_forearm=cfg.scene.length_forearm,
-                                 length_upperarm=cfg.scene.length_upperarm)
-        atlas = articulate(template, ArticulatedPose(180.0))
-        posed = articulate(template, ArticulatedPose(
-            cfg.scene.elbow_angle, blend_halfwidth=cfg.scene.blend_halfwidth))
+    with stage("scene"):
+        template, atlas, posed = build_scene(cfg)
         pointio.write_ply(out / "atlas_surface.ply", atlas.surface)
         pointio.write_ply(out / "scene_surface.ply", posed.surface)
         pointio.write_points_csv(out / "scene_centerline.csv", posed.centerline.points)
-        return template, atlas, posed
-    template, atlas, posed = stage("scene")(_scene)
 
-    # ---- render
-    def _render():
-        camera, w, h = default_camera(posed, height=cfg.scene.camera_height,
-                                      pitch=cfg.scene.render_pitch)
-        img = render_depth(posed, camera, w, h, cfg.scene.render_pitch,
-                           noise_sigma=cfg.scene.noise_sigma, noise_seed=cfg.seed)
+    with stage("render"):
+        img = render_scene(posed, cfg.scene, cfg.seed)
         pointio.write_depth_pgm(out / "depth.pgm", img.depth)
-        return img
-    img = stage("render")(_render)
 
-    # ---- extract
-    def _extract():
+    with stage("extract"):
         jp = joint_pixels(img, posed)
-        joints = JointPixels(jp["wrist"], jp["elbow"], jp["shoulder"])
-        seg = extract_arm(img, joints, cfg.extraction)
+        seg = extract_arm(img, JointPixels(jp["wrist"], jp["elbow"], jp["shoulder"]),
+                          cfg.extraction)
         pointio.write_ply(out / "extracted_forearm.ply", seg.forearm)
         pointio.write_ply(out / "extracted_upperarm.ply", seg.upperarm)
-        return seg
-    segmented = stage("extract")(_extract)
 
-    # ---- plan (on the atlas)
-    def _plan():
-        ca = atlas.centerline_axial
-        lo = cfg.plan.scan_start_mm
-        hi = lo + cfg.plan.scan_length_mm
-        span = (ca >= lo - 1e-9) & (ca <= hi + 1e-9)
-        cl = smooth_centerline(atlas.centerline.points[span], cfg.plan.smooth_window)
-        shell, _, _ = atlas.top_shell()
-        traj = project_trajectory(cl, shell, UP)
-        pointio.write_points_csv(out / "atlas_trajectory.csv", traj.surface_points)
-        return traj
-    atlas_traj = stage("plan")(_plan)
+    with stage("plan"):
+        plan = plan_scan(atlas, cfg.plan)
+        pointio.write_points_csv(out / "atlas_trajectory.csv", plan.surface_points)
 
-    # ---- register
-    def _register():
-        source = _observation_from_atlas(atlas)
-        target = ArmObservation(segmented.forearm, segmented.upperarm,
+    with stage("register"):
+        target = ArmObservation(seg.forearm, seg.upperarm,
                                 posed.wrist, posed.elbow, posed.shoulder)
-        aligned, _, _, maps = initial_align(source, target)
-        graph = build_graph(aligned.union_points(), cfg.registration.radius)
-        params = SolveParams(alpha1=cfg.registration.alpha1,
-                             alpha2=cfg.registration.alpha2,
-                             tol=cfg.registration.tol)
-        graph, history = solve(graph, aligned.union_points(),
-                               target.union_points(), params)
-        (out / "graph.json").write_text(
-            json.dumps(graph.to_dict(), sort_keys=True) + "\n")
-        return target, maps, graph, history
-    target_obs, seg_maps, graph, history = stage("register")(_register)
+        maps, graph, history = register_atlas(_observation_from_atlas(atlas), target,
+                                              cfg.registration)
+        (out / "graph.json").write_text(json.dumps(graph.to_dict(), sort_keys=True) + "\n")
 
-    # ---- transfer
-    def _transfer():
-        # trajectory points live on the neutral atlas; their x coordinate is
-        # the axial coordinate, which picks the segment map to apply first
-        pts = atlas_traj.surface_points
-        fm = pts[:, 0] <= atlas.elbow_axial
-        pre = np.empty_like(pts)
-        if fm.any():
-            pre[fm] = seg_maps["forearm"](pts[fm])
-        if (~fm).any():
-            pre[~fm] = seg_maps["upperarm"](pts[~fm])
-        aligned_traj = ScanTrajectory(pre, atlas_traj.centerline_indices)
-        moved = transfer_trajectory(aligned_traj, graph,
-                                    target_obs.forearm, UP)
+    with stage("transfer"):
+        transferred = transfer_plan(plan, atlas, maps, graph, target.forearm)
         pointio.write_points_csv(out / "transferred_trajectory.csv",
-                                 moved.surface_points)
-        return moved
-    transferred = stage("transfer")(_transfer)
+                                 transferred.surface_points)
 
-    # ---- scan
-    def _scan():
-        result = run_scan(posed, transferred, cfg.scan)
-        frame_dir = out / "frames"
-        frame_dir.mkdir(exist_ok=True)
-        for i, f in enumerate(result.frames):
-            pointio.write_mask_pgm(frame_dir / f"frame_{i:04d}.pgm", f.mask)
-        rows = [np.concatenate([p.translation, p.rotation.ravel()])
-                for p in result.executed_poses]
-        pointio.write_points_csv(out / "executed_poses.csv", np.asarray(rows),
-                                 header="tx,ty,tz," + ",".join(
-                                     f"r{i}{j}" for i in range(3) for j in range(3)))
-        return result
-    scan_result = stage("scan")(_scan)
+    with stage("scan"):
+        scan_result = run_scan(posed, transferred, cfg.scan)
+        write_frames(out / "frames", scan_result.frames)
+        write_poses(out / "executed_poses.csv", scan_result.executed_poses)
 
-    # ---- report
-    def _report():
-        vessel = reconstruct(scan_result.frames)
-        radii = radius_report(vessel, 14, posed)
+    with stage("report"):
+        radii = summarize_scan(scan_result.frames, posed)
         # ground truth: the planned atlas points carried through the true hinge
-        truth = hinge_points(atlas_traj.surface_points,
-                             atlas_traj.surface_points[:, 0], template.elbow,
+        truth = hinge_points(plan.surface_points, plan.surface_points[:, 0], template.elbow,
                              cfg.scene.elbow_angle, cfg.scene.blend_halfwidth)
         diff = transferred.surface_points - truth
-        rms = float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
         report = RunReport(
             config=config_to_dict(cfg),
             registration_history=[float(h) for h in history],
-            trajectory_rms=rms,
+            trajectory_rms=float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1)))),
             radius_segments=[list(s) for s in radii.sub_segments],
             radius_global_mean=radii.global_mean,
             radius_global_error=radii.global_error,
@@ -327,8 +350,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         )
         (out / "report.json").write_text(
             json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-        return report
-    report = stage("report")(_report)
 
     (out / "timings.json").write_text(
         json.dumps(timings, sort_keys=True, indent=2) + "\n")
@@ -343,15 +364,13 @@ def sweep(base: PipelineConfig, angles=(120.0, 140.0, 160.0), seeds=(0,),
     for angle in angles:
         for seed in seeds:
             cell_dir = base_out / f"angle{angle:g}_seed{seed}"
-            cfg = replace(base, seed=seed, output_dir=str(cell_dir),
-                          scene=replace(base.scene, elbow_angle=angle))
             row = {"angle": angle, "seed": seed, "status": "ok",
                    "trajectory_rms": "", "radius_global_error": "",
                    "radius_max_segment_error": "", "corrections": "",
                    "vessel_lost": "", "error": ""}
             try:
-                _validate(cfg)
-                rep = run_pipeline(cfg)
+                rep = run_pipeline(replace(base, seed=seed, output_dir=str(cell_dir),
+                                           scene=replace(base.scene, elbow_angle=angle)))
                 row.update({
                     "trajectory_rms": rep.trajectory_rms,
                     "radius_global_error": rep.radius_global_error,
@@ -359,7 +378,7 @@ def sweep(base: PipelineConfig, angles=(120.0, 140.0, 160.0), seeds=(0,),
                     "corrections": rep.correction_count,
                     "vessel_lost": rep.vessel_lost_count,
                 })
-            except (LimbscanError, StageError) as exc:
+            except LimbscanError as exc:
                 row["status"] = "failed"
                 row["error"] = str(exc)
             rows.append(row)

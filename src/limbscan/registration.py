@@ -7,7 +7,7 @@ rigidity energy, then trajectory transfer through the optimized graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,14 +35,6 @@ class ArmObservation:
 
 
 @dataclass
-class DeformationNode:
-    position: np.ndarray
-    affine: np.ndarray
-    translation: np.ndarray
-    neighbors: list[int]
-
-
-@dataclass
 class DeformationGraph:
     """Sparse node set with per-node affine + translation and vertex bindings.
 
@@ -57,17 +49,10 @@ class DeformationGraph:
     sampling_radius: float
     bind_idx: np.ndarray               # (n, K), int, -1 padded
     bind_w: np.ndarray                 # (n, K)
-    node_vertex_indices: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_positions)
-
-    @property
-    def nodes(self) -> list[DeformationNode]:
-        return [DeformationNode(self.node_positions[i], self.affines[i],
-                                self.translations[i], list(self.neighbors[i]))
-                for i in range(self.n_nodes)]
 
     def deform(self, points: np.ndarray, bind_idx: np.ndarray | None = None,
                bind_w: np.ndarray | None = None) -> np.ndarray:
@@ -317,7 +302,6 @@ def build_graph(points: np.ndarray, radius: float, binding_k: int = 4,
         sampling_radius=radius,
         bind_idx=np.where(found, near_i[:, :k], -1),
         bind_w=_binding_weights(cd, found, d_max),
-        node_vertex_indices=node_arr,
     )
 
 
@@ -563,26 +547,33 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
 def transfer_trajectory(traj: ScanTrajectory, graph: DeformationGraph,
                         target: PointCloud3, up: np.ndarray,
                         normal_k: int = 20, binding_k: int = 4) -> ScanTrajectory:
-    """Deform the planned trajectory through the graph and attach probe poses.
+    """Deform the planned trajectory through the graph and attach probe poses."""
+    bind_idx, bind_w = graph.bind(traj.surface_points, k=binding_k)
+    moved = graph.deform(traj.surface_points, bind_idx, bind_w)
+    return attach_probe_poses(ScanTrajectory(moved, traj.centerline_indices),
+                              target, up, normal_k)
+
+
+def attach_probe_poses(traj: ScanTrajectory, target: PointCloud3, up: np.ndarray,
+                       normal_k: int = 20) -> ScanTrajectory:
+    """Probe poses at the trajectory's points on the target surface.
 
     Probe z points into the skin (opposite the local target-surface normal),
     probe x follows the scan direction, so the long probe axis (y) stays
     perpendicular to the scan direction.
     """
-    bind_idx, bind_w = graph.bind(traj.surface_points, k=binding_k)
-    moved = graph.deform(traj.surface_points, bind_idx, bind_w)
-
+    pts = traj.surface_points
     if target.normals is not None:
         tgt = target
     else:
         k = min(normal_k, len(target))
         tgt = estimate_normals(target, k=max(k, 3), up_hint=up)
     tree = cKDTree(tgt.points)
-    _, nearest = tree.query(moved)
+    _, nearest = tree.query(pts)
     z_axes = -tgt.normals[nearest]
 
-    n = len(moved)
-    tangents = np.gradient(moved, axis=0) if n > 1 else np.array([[1.0, 0.0, 0.0]])
+    n = len(pts)
+    tangents = np.gradient(pts, axis=0) if n > 1 else np.array([[1.0, 0.0, 0.0]])
     poses = []
     for i in range(n):
         z = z_axes[i] / np.linalg.norm(z_axes[i])
@@ -594,5 +585,5 @@ def transfer_trajectory(traj: ScanTrajectory, graph: DeformationGraph,
             nx = np.linalg.norm(x)
         x = x / nx
         y = np.cross(z, x)
-        poses.append(RigidTransform(np.stack([x, y, z], axis=1), moved[i]))
-    return ScanTrajectory(moved, traj.centerline_indices.copy(), poses)
+        poses.append(RigidTransform(np.stack([x, y, z], axis=1), pts[i]))
+    return ScanTrajectory(pts, traj.centerline_indices.copy(), poses)

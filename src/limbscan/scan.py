@@ -11,7 +11,7 @@ is folded in here so the correction is metric.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -63,7 +63,6 @@ class CenteringState:
 class ReconstructedVessel:
     centerline_points: PointCloud3
     per_point_radius: np.ndarray
-    sub_segments: list = field(default_factory=list)  # (start, end, mean radius)
 
     def __post_init__(self):
         self.per_point_radius = np.asarray(self.per_point_radius, dtype=float)
@@ -296,5 +295,4 @@ def radius_report(vessel: ReconstructedVessel, n_segments: int,
     truth_r = truth.vessel_radius
     subs = [(float(edges[i]), float(edges[i + 1]), float(means[i]),
              float(abs(means[i] - truth_r))) for i in range(n_segments)]
-    vessel.sub_segments = [(a, b, m) for a, b, m, _ in subs]
     return RadiusReport(subs, global_mean, float(abs(global_mean - truth_r)))

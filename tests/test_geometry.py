@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from limbscan.errors import DegenerateConfiguration, EmptyCloud
+from limbscan.errors import DegenerateConfiguration, EmptyCloud, InvalidParams
 from limbscan.geometry import (ObbScale, PointCloud3, RigidTransform,
                                estimate_normals, fit_rigid, knn, pca_obb)
 
@@ -204,3 +204,17 @@ class TestEstimateNormals:
         pts[:, 0] = np.arange(10.0)  # collinear
         with pytest.raises(DegenerateConfiguration):
             estimate_normals(PointCloud3(pts), k=5, up_hint=[0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RigidTransform(np.eye(3) * 2.0, np.zeros(3)),
+    lambda: PointCloud3(np.zeros((4, 2))),
+    lambda: ObbScale(np.eye(3), [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+    lambda: knn(np.zeros(3), np.zeros((3, 3)), 4),
+    lambda: estimate_normals(PointCloud3(np.eye(3)), k=2, up_hint=[0.0, 0.0, 1.0]),
+], ids=["RigidTransform", "PointCloud3", "ObbScale", "knn", "estimate_normals"])
+def test_bad_input_is_a_limbscan_error(make):
+    """Bad geometry input raises the package's error type, so a pipeline
+    stage reports it as that stage's failure."""
+    with pytest.raises(InvalidParams):
+        make()

@@ -1,15 +1,24 @@
 """Pipeline config validation, end-to-end run, sweep isolation, CLI exit codes."""
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from limbscan import pointio
 from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from limbscan.errors import ConfigError, StageError
+from limbscan.geometry import PointCloud3
 from limbscan.pipeline import (PipelineConfig, config_from_dict,
                                config_to_dict, load_config, run_pipeline,
                                sweep)
+from limbscan.registration import DeformationGraph
+from limbscan.scene import ArticulatedPose, articulate
 
 
 class TestConfig:
@@ -79,6 +88,37 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.yaml")
 
+    @pytest.mark.parametrize("text, name", [
+        ("scene:\n  elbow_angle: abc\n", "scene.elbow_angle"),
+        ("seed: -1\n", "seed"),
+        ("scan:\n  width_px: 256.5\n", "scan.width_px"),
+        ("extraction:\n  seed_spacing: 2.5\n", "extraction.seed_spacing"),
+        ("registration:\n  radius: .inf\n", "registration.radius"),
+        ("registration:\n  tol: .nan\n", "registration.tol"),
+    ])
+    def test_bad_value_names_field(self, tmp_path, capsys, text, name):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"'{name}'")):
+            load_config(p)
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"'{name}'" in err
+        assert not out.exists()
+
+    def test_int_kept_for_float_field(self):
+        cfg = config_from_dict({"scene": {"elbow_angle": 140}})
+        assert type(cfg.scene.elbow_angle) is int
+
+    def test_replace_validates(self):
+        cfg = config_from_dict({})
+        with pytest.raises(ConfigError, match="seed"):
+            replace(cfg, seed=-1)
+        with pytest.raises(ConfigError, match="scene.elbow_angle"):
+            replace(cfg.scene, elbow_angle=90.0)
+
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
@@ -144,6 +184,12 @@ class TestSweep:
         assert text.startswith("angle,seed,status")
         assert text.count("\n") == 3
 
+    def test_negative_seed_cell_isolated(self, tmp_path):
+        base = replace(config_from_dict({}), output_dir=str(tmp_path))
+        rows = sweep(base, angles=(160.0,), seeds=(-1, 0))
+        assert [r["status"] for r in rows] == ["failed", "ok"]
+        assert "seed" in rows[0]["error"]
+
 
 class TestCli:
     def test_no_command_is_config_error(self):
@@ -173,6 +219,20 @@ class TestCli:
         assert main(["pipeline", "--config", str(p),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag", ["--angles", "--seeds"])
+    def test_sweep_bad_list_exits_2(self, tmp_path, capsys, flag):
+        assert main(["sweep", "--out", str(tmp_path), flag, "abc",
+                     "--out-csv", str(tmp_path / "s.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {flag}")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_stage_failure_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("scene:\n  camera_height: 10\n")
+        assert main(["pipeline", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == EXIT_STAGE
+        assert capsys.readouterr().err.startswith("error: stage 'render' failed")
+
     def test_missing_input_exits_3(self, tmp_path):
         assert main(["extract", "--depth", str(tmp_path / "no.pgm"),
                      "--meta", str(tmp_path / "no.json"),
@@ -191,3 +251,65 @@ class TestCli:
         assert (ex / "forearm.ply").exists()
         report = json.loads((ex / "extract_report.json").read_text())
         assert report["forearm_seeds"] > 10
+
+    def test_plan_then_scan(self, tmp_path):
+        # an atlas plan lies on the vessel only in the unposed (180 deg) scene
+        assert main(["plan", "--out", str(tmp_path)]) == EXIT_OK
+        stations = len((tmp_path / "atlas_trajectory.csv").read_text().splitlines()) - 1
+        frames = tmp_path / "frames"
+        assert main(["scan", "--angle", "180",
+                     "--traj", str(tmp_path / "atlas_trajectory.csv"),
+                     "--out-frames", str(frames), "--report", str(tmp_path / "scan.json"),
+                     "--bias-inject", "3", "--sigma", "0.8"]) == EXIT_OK
+        report = json.loads((tmp_path / "scan.json").read_text())
+        assert set(report) == {"sub_segments", "global_mean_radius",
+                               "global_radius_error", "corrections",
+                               "vessel_lost_count"}
+        assert len(report["corrections"]) > 0
+        # one frame per station plus one re-image per correction
+        assert len(list(frames.glob("frame_*.pgm"))) == stations + len(report["corrections"])
+        poses = (frames / "poses.csv").read_text().splitlines()
+        assert poses[0] == "tx,ty,tz,r00,r01,r02,r10,r11,r12,r20,r21,r22"
+        assert len(poses) == stations + 1
+
+    def test_register_command(self, tmp_path, atlas, template):
+        posed = articulate(template, ArticulatedPose(150.0))
+        args = []
+        for name, arm in (("atlas", atlas), ("scene", posed)):
+            cloud, axial, _ = arm.top_shell()
+            fm = axial <= arm.elbow_axial
+            for part, keep in (("forearm", fm), ("upperarm", ~fm)):
+                path = tmp_path / f"{name}_{part}.ply"
+                pointio.write_ply(path, PointCloud3(cloud.points[keep][::40]))
+                args += [f"--{name}-{part}", str(path)]
+            args += [f"--joints-{name}", ";".join(
+                ",".join(repr(float(v)) for v in getattr(arm, j))
+                for j in ("wrist", "elbow", "shoulder"))]
+        graph_path, history_path = tmp_path / "graph.json", tmp_path / "history.csv"
+        assert main(["register", *args, "--radius", "30",
+                     "--out-graph", str(graph_path),
+                     "--out-history", str(history_path)]) == EXIT_OK
+        graph = DeformationGraph.from_dict(json.loads(graph_path.read_text()))
+        assert graph.n_nodes > 1
+        assert graph.sampling_radius == 30.0
+        lines = history_path.read_text().splitlines()
+        assert lines[0] == "step,energy"
+        steps = [int(line.split(",")[0]) for line in lines[1:]]
+        energies = [float(line.split(",")[1]) for line in lines[1:]]
+        assert steps == list(range(len(steps))) and len(steps) > 1
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+
+
+class TestRunPipelineScript:
+    @pytest.mark.parametrize("override", [["--angle", "90"], ["--seed", "-1"]])
+    def test_bad_override_exits_2_before_any_stage(self, tmp_path, override):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_pipeline.py"),
+             "--out", str(out), *override],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: ")
+        assert not out.exists()

@@ -130,12 +130,6 @@ class TestDeformationGraph:
         _, w = g.bind(probes)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_nodes_property(self, rng):
-        g = build_graph(rng.uniform(-5.0, 5.0, (60, 3)), radius=4.0)
-        nodes = g.nodes
-        assert len(nodes) == g.n_nodes
-        np.testing.assert_array_equal(nodes[0].position, g.node_positions[0])
-
 
 class TestEnergy:
     def test_zero_at_identity_fixed_point(self, rng):
