@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pointio
-from .errors import ConfigError, LimbscanError
+from .errors import ConfigError, InvalidParams, LimbscanError
 from .extraction import ExtractionParams, JointPixels, extract_arm
 from .geometry import RigidTransform
 from .pipeline import (PipelineConfig, RegistrationConfig, build_scene,
@@ -92,6 +92,12 @@ def _parse_joint_pixels(text: str) -> JointPixels:
 
 
 def _cmd_extract(args) -> int:
+    try:
+        params = ExtractionParams(depth_jump_threshold=args.td,
+                                  continuity_slack=args.tl,
+                                  seed_spacing=args.spacing)
+    except InvalidParams as exc:
+        raise ConfigError(str(exc)) from exc
     img, meta = _read_depth(args.depth, args.meta)
     if args.joints:
         joints = _parse_joint_pixels(args.joints)
@@ -100,9 +106,6 @@ def _cmd_extract(args) -> int:
         if jp is None:
             raise ConfigError("no --joints given and no joint_pixels in the meta file")
         joints = JointPixels(tuple(jp["wrist"]), tuple(jp["elbow"]), tuple(jp["shoulder"]))
-    params = ExtractionParams(depth_jump_threshold=args.td,
-                              continuity_slack=args.tl,
-                              seed_spacing=args.spacing)
     seg = extract_arm(img, joints, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,10 +167,13 @@ def _cmd_register(args) -> int:
 def _cmd_scan(args) -> int:
     cfg = _load_cfg(args)
     scan_cfg = cfg.scan
-    if args.sigma is not None:
-        scan_cfg = replace(scan_cfg, sigma=args.sigma)
-    if args.bias_inject is not None:
-        scan_cfg = replace(scan_cfg, lateral_bias=args.bias_inject)
+    try:
+        if args.sigma is not None:
+            scan_cfg = replace(scan_cfg, sigma=args.sigma)
+        if args.bias_inject is not None:
+            scan_cfg = replace(scan_cfg, lateral_bias=args.bias_inject)
+    except InvalidParams as exc:
+        raise ConfigError(str(exc)) from exc
     _, _, posed = build_scene(cfg)
     pts = pointio.read_points_csv(args.traj)[:, -3:]
     # probe orientations: z into the skin via the nearest scene surface normal

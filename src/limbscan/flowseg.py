@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMask
+from .errors import DimensionMismatch, EmptyMask, InvalidParams
 
 
 def _check_mask(mask: np.ndarray) -> np.ndarray:
@@ -18,7 +18,7 @@ def _check_mask(mask: np.ndarray) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatch("mask must be 2-D")
     if not np.all((m == 0) | (m == 1)):
-        raise ValueError("mask values must be binary")
+        raise InvalidParams("mask values must be binary")
     return m.astype(np.uint8)
 
 
@@ -33,7 +33,7 @@ def predict_mask(prev_mask: np.ndarray, flow: np.ndarray) -> np.ndarray:
     if f.shape != (2, *m.shape):
         raise DimensionMismatch(f"flow shape {f.shape} does not match mask {m.shape}")
     if not np.all(np.isfinite(f)):
-        raise ValueError("flow must be finite")
+        raise InvalidParams("flow must be finite")
     h, w = m.shape
     rows, cols = np.nonzero(m)
     tr = rows + np.rint(f[0, rows, cols]).astype(int)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidParams
 from .geometry import PointCloud3
 
 # depth PGM stores 0.1 mm units in 16 bits
@@ -33,7 +34,7 @@ def write_ply(path, cloud: PointCloud3) -> None:
 def read_ply(path) -> PointCloud3:
     text = Path(path).read_text().splitlines()
     if not text or text[0].strip() != "ply":
-        raise ValueError(f"{path}: not a PLY file")
+        raise InvalidParams(f"{path}: not a PLY file")
     n_vertex = 0
     props: list[str] = []
     i = 1
@@ -119,7 +120,7 @@ def read_mask_pgm(path) -> np.ndarray:
 
 def _parse_pgm_header(raw: bytes):
     if not raw.startswith(b"P5"):
-        raise ValueError("only binary (P5) PGM is supported")
+        raise InvalidParams("only binary (P5) PGM is supported")
     fields = []
     pos = 2
     while len(fields) < 3:

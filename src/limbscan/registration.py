@@ -15,7 +15,7 @@ from scipy.linalg import solveh_banded
 from scipy.sparse.csgraph import dijkstra, reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateSegment, NonFiniteEnergy, OutOfBindingReach
+from .errors import DegenerateSegment, InvalidParams, NonFiniteEnergy, OutOfBindingReach
 from .geometry import ObbScale, PointCloud3, RigidTransform, estimate_normals, pca_obb
 from .trajectory import ScanTrajectory
 
@@ -238,7 +238,7 @@ def build_graph(points: np.ndarray, radius: float, binding_k: int = 4,
     p = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(p)
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise InvalidParams("radius must be positive")
     k_eff = min(knn_k + 1, n)
     tree = cKDTree(p)
     d, idx = tree.query(p, k=k_eff)

@@ -11,6 +11,7 @@ is folded in here so the correction is metric.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,17 +151,44 @@ class VesselSampler:
 def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
                 height_px: int, pitch: float,
                 sampler: VesselSampler | None = None) -> VirtualFrame:
-    """Binary cross-section: pixels within vessel_radius of the centerline curve."""
+    """Binary cross-section: pixels within vessel_radius of the centerline curve.
+
+    Only the pixel window the vessel can reach is tested. A pixel within r of
+    a sample p needs p within r of the image plane and itself within r of
+    p's in-plane projection, laterally and in depth. So the window is the box
+    around the projections of the samples near the plane, grown by r plus a
+    guard, and each of its pixels is tested exactly as on the full grid;
+    every other pixel is 0.
+    """
     if sampler is None:
         sampler = VesselSampler(scene.centerline.points, scene.vessel_radius)
     ax = image_axes(probe_pose)
+    mask = np.zeros((height_px, width_px), dtype=np.uint8)
+    # r plus a guard: one pixel, and the slack of axes that are orthonormal
+    # only to RigidTransform's 1e-6
+    reach = sampler.radius + pitch + 1e-5 * (sampler.radius + (width_px + height_px) * pitch)
+    t = probe_pose.translation
+    off_plane = sampler.points @ ax[:, 1] - t @ ax[:, 1]
+    near = (sampler.points[np.abs(off_plane) <= reach] - t) @ ax   # lateral, off-plane, depth
+    if len(near) == 0:
+        return VirtualFrame(probe_pose, width_px, height_px, pitch, mask)
+    c0, c1 = _pixel_span(near[:, 0] / pitch + width_px / 2.0, reach / pitch, width_px)
+    r0, r1 = _pixel_span(near[:, 2] / pitch - 0.5, reach / pitch, height_px)
     lat = (np.arange(width_px) - width_px / 2.0) * pitch
     dep = (np.arange(height_px) + 0.5) * pitch
-    grid = (probe_pose.translation[None, None, :]
-            + dep[:, None, None] * ax[:, 2]
-            + lat[None, :, None] * ax[:, 0])
-    mask = sampler.inside(grid.reshape(-1, 3)).reshape(height_px, width_px)
-    return VirtualFrame(probe_pose, width_px, height_px, pitch, mask.astype(np.uint8))
+    grid = (t[None, None, :]
+            + dep[r0:r1, None, None] * ax[:, 2]
+            + lat[None, c0:c1, None] * ax[:, 0])
+    mask[r0:r1, c0:c1] = sampler.inside(grid.reshape(-1, 3)).reshape(r1 - r0, c1 - c0)
+    return VirtualFrame(probe_pose, width_px, height_px, pitch, mask)
+
+
+def _pixel_span(u: np.ndarray, reach: float, n: int) -> tuple[int, int]:
+    """Half-open index range [lo, hi) of the pixels within reach of any of
+    the fractional pixel coordinates u, clipped to [0, n)."""
+    lo = math.floor(u.min() - reach)
+    hi = math.ceil(u.max() + reach) + 1
+    return min(max(lo, 0), n), min(max(hi, 0), n)
 
 
 def centering_step(frame: VirtualFrame, remaining: np.ndarray, state: CenteringState,

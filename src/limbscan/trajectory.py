@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NoSurfaceAbove, TooFewPoints
+from .errors import InvalidParams, NoSurfaceAbove, TooFewPoints
 from .geometry import PointCloud3, RigidTransform
 
 
@@ -23,9 +23,9 @@ class ScanTrajectory:
         self.surface_points = np.atleast_2d(np.asarray(self.surface_points, dtype=float))
         self.centerline_indices = np.asarray(self.centerline_indices, dtype=int)
         if len(self.centerline_indices) != len(self.surface_points):
-            raise ValueError("indices length must match points")
+            raise InvalidParams("indices length must match points")
         if np.any(np.diff(self.centerline_indices) < 0):
-            raise ValueError("centerline indices must be non-decreasing")
+            raise InvalidParams("centerline indices must be non-decreasing")
 
     def __len__(self) -> int:
         return len(self.surface_points)
@@ -35,7 +35,7 @@ def smooth_centerline(raw: np.ndarray, window: int) -> np.ndarray:
     """Moving-average smoothing with endpoint clamping; length-preserving."""
     pts = np.atleast_2d(np.asarray(raw, dtype=float))
     if window < 1 or window % 2 == 0:
-        raise ValueError("window must be odd and >= 1")
+        raise InvalidParams("window must be odd and >= 1")
     n = len(pts)
     if n < window:
         raise TooFewPoints(f"need >= {window} points, got {n}")

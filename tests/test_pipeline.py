@@ -12,13 +12,15 @@ import pytest
 
 from limbscan import pointio
 from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
-from limbscan.errors import ConfigError, StageError
+from limbscan.errors import ConfigError, InvalidParams, StageError
+from limbscan.flowseg import predict_mask
 from limbscan.geometry import PointCloud3
 from limbscan.pipeline import (PipelineConfig, config_from_dict,
                                config_to_dict, load_config, run_pipeline,
                                sweep)
-from limbscan.registration import DeformationGraph
+from limbscan.registration import DeformationGraph, build_graph
 from limbscan.scene import ArticulatedPose, articulate
+from limbscan.trajectory import ScanTrajectory, smooth_centerline
 
 
 class TestConfig:
@@ -226,6 +228,30 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"config error: {flag}")
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--traj", "t.csv", "--sigma", "0.3", "--out-frames", "f",
+         "--report", "r.json"],
+        ["extract", "--depth", "d.pgm", "--meta", "m.json", "--spacing", "0",
+         "--out", "e"],
+    ], ids=["scan-sigma", "extract-spacing"])
+    def test_bad_params_flag_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_register_non_ply_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ply"
+        bad.write_text("OFF\n")
+        joints = "0,0,0;1,0,0;2,0,0"
+        assert main(["register", "--atlas-forearm", str(bad), "--atlas-upperarm", str(bad),
+                     "--scene-forearm", str(bad), "--scene-upperarm", str(bad),
+                     "--joints-atlas", joints, "--joints-scene", joints,
+                     "--out-graph", str(tmp_path / "g.json")]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a PLY file" in err and err.count("\n") == 1
+
     def test_stage_failure_exits_3(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("scene:\n  camera_height: 10\n")
@@ -298,6 +324,27 @@ class TestCli:
         energies = [float(line.split(",")[1]) for line in lines[1:]]
         assert steps == list(range(len(steps))) and len(steps) > 1
         assert all(b <= a for a, b in zip(energies, energies[1:]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: build_graph(np.zeros((4, 3)), radius=0.0),
+    lambda d: ScanTrajectory(np.zeros((3, 3)), [0, 1]),
+    lambda d: ScanTrajectory(np.zeros((3, 3)), [0, 2, 1]),
+    lambda d: smooth_centerline(np.zeros((10, 3)), 4),
+    lambda d: pointio.read_ply(d / "bad.ply"),
+    lambda d: pointio.read_depth_pgm(d / "bad.pgm"),
+    lambda d: predict_mask(np.full((3, 3), 2), np.zeros((2, 3, 3))),
+    lambda d: predict_mask(np.zeros((3, 3), dtype=np.uint8), np.full((2, 3, 3), np.nan)),
+], ids=["build_graph-radius", "ScanTrajectory-length", "ScanTrajectory-order",
+        "smooth_centerline-window", "read_ply", "read_depth_pgm", "predict_mask-binary",
+        "predict_mask-flow"])
+def test_bad_input_is_a_limbscan_error(tmp_path, make):
+    """Bad input raises the package's error type, so a stage or the CLI
+    reports it instead of a traceback."""
+    (tmp_path / "bad.ply").write_text("OFF\n")
+    (tmp_path / "bad.pgm").write_bytes(b"P2\n1 1\n255\n7\n")
+    with pytest.raises(InvalidParams):
+        make(tmp_path)
 
 
 class TestRunPipelineScript:

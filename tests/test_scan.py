@@ -78,6 +78,76 @@ class TestImageSlice:
         assert frame.empty
 
 
+def _yawed(deg):
+    """DOWN_ROTATION turned about the world z axis: the image plane meets the
+    vessel (along x) at 90 - deg degrees."""
+    c, s = np.cos(np.radians(deg)), np.sin(np.radians(deg))
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ DOWN_ROTATION
+
+
+def _tilted(deg):
+    """DOWN_ROTATION turned about the probe's long axis (world y)."""
+    c, s = np.cos(np.radians(deg)), np.sin(np.radians(deg))
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]) @ DOWN_ROTATION
+
+
+def _full_grid_mask(sampler, pose, width_px, height_px, pitch):
+    """Every pixel of the image through `sampler.inside`."""
+    ax = image_axes(pose)
+    lat = (np.arange(width_px) - width_px / 2.0) * pitch
+    dep = (np.arange(height_px) + 0.5) * pitch
+    grid = (pose.translation[None, None, :]
+            + dep[:, None, None] * ax[:, 2]
+            + lat[None, :, None] * ax[:, 0])
+    return sampler.inside(grid.reshape(-1, 3)).reshape(height_px, width_px).astype(np.uint8)
+
+
+# the atlas vessel runs along x from 5 to 525 mm at y = 0, z = 28 (4 mm deep)
+WINDOW_POSES = {
+    "clipped-left": (DOWN_ROTATION, [120.0, 12.5, 32.0], 256, 160, 0.1),
+    "clipped-right": (DOWN_ROTATION, [120.0, -12.5, 32.0], 256, 160, 0.1),
+    "yawed-30": (_yawed(30.0), [120.0, 0.0, 32.0], 256, 160, 0.1),
+    "yawed-70": (_yawed(70.0), [120.0, 3.0, 32.0], 256, 160, 0.1),
+    "tilted-long-axis": (_tilted(35.0), [140.0, 0.0, 32.0], 256, 160, 0.1),
+    "through-endpoint": (DOWN_ROTATION, [5.0, 0.0, 32.0], 256, 160, 0.1),
+    "off-arm": (DOWN_ROTATION, [120.0, 50.0, 32.0], 256, 160, 0.1),
+    "beyond-endpoint": (DOWN_ROTATION, [3.0, 0.0, 32.0], 256, 160, 0.1),
+    "2x2-pitch-1": (DOWN_ROTATION, [120.0, 0.0, 29.5], 2, 2, 1.0),
+}
+
+
+class TestImageSliceWindow:
+    @pytest.mark.parametrize("name", list(WINDOW_POSES))
+    def test_equals_full_grid(self, atlas, name):
+        rotation, t, w, h, pitch = WINDOW_POSES[name]
+        pose = RigidTransform(rotation, np.array(t))
+        sampler = VesselSampler(atlas.centerline.points, atlas.vessel_radius)
+        got = image_slice(atlas, pose, w, h, pitch, sampler).mask
+        want = _full_grid_mask(sampler, pose, w, h, pitch)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype == np.uint8
+        if name in ("off-arm", "beyond-endpoint"):
+            assert not want.any()
+        else:
+            assert want.any() and not want.all()
+        if name.startswith("clipped"):
+            assert want[:, 0].any() or want[:, -1].any()
+
+    def test_random_poses_equal_full_grid(self, atlas, rng):
+        sampler = VesselSampler(atlas.centerline.points, atlas.vessel_radius)
+        hits = 0
+        for _ in range(12):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            q *= np.sign(np.linalg.det(q))
+            t = np.array([rng.uniform(0.0, 530.0), rng.uniform(-6.0, 6.0),
+                          rng.uniform(22.0, 34.0)])
+            pose = RigidTransform(q, t - 5.0 * image_axes(RigidTransform(q, t))[:, 2])
+            got = image_slice(atlas, pose, 96, 64, 0.25, sampler).mask
+            assert np.array_equal(got, _full_grid_mask(sampler, pose, 96, 64, 0.25))
+            hits += got.any()
+        assert hits >= 6
+
+
 class TestCenteringStep:
     def _frame_with_column(self, col, width=100):
         mask = np.zeros((10, width), dtype=np.uint8)
