@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pointio
-from .errors import ConfigError, InvalidParams, LimbscanError
+from .errors import ConfigError, InvalidParams, LimbscanError, TooFewFrames
 from .extraction import ExtractionParams, JointPixels, extract_arm
 from .geometry import RigidTransform
 from .pipeline import (PipelineConfig, RegistrationConfig, build_scene,
@@ -183,7 +183,14 @@ def _cmd_scan(args) -> int:
     frames_dir = Path(args.out_frames)
     write_frames(frames_dir, result.frames)
     write_poses(frames_dir / "poses.csv", result.executed_poses)
-    radii = summarize_scan(result.frames, posed)
+    try:
+        radii = summarize_scan(result.frames, posed)
+    except TooFewFrames as exc:
+        raise TooFewFrames(
+            f"{exc}: trajectory {args.traj} misses the vessel of the scene posed at "
+            f"{cfg.scene.elbow_angle:g} deg (an atlas plan from `limbscan plan` lies on "
+            "it only at 180 deg); scan the transferred_trajectory.csv that "
+            "`limbscan pipeline` writes for this angle") from exc
     report = {
         "sub_segments": [list(s) for s in radii.sub_segments],
         "global_mean_radius": radii.global_mean,

@@ -52,14 +52,16 @@ class SceneConfig:
         if not (90.0 < self.elbow_angle <= 180.0):
             raise ConfigError(f"field 'scene.elbow_angle' = {self.elbow_angle} "
                               "outside valid range (90, 180]")
-        if not (self.length_forearm > 50 and self.length_upperarm > 50):
+        # the upper bounds keep the template and the depth image a bounded size
+        if not (50 < self.length_forearm <= 1000 and 50 < self.length_upperarm <= 1000):
             raise ConfigError("field 'scene.length_forearm'/'scene.length_upperarm' "
-                              "must exceed 50 mm")
+                              "outside valid range (50, 1000] mm")
         if not self.noise_sigma >= 0:
             raise ConfigError("field 'scene.noise_sigma' must be >= 0")
-        if not (self.render_pitch > 0 and self.camera_height > 0):
-            raise ConfigError("field 'scene.render_pitch'/'scene.camera_height' "
-                              "must be positive")
+        if not self.render_pitch >= 0.25:
+            raise ConfigError("field 'scene.render_pitch' must be >= 0.25 mm")
+        if not self.camera_height > 0:
+            raise ConfigError("field 'scene.camera_height' must be positive")
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,18 @@ Image frame conventions: the image x-axis (columns) runs along the probe's
 long axis, the image z-axis (rows) along the probe's pushing direction.
 Column c maps to lateral (c - W/2) * pitch mm, row r to depth
 (r + 0.5) * pitch mm, so a centered vessel has its column centroid at
-exactly W/2. The hand-eye transform maps the image-frame correction vector
-[(W/2 - v_x) * pitch, 0, 0] to a world-frame probe displacement; pixel pitch
-is folded in here so the correction is metric.
+exactly W/2. The servo moves the probe by delta_p = -(W/2 - v_x) * pitch * x_img,
+x_img being the image x-axis in the world.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidParams, TooFewFrames, VesselLost
-from .flowseg import mask_centroid
 from .geometry import PointCloud3, RigidTransform
 from .scene import ArmTemplate
 from .trajectory import ScanTrajectory
@@ -26,13 +24,18 @@ from .trajectory import ScanTrajectory
 
 @dataclass
 class VirtualFrame:
-    """One simulated ultrasound cross-section."""
+    """One simulated ultrasound cross-section, measured once when built: its
+    world-frame image axes, foreground area in pixels, and (column, row)
+    foreground centroid, None for an empty mask."""
 
     probe_pose: RigidTransform
     width_px: int
     height_px: int
     pitch: float
     mask: np.ndarray
+    axes: np.ndarray = field(init=False, repr=False)
+    area: int = field(init=False)
+    centroid: tuple[float, float] | None = field(init=False)
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=np.uint8)
@@ -40,24 +43,12 @@ class VirtualFrame:
             raise InvalidParams("mask dims must match width/height")
         if self.pitch <= 0:
             raise InvalidParams("pitch must be positive")
-
-    @property
-    def empty(self) -> bool:
-        return int(self.mask.sum()) == 0
-
-
-@dataclass
-class CenteringState:
-    """Last compensation event: trajectory index, world offset and decay."""
-
-    i: int
-    delta_p: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        self.delta_p = np.asarray(self.delta_p, dtype=float).reshape(3)
-        if not (0.5 < self.sigma < 1.0):
-            raise InvalidParams(f"sigma {self.sigma} outside (0.5, 1)")
+        rows, cols = np.nonzero(self.mask)
+        if np.any(self.mask[rows, cols] != 1):
+            raise InvalidParams("mask values must be binary")
+        self.axes = image_axes(self.probe_pose)
+        self.area = len(rows)
+        self.centroid = (float(cols.mean()), float(rows.mean())) if self.area else None
 
 
 @dataclass
@@ -90,10 +81,14 @@ class ScanParams:
     resample_step: float = 0.05   # vessel polyline resampling, mm
 
     def __post_init__(self):
-        if self.width_px < 2 or self.height_px < 2:
-            raise InvalidParams("image must be at least 2x2")
-        if self.pitch <= 0 or self.resample_step <= 0:
-            raise InvalidParams("pitch and resample_step must be positive")
+        # the upper bound on the image and the lower one on the polyline step
+        # keep a frame and the vessel sampler a bounded size
+        if not (2 <= self.width_px <= 1024 and 2 <= self.height_px <= 1024):
+            raise InvalidParams("width_px and height_px must be in [2, 1024]")
+        if self.pitch <= 0:
+            raise InvalidParams("pitch must be positive")
+        if not self.resample_step >= 0.005:
+            raise InvalidParams("resample_step must be >= 0.005 mm")
         if not (0.5 < self.sigma < 1.0):
             raise InvalidParams(f"sigma {self.sigma} outside (0.5, 1)")
         if self.deadband_px < 0 or self.max_recenter < 0:
@@ -119,16 +114,6 @@ def image_axes(probe_pose: RigidTransform) -> np.ndarray:
     x_i = r[:, 1]
     z_i = r[:, 2]
     return np.stack([x_i, np.cross(z_i, x_i), z_i], axis=1)
-
-
-def hand_eye(probe_pose: RigidTransform) -> RigidTransform:
-    """Image-to-base correction transform ^b_I T.
-
-    Maps [(W/2 - v_x) * pitch, 0, 0] to the world displacement that moves the
-    probe toward the vessel, i.e. its x column is the negated image x axis.
-    """
-    ax = image_axes(probe_pose)
-    return RigidTransform(ax @ np.diag([-1.0, -1.0, 1.0]), probe_pose.translation)
 
 
 class VesselSampler:
@@ -191,26 +176,23 @@ def _pixel_span(u: np.ndarray, reach: float, n: int) -> tuple[int, int]:
     return min(max(lo, 0), n), min(max(hi, 0), n)
 
 
-def centering_step(frame: VirtualFrame, remaining: np.ndarray, state: CenteringState,
-                   hand_eye_t: RigidTransform, deadband_px: float = 2.0):
+def centering_step(frame: VirtualFrame, remaining: np.ndarray, sigma: float,
+                   deadband_px: float = 2.0):
     """One Eq.-style compensation: immediate world correction from the centroid
-    error, extrapolated onto the remaining points with geometric decay.
+    error, extrapolated onto the remaining points with geometric decay sigma^k.
 
-    Returns (corrected remaining points, new state, delta_p or None).
-    Raises VesselLost on an empty mask; the trajectory is left unchanged.
+    Returns (corrected remaining points, delta_p), or (remaining, None) inside
+    the deadband. Raises VesselLost on an empty mask.
     """
-    if frame.empty:
+    if frame.centroid is None:
         raise VesselLost("empty mask, no centroid")
-    v_x = mask_centroid(frame.mask)
-    err_px = frame.width_px / 2.0 - v_x
+    err_px = frame.width_px / 2.0 - frame.centroid[0]
     if abs(err_px) <= deadband_px:
-        return remaining, state, None
-    delta_p = hand_eye_t.rotation @ np.array([err_px * frame.pitch, 0.0, 0.0])
-    out = np.array(remaining, dtype=float, copy=True)
-    if len(out):
-        k = np.arange(1, len(out) + 1, dtype=float)
-        out += delta_p[None, :] * (state.sigma ** k)[:, None]
-    return out, CenteringState(state.i + 1, delta_p, state.sigma), delta_p
+        return remaining, None
+    # + 0.0: a zero component is 0.0, never -0.0, in the correction log
+    delta_p = -(err_px * frame.pitch) * frame.axes[:, 0] + 0.0
+    k = np.arange(1, len(remaining) + 1, dtype=float)
+    return remaining + delta_p[None, :] * (sigma ** k)[:, None], delta_p
 
 
 def run_scan(scene: ArmTemplate, trajectory: ScanTrajectory,
@@ -232,14 +214,13 @@ def run_scan(scene: ArmTemplate, trajectory: ScanTrajectory,
     pts = np.array(trajectory.surface_points, dtype=float, copy=True)
     if params.lateral_bias != 0.0:
         for i, pose in enumerate(trajectory.poses):
-            pts[i] += params.lateral_bias * image_axes(pose)[:, 0]
+            pts[i] += params.lateral_bias * pose.rotation[:, 1]   # image x = probe y
 
     frames: list[VirtualFrame] = []
     executed: list[RigidTransform] = []
     corrections: list[dict] = []
     centroid_log: list[dict] = []
     lost = 0
-    state = CenteringState(0, np.zeros(3), params.sigma)
 
     n = len(pts)
     for i in range(n):
@@ -248,18 +229,16 @@ def run_scan(scene: ArmTemplate, trajectory: ScanTrajectory,
             frame = image_slice(scene, pose, params.width_px, params.height_px,
                                 params.pitch, sampler)
             frames.append(frame)
-            if frame.empty:
+            if frame.centroid is None:
                 lost += 1
                 centroid_log.append({"station": i, "frame": len(frames) - 1,
                                      "v_x": None, "error_mm": None})
                 break
-            v_x = mask_centroid(frame.mask)
-            err_mm = (params.width_px / 2.0 - v_x) * params.pitch
-            centroid_log.append({"station": i, "frame": len(frames) - 1,
-                                 "v_x": float(v_x), "error_mm": float(err_mm)})
-            state = CenteringState(i, state.delta_p, params.sigma)
-            new_rest, state, delta_p = centering_step(
-                frame, pts[i + 1:], state, hand_eye(pose), params.deadband_px)
+            v_x = frame.centroid[0]
+            centroid_log.append({"station": i, "frame": len(frames) - 1, "v_x": v_x,
+                                 "error_mm": (params.width_px / 2.0 - v_x) * params.pitch})
+            new_rest, delta_p = centering_step(frame, pts[i + 1:], params.sigma,
+                                               params.deadband_px)
             if delta_p is None or attempt == params.max_recenter:
                 break
             pts[i + 1:] = new_rest
@@ -276,18 +255,13 @@ def reconstruct(frames: list) -> ReconstructedVessel:
     """Per-frame centroid + equivalent-circle radius, mapped to world."""
     centers, radii = [], []
     for f in frames:
-        if f.empty:
+        if f.centroid is None:
             continue
-        rows, cols = np.nonzero(f.mask)
-        area = len(rows)
-        v_x = float(cols.mean())
-        v_y = float(rows.mean())
-        ax = image_axes(f.probe_pose)
-        center = (f.probe_pose.translation
-                  + (v_x - f.width_px / 2.0) * f.pitch * ax[:, 0]
-                  + (v_y + 0.5) * f.pitch * ax[:, 2])
-        centers.append(center)
-        radii.append(f.pitch * np.sqrt(area / np.pi))
+        v_x, v_y = f.centroid
+        centers.append(f.probe_pose.translation
+                       + (v_x - f.width_px / 2.0) * f.pitch * f.axes[:, 0]
+                       + (v_y + 0.5) * f.pitch * f.axes[:, 2])
+        radii.append(f.pitch * np.sqrt(f.area / np.pi))
     if len(centers) < 2:
         raise TooFewFrames(f"need >= 2 non-empty frames, got {len(centers)}")
     return ReconstructedVessel(PointCloud3(np.asarray(centers)), np.asarray(radii))

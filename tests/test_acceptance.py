@@ -21,9 +21,8 @@ from limbscan.pipeline import config_from_dict, run_pipeline
 from limbscan.registration import (ArmObservation, SolveParams, build_graph,
                                    energy, initial_align, solve,
                                    transfer_trajectory)
-from limbscan.scan import (CenteringState, ScanParams, VirtualFrame,
-                           centering_step, hand_eye, radius_report,
-                           reconstruct, run_scan)
+from limbscan.scan import (ScanParams, VirtualFrame, centering_step,
+                           radius_report, reconstruct, run_scan)
 from limbscan.scene import (UP, ArticulatedPose, articulate, default_camera,
                             hinge_points, joint_pixels, make_template,
                             render_depth)
@@ -160,9 +159,7 @@ def test_criterion_3_centering_servo(atlas, capsys):
         pose = RigidTransform(np.diag([1.0, -1.0, -1.0]), rng.uniform(-5, 5, 3))
         frame = VirtualFrame(pose, width, 10, 0.1, mask)
         remaining = rng.uniform(-10.0, 10.0, (20, 3))
-        state = CenteringState(0, np.zeros(3), 0.8)
-        out, _, delta = centering_step(frame, remaining, state, hand_eye(pose),
-                                       deadband_px=2.0)
+        out, delta = centering_step(frame, remaining, 0.8, deadband_px=2.0)
         if delta is None:
             continue
         shifts = np.linalg.norm(out - remaining, axis=1)

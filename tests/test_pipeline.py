@@ -1,14 +1,11 @@
 """Pipeline config validation, end-to-end run, sweep isolation, CLI exit codes."""
 import json
-import os
 import re
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from limbscan import pointio
 from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
@@ -108,6 +105,29 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert f"'{name}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, name, bad, edge", [
+        ("scene", "length_forearm", 1e308, 1000.0),
+        ("scene", "length_upperarm", 1e308, 1000.0),
+        ("scene", "render_pitch", 1e-9, 0.25),
+        ("scan", "width_px", 1025, 1024),
+        ("scan", "height_px", 1025, 1024),
+        ("scan", "resample_step", 0.001, 0.005),
+    ])
+    def test_resource_fields_bounded(self, tmp_path, capsys, section, name, bad, edge):
+        # a config cannot ask for a huge template, depth image, frame or
+        # vessel polyline; the bound itself is accepted
+        config_from_dict({section: {name: edge}})
+        p = tmp_path / "big.yaml"
+        p.write_text(yaml.safe_dump({section: {name: bad}}))
+        with pytest.raises(ConfigError, match=re.escape(name) + ".*(range|must be)"):
+            load_config(p)
+        out = tmp_path / "o"
+        assert main(["scene", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert name in err
         assert not out.exists()
 
     def test_int_kept_for_float_field(self):
@@ -215,6 +235,14 @@ class TestCli:
         assert main(["scene", "--out", str(tmp_path), "--angle", "90"]) == \
             EXIT_CONFIG
 
+    def test_pipeline_invalid_angle_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["pipeline", "--angle", "90", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "scene.elbow_angle" in err
+        assert not out.exists()
+
     def test_bad_config_file_exits_2(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("scene:\n  elbow_angle: 50\n")
@@ -298,6 +326,22 @@ class TestCli:
         assert poses[0] == "tx,ty,tz,r00,r01,r02,r10,r11,r12,r20,r21,r22"
         assert len(poses) == stations + 1
 
+    def test_plan_then_scan_posed_names_cause(self, tmp_path, capsys):
+        # at 140 deg the atlas plan misses the vessel; the error says so and
+        # names the trajectory that does follow it
+        assert main(["plan", "--angle", "140", "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["scan", "--angle", "140",
+                     "--traj", str(tmp_path / "atlas_trajectory.csv"),
+                     "--out-frames", str(tmp_path / "frames"),
+                     "--report", str(tmp_path / "scan.json")]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: need >= 2 non-empty frames, got 0")
+        assert err.count("\n") == 1
+        assert "misses the vessel" in err and "140 deg" in err
+        assert "transferred_trajectory.csv" in err and "limbscan pipeline" in err
+        assert not (tmp_path / "scan.json").exists()
+
     def test_register_command(self, tmp_path, atlas, template):
         posed = articulate(template, ArticulatedPose(150.0))
         args = []
@@ -346,17 +390,3 @@ def test_bad_input_is_a_limbscan_error(tmp_path, make):
     with pytest.raises(InvalidParams):
         make(tmp_path)
 
-
-class TestRunPipelineScript:
-    @pytest.mark.parametrize("override", [["--angle", "90"], ["--seed", "-1"]])
-    def test_bad_override_exits_2_before_any_stage(self, tmp_path, override):
-        root = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(root / "src")}
-        out = tmp_path / "o"
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "run_pipeline.py"),
-             "--out", str(out), *override],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("config error: ")
-        assert not out.exists()

@@ -4,11 +4,11 @@ import pytest
 from _util import DOWN_ROTATION, straight_trajectory
 
 from limbscan.errors import InvalidParams, TooFewFrames, VesselLost
+from limbscan.flowseg import mask_centroid
 from limbscan.geometry import PointCloud3, RigidTransform
-from limbscan.scan import (CenteringState, ReconstructedVessel, ScanParams,
-                           VesselSampler, VirtualFrame, centering_step,
-                           hand_eye, image_axes, image_slice, radius_report,
-                           reconstruct, run_scan)
+from limbscan.scan import (ReconstructedVessel, ScanParams, VesselSampler,
+                           VirtualFrame, centering_step, image_axes,
+                           image_slice, radius_report, reconstruct, run_scan)
 
 
 def _down_pose(x=0.0, y=0.0, z=32.0):
@@ -22,20 +22,29 @@ class TestFrames:
         np.testing.assert_array_equal(ax[:, 2], [0.0, 0.0, 1.0])  # push axis
         np.testing.assert_array_equal(ax[:, 1], np.cross(ax[:, 2], ax[:, 0]))
 
-    def test_hand_eye_moves_probe_toward_vessel(self):
-        pose = _down_pose()
-        he = hand_eye(pose)
-        ax = image_axes(pose)
-        # vessel right of center (v_x > W/2, along +image-x) means err_px < 0;
-        # the mapped correction must point along +image-x, toward the vessel
-        delta = he.rotation @ np.array([-1.0, 0.0, 0.0])
-        assert delta @ ax[:, 0] > 0.999
-
     def test_virtual_frame_validation(self):
         with pytest.raises(InvalidParams):
             VirtualFrame(_down_pose(), 4, 4, 0.1, np.zeros((3, 4)))
+        with pytest.raises(InvalidParams, match="binary"):
+            VirtualFrame(_down_pose(), 4, 4, 0.1, np.full((4, 4), 2))
         f = VirtualFrame(_down_pose(), 4, 4, 0.1, np.zeros((4, 4)))
-        assert f.empty
+        assert f.area == 0 and f.centroid is None
+
+    def test_measured_once_matches_mask(self, rng):
+        pose = _down_pose(x=3.0)
+        masks = [np.zeros((9, 13), dtype=np.uint8)]
+        masks += [(rng.uniform(size=(9, 13)) < p).astype(np.uint8)
+                  for p in rng.uniform(0.01, 0.99, 200)]
+        for mask in masks:
+            f = VirtualFrame(pose, 13, 9, 0.1, mask)
+            assert f.area == mask.sum()
+            np.testing.assert_array_equal(f.axes, image_axes(pose))
+            if f.area == 0:
+                assert f.centroid is None
+                continue
+            # bit for bit: both are an exact integer moment over the area
+            assert f.centroid[0] == mask_centroid(mask)
+            assert f.centroid[1] == mask_centroid(mask.T)
 
 
 class TestVesselSampler:
@@ -55,8 +64,7 @@ class TestImageSlice:
     def test_centered_vessel_centroid_at_half_width(self, atlas):
         pose = _down_pose(x=120.0, z=2.0 * atlas.vertical_b)
         frame = image_slice(atlas, pose, 256, 160, 0.1)
-        from limbscan.flowseg import mask_centroid
-        assert mask_centroid(frame.mask) == 256 / 2.0
+        assert mask_centroid(frame.mask) == frame.centroid[0] == 256 / 2.0
 
     def test_cross_section_area_matches_radius(self, atlas):
         pose = _down_pose(x=120.0, z=2.0 * atlas.vertical_b)
@@ -75,7 +83,7 @@ class TestImageSlice:
         frame = image_slice(atlas, _down_pose(x=120.0, y=50.0,
                                               z=2.0 * atlas.vertical_b),
                             256, 160, 0.1)
-        assert frame.empty
+        assert frame.area == 0 and frame.centroid is None
 
 
 def _yawed(deg):
@@ -157,9 +165,7 @@ class TestCenteringStep:
     def test_exact_geometric_decay(self, rng):
         frame = self._frame_with_column(70)
         remaining = rng.uniform(-10.0, 10.0, (15, 3))
-        state = CenteringState(0, np.zeros(3), 0.8)
-        out, new_state, delta = centering_step(frame, remaining, state,
-                                               hand_eye(frame.probe_pose))
+        out, delta = centering_step(frame, remaining, 0.8)
         assert delta is not None
         norm = np.linalg.norm(delta)
         assert norm == pytest.approx((70 - 50) * 0.1, abs=1e-12)
@@ -167,27 +173,26 @@ class TestCenteringStep:
         expect = norm * 0.8 ** np.arange(1, 16)
         assert np.max(np.abs(shifts - expect)) <= 1e-12
 
+    @pytest.mark.parametrize("col", [70, 30])
+    def test_moves_probe_toward_vessel(self, col):
+        frame = self._frame_with_column(col)
+        _, delta = centering_step(frame, np.zeros((0, 3)), 0.8)
+        # the vessel lies along +image-x when right of center (col > W/2);
+        # the correction moves the probe that way by the full error
+        np.testing.assert_allclose(delta, (col - 50) * 0.1 * frame.axes[:, 0], atol=1e-12)
+        assert not np.signbit(delta[delta == 0.0]).any()
+
     def test_deadband_is_noop(self, rng):
         frame = self._frame_with_column(51)
         remaining = rng.uniform(size=(5, 3))
-        state = CenteringState(0, np.zeros(3), 0.8)
-        out, new_state, delta = centering_step(frame, remaining, state,
-                                               hand_eye(frame.probe_pose),
-                                               deadband_px=2.0)
+        out, delta = centering_step(frame, remaining, 0.8, deadband_px=2.0)
         assert delta is None
-        assert out is remaining and new_state is state
+        assert out is remaining
 
     def test_empty_mask_raises(self, rng):
         frame = VirtualFrame(_down_pose(), 8, 8, 0.1, np.zeros((8, 8)))
         with pytest.raises(VesselLost):
-            centering_step(frame, np.zeros((3, 3)), CenteringState(0, np.zeros(3), 0.8),
-                           hand_eye(frame.probe_pose))
-
-    def test_state_validation(self):
-        with pytest.raises(InvalidParams):
-            CenteringState(0, np.zeros(3), 0.4)
-        with pytest.raises(InvalidParams):
-            CenteringState(0, np.zeros(3), 1.0)
+            centering_step(frame, np.zeros((3, 3)), 0.8)
 
 
 class TestRunScan:
@@ -236,6 +241,8 @@ class TestRunScan:
     def test_params_validation(self):
         with pytest.raises(InvalidParams):
             ScanParams(sigma=0.5)
+        with pytest.raises(InvalidParams):
+            ScanParams(sigma=1.0)
         with pytest.raises(InvalidParams):
             ScanParams(pitch=0.0)
         with pytest.raises(InvalidParams):
