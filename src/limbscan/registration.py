@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import dijkstra, reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
@@ -372,7 +372,15 @@ class _BandedNormalEquations:
     weight: the Welsch IRLS weight exp(-|r|^2 / c^2) for alignment (frozen
     per step, so the step descends the robust energy), alpha1 for edges.
     That part of H is a fixed linear map of the row weights; only the
-    per-node rigidity blocks are rebuilt from A on each step.
+    per-node rigidity blocks are rebuilt from A at each factorization.
+
+    H is factored by banded Cholesky once per outer iteration of `solve`,
+    and its inner steps reuse that factor: each solves H_0 delta = -g with
+    the gradient g at the current point and H_0 from an earlier point of the
+    same outer iteration. H_0 is positive definite, so delta still descends
+    and the line search keeps the history monotone (Yao et al., "Quasi-Newton
+    Solver for Robust Non-Rigid Registration", CVPR 2020, reuse one factor of
+    this energy the same way).
     """
 
     def __init__(self, graph: DeformationGraph, verts: np.ndarray, corr_idx: np.ndarray,
@@ -425,15 +433,21 @@ class _BandedNormalEquations:
         a, b = np.divmod(np.arange(81), 9)
         rot_r = pos[12 * np.arange(m)[:, None] + a]
         rot_c = pos[12 * np.arange(m)[:, None] + b]
-        self.bandwidth = int(max(np.max(lin_r - lin_c), np.max(rot_r - rot_c)))
+        self.bandwidth = bw = int(max(np.max(lin_r - lin_c), np.max(rot_r - rot_c)))
+        # band entry (d, c) sits at c * (bw + 1) + d of a Fortran-ordered
+        # (bw + 1, n) array, the layout LAPACK factors in place
         keep = lin_r >= lin_c
-        self.lin_at, self.lin_src = (lin_r - lin_c)[keep] * n + lin_c[keep], lin_src[keep]
+        self.lin_at, self.lin_src = lin_c[keep] * (bw + 1) + (lin_r - lin_c)[keep], lin_src[keep]
         self.rot_keep = rot_r >= rot_c
-        self.rot_at = (rot_r - rot_c)[self.rot_keep] * n + rot_c[self.rot_keep]
+        self.rot_at = rot_c[self.rot_keep] * (bw + 1) + (rot_r - rot_c)[self.rot_keep]
+        self.factor = None
 
-    def step(self, blocks, affines: np.ndarray, params: SolveParams) -> np.ndarray:
+    def step(self, blocks, affines: np.ndarray, params: SolveParams,
+             fresh: bool) -> np.ndarray:
         """Damped Gauss-Newton step from the residual blocks at the current
-        parameters. Raises np.linalg.LinAlgError if H is not positive definite."""
+        parameters. With `fresh`, H is built and factored here first;
+        otherwise the factor kept from the last fresh step is reused.
+        Raises np.linalg.LinAlgError if H is not positive definite."""
         r_ali, r_reg, r_rot, r_det = blocks
         m = len(affines)
         weight = np.concatenate([np.exp(-np.sum(r_ali ** 2, axis=1) / params.welsch_c ** 2),
@@ -447,18 +461,24 @@ class _BandedNormalEquations:
         j_rot = (np.einsum("ad,ncb->nabcd", eye, affines)
                  + np.einsum("bd,nca->nabcd", eye, affines)).reshape(m, 9, 9)
         j_det = np.cross(affines[:, [1, 2, 0]], affines[:, [2, 0, 1]]).reshape(m, 9)
-        h_rot = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
-                                 + j_det[:, :, None] * j_det[:, None, :])
         grad.reshape(m, 12)[:, :9] += params.alpha2 * (
             np.einsum("nri,nr->ni", j_rot, r_rot) + j_det * r_det[:, None])
 
-        band = np.zeros((self.bandwidth + 1, self.n))
-        flat = band.reshape(-1)
-        flat[self.lin_at] = (self.core @ weight)[self.lin_src]
-        flat[self.rot_at] += h_rot.reshape(m, 81)[self.rot_keep]
-        band[0] += params.levenberg * max(band[0].max(), 1.0)
+        if fresh:
+            self.factor = None  # free the old factor before the new band exists
+            h_rot = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
+                                     + j_det[:, :, None] * j_det[:, None, :])
+            flat = np.zeros(self.n * (self.bandwidth + 1))
+            flat[self.lin_at] = (self.core @ weight)[self.lin_src]
+            flat[self.rot_at] += h_rot.reshape(m, 81)[self.rot_keep]
+            band = flat.reshape(self.n, self.bandwidth + 1).T
+            band[0] += params.levenberg * max(band[0].max(), 1.0)
+            self.factor = cholesky_banded(band, overwrite_ab=True, lower=True)
         delta = np.empty(self.n)
-        delta[self.perm] = solveh_banded(band, -grad[self.perm], overwrite_ab=True, lower=True)
+        # the factor's input was checked by cholesky_banded, and solve
+        # rejects a non-finite delta
+        delta[self.perm] = cho_solve_banded((self.factor, True), -grad[self.perm],
+                                            check_finite=False)
         return delta
 
 
@@ -502,6 +522,26 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
         blocks = _residuals(graph, verts, corr_idx, targets, edges)
         return blocks, _energy(blocks, params.alpha1, params.alpha2, params.welsch_c).total
 
+    def take_step(fresh):
+        """One step and its line search; True once a trial lowers the
+        energy, False if the step is not finite or 30 halvings fail."""
+        nonlocal blocks, e_current
+        delta = normal.step(blocks, graph.affines, params, fresh)
+        if not np.all(np.isfinite(delta)):
+            return False
+        x0 = _pack(graph)
+        alpha = 1.0
+        for _ in range(30):
+            _unpack(graph, x0 + alpha * delta)
+            trial, e_new = evaluate(targets)
+            if e_new < e_current - 1e-15:
+                blocks, e_current = trial, e_new
+                history.append(e_current)
+                return True
+            alpha *= 0.5
+        _unpack(graph, x0)
+        return False
+
     targets = closest_targets()
     blocks, e_current = evaluate(targets)
     history = [e_current]
@@ -513,25 +553,15 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
             blocks, e_current = evaluate(targets)
             history.append(e_current)
 
-        for _ in range(params.max_inner):
+        for inner in range(params.max_inner):
+            # H is factored on the first step only; a failed step with the
+            # reused factor is retried once with H factored here, so only a
+            # fresh factor's failure ends the inner loop
+            fresh = inner == 0
             try:
-                delta = normal.step(blocks, graph.affines, params)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(delta)):
-                break
-            x0 = _pack(graph)
-            alpha = 1.0
-            for _ in range(30):
-                _unpack(graph, x0 + alpha * delta)
-                trial, e_new = evaluate(targets)
-                if e_new < e_current - 1e-15:
-                    blocks, e_current = trial, e_new
-                    history.append(e_current)
+                if not (take_step(fresh) or (not fresh and take_step(True))):
                     break
-                alpha *= 0.5
-            else:
-                _unpack(graph, x0)
+            except np.linalg.LinAlgError:
                 break
 
         if e_outer_start <= 0:

@@ -1,13 +1,15 @@
 """Non-rigid registration: alignment, deformation graph, energy, solver."""
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.spatial import cKDTree
 
+from limbscan import registration
 from limbscan.errors import DegenerateSegment, OutOfBindingReach
 from limbscan.geometry import PointCloud3, RigidTransform
 from limbscan.registration import (ArmObservation, DeformationGraph,
                                    SolveParams, _BandedNormalEquations, _edges,
-                                   _residuals, build_graph, energy,
+                                   _pack, _residuals, _unpack, build_graph, energy,
                                    initial_align, solve, transfer_trajectory,
                                    welsch)
 from limbscan.trajectory import ScanTrajectory
@@ -183,40 +185,109 @@ class TestEnergy:
         assert e.total == pytest.approx(l_ali + 10.0 * l_reg + 100.0 * l_rot, rel=1e-12)
 
 
+def _dense_normal_equations(g, pts, idx, target, x, params):
+    """Damped H = J^T J and gradient J^T r of the Welsch-weighted residuals at
+    the packed parameters x, with the IRLS weights frozen at x; J is taken by
+    complex step, exact to rounding for these polynomial residuals."""
+    edges = _edges(g)
+
+    def blocks(x):
+        h = DeformationGraph(g.node_positions, x[:, :9].reshape(-1, 3, 3), x[:, 9:],
+                             g.neighbors, g.sampling_radius, g.bind_idx, g.bind_w)
+        return _residuals(h, pts, idx, target, edges)
+
+    x = x.reshape(-1, 12)
+    sw = np.exp(-np.sum(blocks(x)[0] ** 2, axis=1) / params.welsch_c ** 2) ** 0.5
+
+    def weighted_residual(x):
+        r_ali, r_reg, r_rot, r_det = blocks(x)
+        return np.concatenate([(sw[:, None] * r_ali).ravel(),
+                               np.sqrt(params.alpha1) * r_reg.ravel(),
+                               np.sqrt(params.alpha2) * r_rot.ravel(),
+                               np.sqrt(params.alpha2) * r_det])
+
+    n_par = x.size
+    J = np.empty((len(weighted_residual(x)), n_par))
+    for c in range(n_par):
+        xc = x.ravel().astype(complex)
+        xc[c] += 1e-30j
+        J[:, c] = weighted_residual(xc.reshape(-1, 12)).imag / 1e-30
+    H = J.T @ J
+    H += params.levenberg * max(H.diagonal().max(), 1.0) * np.eye(n_par)
+    return H, J.T @ weighted_residual(x)
+
+
+def _solver_calls(monkeypatch, reused_step=None):
+    """Log the solver's closest-point queries, factorizations and
+    back-substitutions as "query" / "factor" / "solve" events. A solve not
+    right after a factor reuses an older factor; `reused_step`, if given,
+    replaces the step such a solve returns."""
+    events = []
+
+    class Tree(registration.cKDTree):
+        def query(self, *args, **kwargs):
+            events.append("query")
+            return super().query(*args, **kwargs)
+
+    def factor(*args, **kwargs):
+        events.append("factor")
+        return cholesky_banded(*args, **kwargs)
+
+    def back_substitute(*args, **kwargs):
+        reused = events[-1] != "factor"
+        events.append("solve")
+        x = cho_solve_banded(*args, **kwargs)
+        return reused_step(x) if reused and reused_step else x
+
+    monkeypatch.setattr(registration, "cKDTree", Tree)
+    monkeypatch.setattr(registration, "cholesky_banded", factor)
+    monkeypatch.setattr(registration, "cho_solve_banded", back_substitute)
+    return events
+
+
+def _bending_patch(template):
+    from limbscan.scene import hinge_points
+    shell, axial, _ = template.top_shell()
+    keep = (axial > 180.0) & (axial < 320.0)  # patch across the elbow
+    pts = shell.points[keep]
+    return pts, hinge_points(pts, axial[keep], template.elbow, 150.0, 30.0)
+
+
 class TestBandedNormalEquations:
     def test_step_matches_dense_solve(self, rng):
         g, pts, target = _perturbed_graph(rng, n=200)
         params = SolveParams()
         idx = np.arange(len(pts))
-        edges = _edges(g)
-        x0 = np.hstack([g.affines.reshape(-1, 9), g.translations]).ravel()
-        r_ali = _residuals(g, pts, idx, target, edges)[0]
-        sw = np.exp(-np.sum(r_ali ** 2, axis=1) / params.welsch_c ** 2) ** 0.5
+        H, grad = _dense_normal_equations(g, pts, idx, target, _pack(g), params)
+        expected = np.linalg.solve(H, -grad)
 
-        def weighted_residual(x):
-            h = DeformationGraph(g.node_positions, x[:, :9].reshape(-1, 3, 3), x[:, 9:],
-                                 g.neighbors, g.sampling_radius, g.bind_idx, g.bind_w)
-            r_ali, r_reg, r_rot, r_det = _residuals(h, pts, idx, target, edges)
-            return np.concatenate([(sw[:, None] * r_ali).ravel(),
-                                   np.sqrt(params.alpha1) * r_reg.ravel(),
-                                   np.sqrt(params.alpha2) * r_rot.ravel(),
-                                   np.sqrt(params.alpha2) * r_det])
-
-        # complex-step Jacobian: exact to rounding for these polynomial residuals
-        n_par = len(x0)
-        J = np.empty((len(weighted_residual(x0.reshape(-1, 12))), n_par))
-        for c in range(n_par):
-            x = x0.astype(complex)
-            x[c] += 1e-30j
-            J[:, c] = weighted_residual(x.reshape(-1, 12)).imag / 1e-30
-        H = J.T @ J
-        H += params.levenberg * max(H.diagonal().max(), 1.0) * np.eye(n_par)
-        expected = np.linalg.solve(H, -J.T @ weighted_residual(x0.reshape(-1, 12)))
-
-        normal = _BandedNormalEquations(g, pts, idx, edges)
-        got = normal.step(_residuals(g, pts, idx, target, edges), g.affines, params)
-        assert normal.bandwidth < n_par - 1  # the RCM order leaves a true band
+        normal = _BandedNormalEquations(g, pts, idx, _edges(g))
+        got = normal.step(_residuals(g, pts, idx, target, _edges(g)), g.affines, params,
+                          fresh=True)
+        assert normal.bandwidth < len(grad) - 1  # the RCM order leaves a true band
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_reused_factor_step_is_exact(self, rng):
+        # factor at x0, move to x1: the step solves H(x0) delta = -g(x1)
+        g, pts, target = _perturbed_graph(rng, n=200)
+        params = SolveParams()
+        idx = np.arange(len(pts))
+        x0 = _pack(g)
+        x1 = x0 + rng.normal(scale=0.02, size=x0.shape)
+        H0, _ = _dense_normal_equations(g, pts, idx, target, x0, params)
+        _, grad1 = _dense_normal_equations(g, pts, idx, target, x1, params)
+        expected = np.linalg.solve(H0, -grad1)
+
+        normal = _BandedNormalEquations(g, pts, idx, _edges(g))
+        normal.step(_residuals(g, pts, idx, target, _edges(g)), g.affines, params,
+                    fresh=True)
+        _unpack(g, x1)
+        got = normal.step(_residuals(g, pts, idx, target, _edges(g)), g.affines, params,
+                          fresh=False)
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+        fresh = normal.step(_residuals(g, pts, idx, target, _edges(g)), g.affines, params,
+                            fresh=True)
+        assert np.linalg.norm(got - fresh) > 1e-3 * np.linalg.norm(fresh)
 
 
 class TestInitialAlign:
@@ -272,26 +343,52 @@ class TestSolve:
         assert np.median(d) < 0.1
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
-    def test_history_monotone_under_bending(self, template, rng):
-        from limbscan.scene import ArticulatedPose, articulate, hinge_points
-        shell, axial, _ = template.top_shell()
-        keep = (axial > 180.0) & (axial < 320.0)  # patch across the elbow
-        pts = shell.points[keep]
-        target = hinge_points(pts, axial[keep], template.elbow, 150.0, 30.0)
+    def test_history_monotone_under_bending(self, template, monkeypatch):
+        pts, target = _bending_patch(template)
         g = build_graph(pts, radius=15.0)
-        g, history = solve(g, pts, target, SolveParams(max_outer=15))
+        events = _solver_calls(monkeypatch)
+        params = SolveParams(max_outer=15)
+        g, history = solve(g, pts, target, params)
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
         d, _ = cKDTree(target).query(g.deform(pts))
         assert np.median(d) < 1.0
 
+        # one factorization opens each outer iteration (after its query);
+        # any other follows a failed step and retries it
+        n_outer = events.count("query")
+        retries = sum(a == "solve" and b == "factor" for a, b in zip(events, events[1:]))
+        accepted = len(history) - n_outer
+        assert events.count("factor") == n_outer + retries <= params.max_outer + retries
+        assert events.count("factor") < accepted
+
+    def test_failed_reused_step_is_retried_fresh(self, template, monkeypatch):
+        # a reused factor that yields only a zero step exhausts the line
+        # search; the step is retried with H factored at the same point
+        pts, target = _bending_patch(template)
+        params = SolveParams(max_outer=4)
+        g = build_graph(pts, radius=15.0)
+        events = _solver_calls(monkeypatch, reused_step=np.zeros_like)
+        _, history = solve(g, pts, target, params)
+        assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+        reused = [i for i in range(1, len(events))
+                  if events[i] == "solve" and events[i - 1] != "factor"]
+        assert reused
+        assert all(events[i + 1] == "factor" for i in reused)
+
+        # every accepted step used a fresh factor, as when H is factored on
+        # every step
+        monkeypatch.undo()
+        step = _BandedNormalEquations.step
+        monkeypatch.setattr(_BandedNormalEquations, "step",
+                            lambda self, blocks, affines, params, fresh:
+                            step(self, blocks, affines, params, True))
+        _, every_step = solve(build_graph(pts, radius=15.0), pts, target, params)
+        assert history == every_step
+
     def test_first_outer_iteration_reuses_opening_energy(self, template):
         # the energy at the opening correspondences is recorded once, so
         # the second entry is already the first accepted step
-        from limbscan.scene import hinge_points
-        shell, axial, _ = template.top_shell()
-        keep = (axial > 180.0) & (axial < 320.0)
-        pts = shell.points[keep]
-        target = hinge_points(pts, axial[keep], template.elbow, 150.0, 30.0)
+        pts, target = _bending_patch(template)
         _, history = solve(build_graph(pts, radius=15.0), pts, target,
                            SolveParams(max_outer=2))
         assert history[1] < history[0]
