@@ -142,9 +142,11 @@ def _parse_joints_xyz(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     try:
         parts = [np.array([float(v) for v in part.split(",")]) for part in text.split(";")]
         w, e, s = parts
-        return w, e, s
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"joints must be 'x,y,z;x,y,z;x,y,z': {exc}") from exc
+    if any(p.shape != (3,) or not np.all(np.isfinite(p)) for p in parts):
+        raise ConfigError(f"joints must be 'x,y,z;x,y,z;x,y,z' with finite values, got {text!r}")
+    return w, e, s
 
 
 def _cmd_register(args) -> int:

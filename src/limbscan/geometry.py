@@ -80,7 +80,7 @@ class PointCloud3:
             if n.shape != p.shape:
                 raise InvalidParams("normals shape must match points")
             norms = np.linalg.norm(n, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-6:
+            if np.any(np.abs(norms - 1.0) > 1e-6):
                 raise InvalidParams("normals must be unit length")
             self.normals = n
 

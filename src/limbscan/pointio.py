@@ -27,32 +27,54 @@ def write_ply(path, cloud: PointCloud3) -> None:
         lines += ["property float nx", "property float ny", "property float nz"]
     lines.append("end_header")
     data = np.hstack([p, cloud.normals]) if has_normals else p
-    body = "\n".join(" ".join(repr(float(v)) for v in row) for row in data)
+    # the repr of the nested list is every value's float repr, ", " between
+    # values and "], [" between rows
+    body = repr(data.tolist())[2:-2].replace("], [", "\n").replace(", ", " ")
     Path(path).write_text("\n".join(lines) + "\n" + body + "\n")
 
 
 def read_ply(path) -> PointCloud3:
-    text = Path(path).read_text().splitlines()
+    """Read an ASCII PLY cloud: the x, y, z (and nx, ny, nz) properties of
+    its vertex element."""
+    text = Path(path).read_text(errors="replace").splitlines()
     if not text or text[0].strip() != "ply":
         raise InvalidParams(f"{path}: not a PLY file")
     n_vertex = 0
+    in_vertex = False
     props: list[str] = []
     i = 1
     while i < len(text):
         line = text[i].strip()
         i += 1
-        if line.startswith("element vertex"):
-            n_vertex = int(line.split()[-1])
-        elif line.startswith("property") and n_vertex:
+        if line.startswith("element"):
+            in_vertex = line.startswith("element vertex")
+            if in_vertex:
+                count = line.split()[-1]
+                if not count.isdecimal():
+                    raise InvalidParams(f"{path}: bad vertex count in {line!r}")
+                n_vertex = int(count)
+        elif line.startswith("format") and line != "format ascii 1.0":
+            raise InvalidParams(f"{path}: only ASCII PLY is supported, got {line!r}")
+        elif line.startswith("property") and in_vertex:
             props.append(line.split()[-1])
         elif line == "end_header":
             break
-    rows = [list(map(float, text[i + j].split())) for j in range(n_vertex)]
-    data = np.asarray(rows, dtype=float)
     cols = {name: k for k, name in enumerate(props)}
+    if not {"x", "y", "z"} <= cols.keys():
+        raise InvalidParams(f"{path}: vertex element lacks an x, y or z property")
+    body = text[i:i + n_vertex]
+    if len(body) < n_vertex:
+        raise InvalidParams(f"{path}: header declares {n_vertex} vertices, body has {len(body)}")
+    try:
+        rows = [[float(v) for v in line.split()] for line in body]
+    except ValueError as exc:
+        raise InvalidParams(f"{path}: bad vertex row: {exc}") from exc
+    if any(len(row) != len(props) for row in rows):
+        raise InvalidParams(f"{path}: a vertex row does not hold {len(props)} values")
+    data = np.array(rows, dtype=float).reshape(n_vertex, len(props))
     pts = data[:, [cols["x"], cols["y"], cols["z"]]]
     normals = None
-    if "nx" in cols:
+    if {"nx", "ny", "nz"} <= cols.keys():
         normals = data[:, [cols["nx"], cols["ny"], cols["nz"]]]
     return PointCloud3(pts, normals)
 

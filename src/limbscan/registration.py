@@ -135,6 +135,14 @@ class SolveParams:
     binding_k: int = 4
     levenberg: float = 1e-6
 
+    def __post_init__(self):
+        if not (self.alpha1 >= 0 and self.alpha2 >= 0 and self.levenberg >= 0):
+            raise InvalidParams("alpha1, alpha2 and levenberg must be >= 0")
+        if not self.welsch_c > 0:
+            raise InvalidParams("welsch_c must be positive")
+        if self.max_correspondences < 1:
+            raise InvalidParams("max_correspondences must be >= 1")
+
 
 # ---------------------------------------------------------------- alignment
 
@@ -239,9 +247,12 @@ def build_graph(points: np.ndarray, radius: float, binding_k: int = 4,
     n = len(p)
     if radius <= 0:
         raise InvalidParams("radius must be positive")
+    if not n or p.shape[1] != 3:
+        raise InvalidParams("points must be a non-empty (n, 3) array")
     k_eff = min(knn_k + 1, n)
     tree = cKDTree(p)
-    d, idx = tree.query(p, k=k_eff)
+    # k as a list keeps d and idx 2-D for a single point
+    d, idx = tree.query(p, k=[*range(1, k_eff + 1)])
     rows = np.repeat(np.arange(n), k_eff - 1)
     cols = idx[:, 1:].ravel()
     vals = d[:, 1:].ravel()
@@ -319,22 +330,63 @@ def _edges(graph: DeformationGraph) -> tuple[np.ndarray, np.ndarray]:
     return ei, ej
 
 
-def _residuals(graph: DeformationGraph, verts: np.ndarray, corr_idx: np.ndarray,
-               targets: np.ndarray, edges: tuple[np.ndarray, np.ndarray]):
-    """Unweighted residual blocks of the energy, shared by the energy, the
-    line search and the Gauss-Newton step.
+# per-node unknowns are A.ravel() then t; _GROUP[a] lists (A[a, :], t[a]),
+# the four unknowns that alignment and edge rows touch in coordinate a
+_GROUP = np.array([[0, 1, 2, 9], [3, 4, 5, 10], [6, 7, 8, 11]])
 
-    Returns (r_ali (q, 3), r_reg (e, 3), r_rot (m, 9), r_det (m,)): deformed
-    correspondence minus target, an edge's predicted minus actual neighbour
-    position, A^T A - I and det(A) - 1.
+
+class _ResidualMap:
+    """The residuals of one solve as functions of the packed unknowns x
+    (see _pack).
+
+    Deformed correspondences and edge residuals are affine in x, and the
+    bindings, the correspondence subset and the edges never change within a
+    solve, so they are one fixed sparse map: stacked and raveled, they are
+    M @ x + c. In coordinate a, a row's entries at a slot node are a 4-vector
+    u over _GROUP[a]: the binding weight times (vertex - node) and the
+    weight for an alignment row, (g_j - g_i, 1) at node i and (0, -1) at
+    node j for edge (i, j). Only the per-node rigidity blocks are nonlinear.
     """
-    ei, ej = edges
-    g, A, t = graph.node_positions, graph.affines, graph.translations
-    deformed = graph.deform(verts[corr_idx], graph.bind_idx[corr_idx], graph.bind_w[corr_idx])
-    pred = np.einsum("eij,ej->ei", A[ei], g[ej] - g[ei]) + g[ei] + t[ei]
-    ata = np.einsum("nij,nik->njk", A, A)
-    return (deformed - targets, pred - (g[ej] + t[ej]),
-            (ata - np.eye(3)).reshape(-1, 9), np.linalg.det(A) - 1.0)
+
+    def __init__(self, graph: DeformationGraph, verts: np.ndarray, corr_idx: np.ndarray):
+        if len(verts) != len(graph.bind_idx):
+            raise InvalidParams(f"{len(verts)} vertices for a graph bound to "
+                                f"{len(graph.bind_idx)} points")
+        g = graph.node_positions
+        ei, ej = _edges(graph)
+        bi = graph.bind_idx[corr_idx]
+        (q, K), bw = bi.shape, graph.bind_w[corr_idx] * (bi >= 0)
+        # rows are correspondences then edges; slots are their nodes (-1 pads)
+        self.nodes = nodes = np.full((q + len(ei), max(K, 2)), -1)
+        nodes[:q, :K] = bi
+        nodes[q:, :2] = np.stack([ei, ej], axis=1)
+        self.u = u = np.zeros(nodes.shape + (4,))
+        u[:q, :K, :3] = bw[..., None] * (verts[corr_idx][:, None, :] - g[bi])
+        u[:q, :K, 3] = bw
+        u[q:, 0, :3] = g[ej] - g[ei]
+        u[q:, 0, 3] = 1.0
+        u[q:, 1, 3] = -1.0
+
+        r, k = np.nonzero(nodes >= 0)
+        self.matrix = sp.csr_matrix(
+            (np.repeat(u[r, k, None, :], 3, axis=1).ravel(),
+             (np.repeat(3 * r[:, None] + np.arange(3), 4, axis=1).ravel(),
+              (12 * nodes[r, k, None, None] + _GROUP).ravel())),
+            shape=(3 * len(nodes), 12 * graph.n_nodes))
+        self.offset = np.concatenate([np.einsum("qk,qki->qi", bw, g[bi]),
+                                      g[ei] - g[ej]]).ravel()
+        self.q = q
+
+    def __call__(self, x: np.ndarray):
+        """(deformed correspondences (q, 3), r_reg (e, 3), r_rot (m, 9),
+        r_det (m,)) at x: an edge's predicted minus actual neighbour
+        position, A^T A - I and det(A) - 1. The alignment residual is the
+        deformed correspondences minus their targets."""
+        mapped = (self.matrix @ x + self.offset).reshape(-1, 3)
+        A = _affines(x)
+        ata = np.einsum("nij,nik->njk", A, A)
+        return (mapped[:self.q], mapped[self.q:],
+                (ata - np.eye(3)).reshape(-1, 9), np.linalg.det(A) - 1.0)
 
 
 def _energy(blocks, alpha1: float, alpha2: float, welsch_c: float) -> EnergyBreakdown:
@@ -349,30 +401,24 @@ def energy(graph: DeformationGraph, vertices: np.ndarray,
            alpha1: float, alpha2: float, welsch_c: float) -> EnergyBreakdown:
     """Alignment + neighbor-consistency + local-rigidity energy."""
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
-    return _energy(_residuals(graph, v, corr_idx, corr_targets, _edges(graph)),
-                   alpha1, alpha2, welsch_c)
+    deformed, *rest = _ResidualMap(graph, v, corr_idx)(_pack(graph))
+    return _energy((deformed - corr_targets, *rest), alpha1, alpha2, welsch_c)
 
 
 # ---------------------------------------------------------------- solver
-
-# per-node unknowns are A.ravel() then t; _GROUP[a] lists (A[a, :], t[a]),
-# the four unknowns that alignment and edge rows touch in coordinate a
-_GROUP = np.array([[0, 1, 2, 9], [3, 4, 5, 10], [6, 7, 8, 11]])
-
 
 class _BandedNormalEquations:
     """Gauss-Newton normal equations of one solve, H = J^T J, in lower
     banded storage under a reverse Cuthill-McKee order of H's 12 x 12
     node-pair blocks.
 
-    The pattern never changes within a solve: the bindings, the
-    correspondence subset and the edges are fixed. Alignment and edge rows
-    blend node maps, so in coordinate a their Jacobian at a slot node is a
-    fixed 4-vector u over _GROUP[a] times the square root of the row's
-    weight: the Welsch IRLS weight exp(-|r|^2 / c^2) for alignment (frozen
-    per step, so the step descends the robust energy), alpha1 for edges.
-    That part of H is a fixed linear map of the row weights; only the
-    per-node rigidity blocks are rebuilt from A at each factorization.
+    The alignment and edge rows of J are those of the solve's fixed
+    residual map, each times the square root of the row's weight: the
+    Welsch IRLS weight exp(-|r|^2 / c^2) for alignment (frozen per step, so
+    the step descends the robust energy), alpha1 for edges. That part of H
+    is a fixed linear map of the row weights, built from the map's slot
+    vectors u; only the per-node rigidity blocks are rebuilt from A at each
+    factorization.
 
     H is factored by banded Cholesky once per outer iteration of `solve`,
     and its inner steps reuse that factor: each solves H_0 delta = -g with
@@ -383,32 +429,12 @@ class _BandedNormalEquations:
     this energy the same way).
     """
 
-    def __init__(self, graph: DeformationGraph, verts: np.ndarray, corr_idx: np.ndarray,
-                 edges: tuple[np.ndarray, np.ndarray]):
-        m = graph.n_nodes
-        self.n = n = 12 * m
-        g = graph.node_positions
-        ei, ej = edges
-        bi = graph.bind_idx[corr_idx]
-        (q, K), bw = bi.shape, graph.bind_w[corr_idx] * (bi >= 0)
-        # rows are correspondences then edges; slots are their nodes (-1 pads)
-        nodes = np.full((q + len(ei), max(K, 2)), -1)
-        nodes[:q, :K] = bi
-        nodes[q:, :2] = np.stack([ei, ej], axis=1)
-        u = np.zeros(nodes.shape + (4,))
-        u[:q, :K, :3] = bw[..., None] * (verts[corr_idx][:, None, :] - g[bi])
-        u[:q, :K, 3] = bw
-        u[q:, 0, :3] = g[ej] - g[ei]
-        u[q:, 0, 3] = 1.0
-        u[q:, 1, 3] = -1.0
-
-        # gradient: self.grad @ (weight * residual).ravel()
-        r, k = np.nonzero(nodes >= 0)
-        self.grad = sp.csr_matrix(
-            (np.repeat(u[r, k, None, :], 3, axis=1).ravel(),
-             ((12 * nodes[r, k, None, None] + _GROUP).ravel(),
-              np.repeat(3 * r[:, None] + np.arange(3), 4, axis=1).ravel())),
-            shape=(n, 3 * len(nodes)))
+    def __init__(self, residual_map: _ResidualMap):
+        nodes, u = residual_map.nodes, residual_map.u
+        self.n = n = residual_map.matrix.shape[1]
+        m = n // 12
+        # gradient: M^T @ (weight * residual).ravel()
+        self.grad = residual_map.matrix.T
         # 4 x 4 core of each ordered node-pair block: self.core @ weight
         r, k1, k2 = np.nonzero((nodes >= 0)[:, :, None] & (nodes >= 0)[:, None, :])
         pairs, pair_of = np.unique(nodes[r, k1] * m + nodes[r, k2], return_inverse=True)
@@ -486,10 +512,14 @@ def _pack(graph: DeformationGraph) -> np.ndarray:
     return np.hstack([graph.affines.reshape(-1, 9), graph.translations]).ravel()
 
 
+def _affines(x: np.ndarray) -> np.ndarray:
+    """The (m, 3, 3) affines of packed unknowns, as a view."""
+    return x.reshape(-1, 12)[:, :9].reshape(-1, 3, 3)
+
+
 def _unpack(graph: DeformationGraph, x: np.ndarray) -> None:
-    per = x.reshape(graph.n_nodes, 12)
-    graph.affines = per[:, :9].reshape(-1, 3, 3).copy()
-    graph.translations = per[:, 9:].copy()
+    graph.affines = _affines(x).copy()
+    graph.translations = x.reshape(-1, 12)[:, 9:].copy()
 
 
 def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
@@ -498,10 +528,14 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
 
     Returns (graph, history) where history is the accepted-step energy trace;
     it is monotone non-increasing because correspondence updates only shrink
-    the alignment term and steps are accepted only on decrease.
+    the alignment term and steps are accepted only on decrease. Every
+    evaluation goes through the solve's one residual map; the graph takes
+    the solution when the solve ends.
     """
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     tgt = np.atleast_2d(np.asarray(target, dtype=float))
+    if not tgt.size:
+        raise InvalidParams("empty target")
     if not (np.all(np.isfinite(verts)) and np.all(np.isfinite(tgt))):
         raise NonFiniteEnergy("non-finite input points")
 
@@ -509,48 +543,49 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
     stride = max(1, n // params.max_correspondences)
     corr_idx = np.arange(0, n, stride)
     tree = cKDTree(tgt)
-    edges = _edges(graph)
-    normal = _BandedNormalEquations(graph, verts, corr_idx, edges)
+    residual_map = _ResidualMap(graph, verts, corr_idx)
+    normal = _BandedNormalEquations(residual_map)
 
     def closest_targets():
-        deformed = graph.deform(verts[corr_idx], graph.bind_idx[corr_idx],
-                                graph.bind_w[corr_idx])
-        _, ti = tree.query(deformed)
-        return tgt[ti]
+        # the deformed correspondences of the last accepted evaluation
+        return tgt[tree.query(mapped[0])[1]]
 
-    def evaluate(targets):
-        blocks = _residuals(graph, verts, corr_idx, targets, edges)
+    def with_targets(evaluation):
+        """A map evaluation's residual blocks against the current targets,
+        and their energy."""
+        blocks = (evaluation[0] - targets, *evaluation[1:])
         return blocks, _energy(blocks, params.alpha1, params.alpha2, params.welsch_c).total
 
     def take_step(fresh):
         """One step and its line search; True once a trial lowers the
         energy, False if the step is not finite or 30 halvings fail."""
-        nonlocal blocks, e_current
-        delta = normal.step(blocks, graph.affines, params, fresh)
+        nonlocal x, mapped, blocks, e_current
+        delta = normal.step(blocks, _affines(x), params, fresh)
         if not np.all(np.isfinite(delta)):
             return False
-        x0 = _pack(graph)
         alpha = 1.0
         for _ in range(30):
-            _unpack(graph, x0 + alpha * delta)
-            trial, e_new = evaluate(targets)
+            x_trial = x + alpha * delta
+            trial = residual_map(x_trial)
+            trial_blocks, e_new = with_targets(trial)
             if e_new < e_current - 1e-15:
-                blocks, e_current = trial, e_new
+                x, mapped, blocks, e_current = x_trial, trial, trial_blocks, e_new
                 history.append(e_current)
                 return True
             alpha *= 0.5
-        _unpack(graph, x0)
         return False
 
+    x = _pack(graph)
+    mapped = residual_map(x)
     targets = closest_targets()
-    blocks, e_current = evaluate(targets)
+    blocks, e_current = with_targets(mapped)
     history = [e_current]
 
     for outer in range(params.max_outer):
         e_outer_start = e_current
         if outer > 0:
             targets = closest_targets()
-            blocks, e_current = evaluate(targets)
+            blocks, e_current = with_targets(mapped)
             history.append(e_current)
 
         for inner in range(params.max_inner):
@@ -569,6 +604,7 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
         if (e_outer_start - e_current) / max(e_outer_start, 1e-30) < params.tol:
             break
 
+    _unpack(graph, x)
     return graph, history
 
 

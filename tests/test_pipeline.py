@@ -280,6 +280,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not a PLY file" in err and err.count("\n") == 1
 
+    @staticmethod
+    def _register_argv(tmp_path, forearm, joints_scene="0,0,0;20,0,0;50,0,0"):
+        good = tmp_path / "good.ply"
+        pointio.write_ply(good, PointCloud3(
+            np.random.default_rng(0).uniform(0.0, 50.0, (200, 3))))
+        return ["register", "--atlas-forearm", str(forearm), "--atlas-upperarm", str(good),
+                "--scene-forearm", str(good), "--scene-upperarm", str(good),
+                "--joints-atlas", "0,0,0;20,0,0;50,0,0", "--joints-scene", joints_scene,
+                "--out-graph", str(tmp_path / "g.json")]
+
+    @pytest.mark.parametrize("count, body, message", [
+        (0, "", "need >= 4 points"),
+        (3, "1 2 3\n", "declares 3 vertices, body has 1"),
+        (1, "1 abc 3\n", "bad vertex row"),
+    ], ids=["zero-vertices", "short-body", "non-numeric"])
+    def test_register_bad_ply_exits_3(self, tmp_path, capsys, count, body, message):
+        bad = tmp_path / "bad.ply"
+        bad.write_text(f"ply\nformat ascii 1.0\nelement vertex {count}\nproperty float x\n"
+                       f"property float y\nproperty float z\nend_header\n{body}")
+        assert main(self._register_argv(tmp_path, bad)) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert count == 0 or str(bad) in err
+        assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("joints", ["1,2;3,4,5;6,7,8", "1,2,3;4,5,6;7,8,9,10",
+                                        "1,2,3;4,5,6;7,8,nan", "1,2,3;4,5,6"])
+    def test_register_bad_joints_exits_2(self, tmp_path, capsys, joints):
+        assert main(self._register_argv(tmp_path, tmp_path / "good.ply", joints)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: joints must be") and err.count("\n") == 1
+        assert not (tmp_path / "g.json").exists()
+
     def test_stage_failure_exits_3(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("scene:\n  camera_height: 10\n")

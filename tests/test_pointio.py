@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from limbscan.errors import InvalidParams
 from limbscan.geometry import PointCloud3
 from limbscan.pointio import (DEPTH_SCALE, read_depth_pgm, read_mask_pgm,
                               read_ply, read_points_csv, write_depth_pgm,
@@ -39,6 +40,77 @@ class TestPly:
         path.write_text("OFF\n")
         with pytest.raises(ValueError):
             read_ply(path)
+
+    @staticmethod
+    def _per_value_join(cloud):
+        """The file as written by one float repr per value, joined row by row."""
+        names = "x y z" + (" nx ny nz" if cloud.normals is not None else "")
+        header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
+                  *(f"property float {name}" for name in names.split()), "end_header"]
+        data = cloud.points if cloud.normals is None else np.hstack([cloud.points,
+                                                                     cloud.normals])
+        body = "\n".join(" ".join(repr(float(v)) for v in row) for row in data)
+        return "\n".join(header) + "\n" + body + "\n"
+
+    def test_bytes_match_per_value_join(self, tmp_path, rng):
+        n = rng.normal(size=(40, 3))
+        special = np.array([[np.nan, np.inf, -np.inf], [-0.0, 1e-300, -1e-300],
+                            [5e-324, 1.7976931348623157e308, 0.1 + 0.2]])
+        clouds = [PointCloud3(rng.uniform(-1e3, 1e3, (200, 3))),
+                  PointCloud3(rng.normal(size=(40, 3)), n / np.linalg.norm(n, axis=1,
+                                                                          keepdims=True)),
+                  PointCloud3(np.array([[1.0, -2.5, 3e-7]])),
+                  PointCloud3(np.zeros((0, 3))),
+                  PointCloud3(np.zeros((0, 3)), np.zeros((0, 3))),
+                  PointCloud3(np.zeros((3, 3)), np.eye(3))]
+        # PointCloud3 rejects non-finite points, so put them in place afterwards
+        clouds[-1].points = special
+        clouds[-1].normals = special[::-1].copy()
+        for k, cloud in enumerate(clouds):
+            path = tmp_path / f"c{k}.ply"
+            write_ply(path, cloud)
+            assert path.read_bytes() == self._per_value_join(cloud).encode()
+
+    def test_empty_cloud_roundtrip(self, tmp_path):
+        for normals in (None, np.zeros((0, 3))):
+            path = tmp_path / "empty.ply"
+            write_ply(path, PointCloud3(np.zeros((0, 3)), normals))
+            back = read_ply(path)
+            assert back.points.shape == (0, 3)
+            assert (back.normals is None) == (normals is None)
+
+    @pytest.mark.parametrize("header, body, message", [
+        ("element vertex 3", "1 2 3\n", "declares 3 vertices, body has 1"),
+        ("element vertex 1", "1 abc 3\n", "bad vertex row"),
+        ("element vertex 2", "1 2 3\n1 2\n", "does not hold 3 values"),
+        ("element vertex x", "", "bad vertex count"),
+    ], ids=["short-body", "non-numeric", "ragged-row", "bad-count"])
+    def test_bad_body_names_file(self, tmp_path, header, body, message):
+        path = tmp_path / "bad.ply"
+        path.write_text(f"ply\nformat ascii 1.0\n{header}\nproperty float x\n"
+                        f"property float y\nproperty float z\nend_header\n{body}")
+        with pytest.raises(InvalidParams, match=message) as info:
+            read_ply(path)
+        assert str(info.value).startswith(str(path))
+
+    def test_rejects_binary_and_missing_coordinates(self, tmp_path):
+        path = tmp_path / "bad.ply"
+        path.write_text("ply\nformat binary_little_endian 1.0\nelement vertex 0\n"
+                        "end_header\n")
+        with pytest.raises(InvalidParams, match="only ASCII PLY"):
+            read_ply(path)
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+                        "property float y\nend_header\n1 2\n")
+        with pytest.raises(InvalidParams, match="lacks an x, y or z"):
+            read_ply(path)
+
+    def test_other_elements_ignored(self, tmp_path):
+        path = tmp_path / "mesh.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                        "property float y\nproperty float z\nelement face 0\n"
+                        "property list uchar int vertex_indices\nend_header\n"
+                        "1 2 3\n4 5 6\n")
+        np.testing.assert_array_equal(read_ply(path).points, [[1, 2, 3], [4, 5, 6]])
 
 
 class TestCsv:

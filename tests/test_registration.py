@@ -5,13 +5,13 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.spatial import cKDTree
 
 from limbscan import registration
-from limbscan.errors import DegenerateSegment, OutOfBindingReach
+from limbscan.errors import DegenerateSegment, InvalidParams, OutOfBindingReach
 from limbscan.geometry import PointCloud3, RigidTransform
 from limbscan.registration import (ArmObservation, DeformationGraph,
-                                   SolveParams, _BandedNormalEquations, _edges,
-                                   _pack, _residuals, _unpack, build_graph, energy,
-                                   initial_align, solve, transfer_trajectory,
-                                   welsch)
+                                   SolveParams, _BandedNormalEquations,
+                                   _pack, _ResidualMap, _unpack, build_graph,
+                                   energy, initial_align, solve,
+                                   transfer_trajectory, welsch)
 from limbscan.trajectory import ScanTrajectory
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -95,6 +95,22 @@ class TestBuildGraph:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             build_graph(_line_cloud(), radius=0.0)
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 3)), np.zeros(0), np.zeros((4, 2))],
+                             ids=["no-rows", "flat-empty", "two-columns"])
+    def test_rejects_empty_or_malformed_points(self, points):
+        with pytest.raises(InvalidParams):
+            build_graph(points, radius=5.0)
+
+    def test_single_point_is_one_node(self):
+        pts = np.array([[1.0, 2.0, 3.0]])
+        g = build_graph(pts, radius=5.0)
+        assert g.n_nodes == 1 and g.neighbors == [[]]
+        np.testing.assert_array_equal(g.bind_idx, [[0]])
+        np.testing.assert_array_equal(g.bind_w, [[1.0]])
+        g, history = solve(g, pts, pts + 0.5)
+        np.testing.assert_allclose(g.deform(pts), pts + 0.5, atol=1e-6)
+        assert history[-1] < 1e-9 < history[0]
 
 
 class TestDeformationGraph:
@@ -185,22 +201,23 @@ class TestEnergy:
         assert e.total == pytest.approx(l_ali + 10.0 * l_reg + 100.0 * l_rot, rel=1e-12)
 
 
+def _blocks(residual_map, x, targets):
+    """The residual blocks (r_ali, r_reg, r_rot, r_det) at packed x."""
+    deformed, *rest = residual_map(x)
+    return (deformed - targets, *rest)
+
+
 def _dense_normal_equations(g, pts, idx, target, x, params):
     """Damped H = J^T J and gradient J^T r of the Welsch-weighted residuals at
     the packed parameters x, with the IRLS weights frozen at x; J is taken by
-    complex step, exact to rounding for these polynomial residuals."""
-    edges = _edges(g)
-
-    def blocks(x):
-        h = DeformationGraph(g.node_positions, x[:, :9].reshape(-1, 3, 3), x[:, 9:],
-                             g.neighbors, g.sampling_radius, g.bind_idx, g.bind_w)
-        return _residuals(h, pts, idx, target, edges)
-
-    x = x.reshape(-1, 12)
-    sw = np.exp(-np.sum(blocks(x)[0] ** 2, axis=1) / params.welsch_c ** 2) ** 0.5
+    complex step through the residual map, exact to rounding for these
+    polynomial residuals."""
+    residual_map = _ResidualMap(g, pts, idx)
+    sw = np.exp(-np.sum(_blocks(residual_map, x, target)[0] ** 2, axis=1)
+                / params.welsch_c ** 2) ** 0.5
 
     def weighted_residual(x):
-        r_ali, r_reg, r_rot, r_det = blocks(x)
+        r_ali, r_reg, r_rot, r_det = _blocks(residual_map, x, target)
         return np.concatenate([(sw[:, None] * r_ali).ravel(),
                                np.sqrt(params.alpha1) * r_reg.ravel(),
                                np.sqrt(params.alpha2) * r_rot.ravel(),
@@ -209,9 +226,9 @@ def _dense_normal_equations(g, pts, idx, target, x, params):
     n_par = x.size
     J = np.empty((len(weighted_residual(x)), n_par))
     for c in range(n_par):
-        xc = x.ravel().astype(complex)
+        xc = x.astype(complex)
         xc[c] += 1e-30j
-        J[:, c] = weighted_residual(xc.reshape(-1, 12)).imag / 1e-30
+        J[:, c] = weighted_residual(xc).imag / 1e-30
     H = J.T @ J
     H += params.levenberg * max(H.diagonal().max(), 1.0) * np.eye(n_par)
     return H, J.T @ weighted_residual(x)
@@ -253,6 +270,42 @@ def _bending_patch(template):
     return pts, hinge_points(pts, axial[keep], template.elbow, 150.0, 30.0)
 
 
+class TestResidualMap:
+    @pytest.mark.parametrize("binding_k", range(1, 8))
+    def test_matches_deform_and_edge_formula(self, rng, binding_k):
+        pts = rng.uniform(0.0, 60.0, (300, 3)) * np.array([1.0, 0.4, 0.1])
+        g = build_graph(pts, radius=8.0, binding_k=binding_k)
+        # bind two rows to one node by hand, so every K > 1 has -1 slots
+        for v in (0, 1):
+            g.bind_idx[v, 1:] = -1
+            g.bind_w[v] = np.eye(binding_k)[0]
+        assert (g.bind_idx < 0).any() == (binding_k > 1)
+        g.affines = g.affines + rng.normal(scale=0.05, size=g.affines.shape)
+        g.translations = rng.normal(scale=0.5, size=g.translations.shape)
+        idx = np.arange(0, len(pts), 3)
+
+        deformed, r_reg, r_rot, r_det = _ResidualMap(g, pts, idx)(_pack(g))
+        np.testing.assert_allclose(
+            deformed, g.deform(pts[idx], g.bind_idx[idx], g.bind_w[idx]), rtol=0, atol=1e-12)
+        expected = [g.affines[i] @ (g.node_positions[j] - g.node_positions[i])
+                    + g.node_positions[i] + g.translations[i]
+                    - (g.node_positions[j] + g.translations[j])
+                    for i, nb in enumerate(g.neighbors) for j in nb]
+        assert len(expected) > 0
+        np.testing.assert_allclose(r_reg, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            r_rot, [(A.T @ A - np.eye(3)).ravel() for A in g.affines], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r_det, np.linalg.det(g.affines) - 1.0, rtol=0, atol=1e-12)
+
+    def test_rejects_vertex_count_other_than_bound(self, rng):
+        g, pts, target = _perturbed_graph(rng)
+        for verts in (pts[:100], np.vstack([pts, pts[:1]])):
+            with pytest.raises(InvalidParams, match="vertices for a graph bound to 300"):
+                _ResidualMap(g, verts, np.arange(len(verts) // 2))
+        with pytest.raises(InvalidParams):
+            energy(g, pts[:100], np.arange(100), target[:100], 10.0, 100.0, 5.0)
+
+
 class TestBandedNormalEquations:
     def test_step_matches_dense_solve(self, rng):
         g, pts, target = _perturbed_graph(rng, n=200)
@@ -261,8 +314,9 @@ class TestBandedNormalEquations:
         H, grad = _dense_normal_equations(g, pts, idx, target, _pack(g), params)
         expected = np.linalg.solve(H, -grad)
 
-        normal = _BandedNormalEquations(g, pts, idx, _edges(g))
-        got = normal.step(_residuals(g, pts, idx, target, _edges(g)), g.affines, params,
+        residual_map = _ResidualMap(g, pts, idx)
+        normal = _BandedNormalEquations(residual_map)
+        got = normal.step(_blocks(residual_map, _pack(g), target), g.affines, params,
                           fresh=True)
         assert normal.bandwidth < len(grad) - 1  # the RCM order leaves a true band
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -278,15 +332,13 @@ class TestBandedNormalEquations:
         _, grad1 = _dense_normal_equations(g, pts, idx, target, x1, params)
         expected = np.linalg.solve(H0, -grad1)
 
-        normal = _BandedNormalEquations(g, pts, idx, _edges(g))
-        normal.step(_residuals(g, pts, idx, target, _edges(g)), g.affines, params,
-                    fresh=True)
+        residual_map = _ResidualMap(g, pts, idx)
+        normal = _BandedNormalEquations(residual_map)
+        normal.step(_blocks(residual_map, x0, target), g.affines, params, fresh=True)
         _unpack(g, x1)
-        got = normal.step(_residuals(g, pts, idx, target, _edges(g)), g.affines, params,
-                          fresh=False)
+        got = normal.step(_blocks(residual_map, x1, target), g.affines, params, fresh=False)
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
-        fresh = normal.step(_residuals(g, pts, idx, target, _edges(g)), g.affines, params,
-                            fresh=True)
+        fresh = normal.step(_blocks(residual_map, x1, target), g.affines, params, fresh=True)
         assert np.linalg.norm(got - fresh) > 1e-3 * np.linalg.norm(fresh)
 
 
@@ -392,6 +444,39 @@ class TestSolve:
         _, history = solve(build_graph(pts, radius=15.0), pts, target,
                            SolveParams(max_outer=2))
         assert history[1] < history[0]
+
+    def test_never_deforms(self, template, monkeypatch):
+        # every evaluation, and every closest-point query, goes through the
+        # solve's residual map
+        calls = []
+        deform = DeformationGraph.deform
+        monkeypatch.setattr(DeformationGraph, "deform",
+                            lambda self, *a, **k: calls.append(1) or deform(self, *a, **k))
+        pts, target = _bending_patch(template)
+        g, history = solve(build_graph(pts, radius=15.0), pts, target,
+                           SolveParams(max_outer=3))
+        assert len(history) > 3 and calls == []
+        g.deform(pts)
+        assert calls == [1]
+
+    def test_rejects_vertices_shorter_than_bindings(self, rng):
+        g, pts, target = _perturbed_graph(rng)
+        with pytest.raises(InvalidParams, match="100 vertices for a graph bound to 300"):
+            solve(g, pts[:100], target)
+
+    @pytest.mark.parametrize("target", [np.zeros((0, 3)), np.zeros(0)],
+                             ids=["no-rows", "flat-empty"])
+    def test_rejects_empty_target(self, rng, target):
+        g, pts, _ = _perturbed_graph(rng)
+        with pytest.raises(InvalidParams, match="empty target"):
+            solve(g, pts, target)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_correspondences", 0), ("welsch_c", 0.0), ("welsch_c", float("nan")),
+        ("alpha1", -1.0), ("alpha2", -1.0), ("levenberg", -1e-6)])
+    def test_params_validation(self, field, value):
+        with pytest.raises(InvalidParams, match=field):
+            SolveParams(**{field: value})
 
 
 class TestTransferTrajectory:
