@@ -75,20 +75,28 @@ def _cmd_render(args) -> int:
 
 def _read_depth(depth_path, meta_path) -> tuple[DepthImage, dict]:
     depth = pointio.read_depth_pgm(depth_path)
-    meta = json.loads(Path(meta_path).read_text())
-    camera = RigidTransform(np.asarray(meta["camera_rotation"], dtype=float),
-                            np.asarray(meta["camera_translation"], dtype=float))
-    return DepthImage(depth, float(meta["pitch"]), camera,
-                      float(meta["table_depth"])), meta
+    try:
+        meta = json.loads(Path(meta_path).read_text())
+        camera = RigidTransform(np.asarray(meta["camera_rotation"], dtype=float),
+                                np.asarray(meta["camera_translation"], dtype=float))
+        img = DepthImage(depth, float(meta["pitch"]), camera, float(meta["table_depth"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParams(f"{meta_path}: bad depth meta file: {exc!r}") from exc
+    return img, meta
+
+
+def _pixel_pair(values) -> tuple[int, int]:
+    """(row, col) from exactly two integers; ValueError otherwise."""
+    r, c = (int(v) for v in values)
+    return r, c
 
 
 def _parse_joint_pixels(text: str) -> JointPixels:
     try:
-        triples = [tuple(int(v) for v in part.split(",")) for part in text.split()]
-        w, e, s = triples
-        return JointPixels(w, e, s)
-    except (ValueError, TypeError) as exc:
+        w, e, s = (_pixel_pair(part.split(",")) for part in text.split())
+    except ValueError as exc:
         raise ConfigError(f"--joints must be 'r,c r,c r,c': {exc}") from exc
+    return JointPixels(w, e, s)
 
 
 def _cmd_extract(args) -> int:
@@ -98,14 +106,17 @@ def _cmd_extract(args) -> int:
                                   seed_spacing=args.spacing)
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
+    joints = _parse_joint_pixels(args.joints) if args.joints else None
     img, meta = _read_depth(args.depth, args.meta)
-    if args.joints:
-        joints = _parse_joint_pixels(args.joints)
-    else:
+    if joints is None:
         jp = meta.get("joint_pixels")
         if jp is None:
             raise ConfigError("no --joints given and no joint_pixels in the meta file")
-        joints = JointPixels(tuple(jp["wrist"]), tuple(jp["elbow"]), tuple(jp["shoulder"]))
+        try:
+            joints = JointPixels(*(_pixel_pair(jp[name])
+                                   for name in ("wrist", "elbow", "shoulder")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidParams(f"{args.meta}: bad joint_pixels: {exc!r}") from exc
     seg = extract_arm(img, joints, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,8 +187,12 @@ def _cmd_scan(args) -> int:
             scan_cfg = replace(scan_cfg, lateral_bias=args.bias_inject)
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
+    pts = pointio.read_points_csv(args.traj)
+    if pts.shape[1] < 3 or not np.all(np.isfinite(pts)):
+        raise InvalidParams(f"{args.traj}: a trajectory row needs finite x,y,z as its "
+                            f"last 3 values")
+    pts = pts[:, -3:]
     _, _, posed = build_scene(cfg)
-    pts = pointio.read_points_csv(args.traj)[:, -3:]
     # probe orientations: z into the skin via the nearest scene surface normal
     shell, _, _ = posed.top_shell()
     traj = attach_probe_poses(ScanTrajectory(pts, np.arange(len(pts))), shell, UP)

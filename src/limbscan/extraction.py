@@ -35,21 +35,21 @@ class JointPixels:
             raise InvalidParams("joint pixels must be pairwise distinct")
 
 
+FEATURE_OFFSET = 2   # k: march pixels between the two depths the feature compares
+TABLE_MARGIN = 1.0   # mm below the table depth still counted as background
+
+
 @dataclass(frozen=True)
 class ExtractionParams:
     depth_jump_threshold: float = 20000.0   # T_d, mm^2
     continuity_slack: float = 10.0          # T_l, mm
     seed_spacing: int = 3                   # px along the joint line
-    # alternative second-difference feature kept for comparison runs
-    feature_offset: int = 2                 # k of the depth feature
-    use_second_difference: bool = False
-    table_margin: float = 1.0               # mm below table counted as background
 
     def __post_init__(self):
         if self.depth_jump_threshold <= 0 or self.continuity_slack <= 0:
             raise InvalidParams("thresholds must be positive")
-        if self.seed_spacing < 1 or self.feature_offset < 1:
-            raise InvalidParams("spacing and feature offset must be >= 1")
+        if self.seed_spacing < 1:
+            raise InvalidParams("seed spacing must be >= 1")
 
 
 @dataclass
@@ -76,20 +76,11 @@ class SegmentedArm:
     upperarm_seeds: list[SeedSearchResult] = field(default_factory=list)
 
 
-def depth_feature(depths: np.ndarray, i: int, k: int = 2,
-                  second_difference: bool = False) -> float:
-    """Squared-depth difference feature along a march ray, in mm^2.
-
-    The default form is I_d(P_i)^2 - I_d(P_{i-k})^2. The second-difference
-    variant I_d(P_i) - 2 I_d(P_{i-1}) + I_d(P_{i-2}) on squared depths is
-    kept behind a flag for comparison.
-    """
+def depth_feature(depths: np.ndarray, i: int) -> float:
+    """Squared-depth difference feature I_d(P_i)^2 - I_d(P_{i-k})^2 along a
+    march ray, in mm^2, with k = FEATURE_OFFSET."""
     d = np.asarray(depths, dtype=float)
-    if second_difference:
-        if i < 2 or i >= len(d):
-            raise IndexOutOfRange(f"i={i} needs two predecessors")
-        sq = d ** 2
-        return float(sq[i] - 2.0 * sq[i - 1] + sq[i - 2])
+    k = FEATURE_OFFSET
     if i < k or i >= len(d):
         raise IndexOutOfRange(f"i={i} out of range for k={k}, n={len(d)}")
     return float(d[i] ** 2 - d[i - k] ** 2)
@@ -104,7 +95,6 @@ def _march(img: DepthImage, seed: np.ndarray, direction: np.ndarray,
     h, w = img.depth.shape
     depths = [img.depth[int(seed[0]), int(seed[1])]]
     pixels = [(int(seed[0]), int(seed[1]))]
-    k = params.feature_offset
     t = 0
     while True:
         t += 1
@@ -117,11 +107,9 @@ def _march(img: DepthImage, seed: np.ndarray, direction: np.ndarray,
         pixels.append((r, c))
         depths.append(img.depth[r, c])
         i = len(depths) - 1
-        if i >= (2 if params.use_second_difference else k):
-            f = depth_feature(depths, i, k, params.use_second_difference)
-            if f > params.depth_jump_threshold:
-                half = (t - 1) * img.pitch
-                return half, (r, c), pixels[:-1], "depth"
+        if i >= FEATURE_OFFSET and depth_feature(depths, i) > params.depth_jump_threshold:
+            half = (t - 1) * img.pitch
+            return half, (r, c), pixels[:-1], "depth"
         half_now = t * img.pitch
         if prev_half_width is not None and half_now > prev_half_width + params.continuity_slack:
             # clamp: the recorded half-width stays within the adaptive bound
@@ -140,7 +128,7 @@ def extract_segment(img: DepthImage, joint_a: tuple[int, int], joint_b: tuple[in
     u = line / length
     perp = np.array([-u[1], u[0]])
 
-    background = img.table_depth - params.table_margin
+    background = img.table_depth - TABLE_MARGIN
     results: list[SeedSearchResult] = []
     prev_left: float | None = None
     prev_right: float | None = None

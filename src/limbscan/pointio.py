@@ -89,15 +89,19 @@ def write_points_csv(path, points: np.ndarray, header: str | None = "x,y,z") -> 
 def read_points_csv(path) -> np.ndarray:
     """Read an x,y,z-per-line CSV; a leading non-numeric header is skipped."""
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(errors="replace").splitlines():
         line = line.strip()
         if not line:
             continue
         try:
             rows.append([float(v) for v in line.split(",")])
-        except ValueError:
+        except ValueError as exc:
             if rows:
-                raise
+                raise InvalidParams(f"{path}: bad row {line!r}: {exc}") from exc
+    if not rows:
+        raise InvalidParams(f"{path}: no numeric rows")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise InvalidParams(f"{path}: rows differ in their number of values")
     return np.asarray(rows, dtype=float)
 
 
@@ -112,12 +116,7 @@ def write_depth_pgm(path, depth_mm: np.ndarray) -> None:
 
 
 def read_depth_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    header, values = _parse_pgm_header(raw)
-    w, h, maxval = header
-    dtype = ">u2" if maxval > 255 else np.uint8
-    img = np.frombuffer(values, dtype=dtype, count=w * h).reshape(h, w)
+    img, maxval = _read_pgm(path)
     if maxval > 255:
         return img.astype(float) / DEPTH_SCALE
     return img.astype(float)
@@ -133,16 +132,16 @@ def write_mask_pgm(path, mask: np.ndarray) -> None:
 
 
 def read_mask_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    (w, h, maxval), values = _parse_pgm_header(raw)
-    img = np.frombuffer(values, dtype=np.uint8, count=w * h).reshape(h, w)
+    img, maxval = _read_pgm(path)
     return (img > maxval // 2).astype(np.uint8)
 
 
-def _parse_pgm_header(raw: bytes):
+def _read_pgm(path) -> tuple[np.ndarray, int]:
+    """The (h, w) raster of a binary PGM file, 16-bit when maxval > 255, and
+    its maxval."""
+    raw = Path(path).read_bytes()
     if not raw.startswith(b"P5"):
-        raise InvalidParams("only binary (P5) PGM is supported")
+        raise InvalidParams(f"{path}: only binary (P5) PGM is supported")
     fields = []
     pos = 2
     while len(fields) < 3:
@@ -155,6 +154,13 @@ def _parse_pgm_header(raw: bytes):
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
+        if not raw[start:pos].isdigit():
+            raise InvalidParams(f"{path}: bad PGM header field {raw[start:pos]!r}")
         fields.append(int(raw[start:pos]))
     pos += 1  # single whitespace after maxval
-    return (fields[0], fields[1], fields[2]), raw[pos:]
+    w, h, maxval = fields
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    if len(raw) - pos < w * h * dtype.itemsize:
+        raise InvalidParams(f"{path}: PGM raster has {max(len(raw) - pos, 0)} bytes, "
+                            f"a {w} x {h} image needs {w * h * dtype.itemsize}")
+    return np.frombuffer(raw, dtype=dtype, count=w * h, offset=pos).reshape(h, w), maxval

@@ -19,6 +19,12 @@ from .errors import DegenerateSegment, InvalidParams, NonFiniteEnergy, OutOfBind
 from .geometry import ObbScale, PointCloud3, RigidTransform, estimate_normals, pca_obb
 from .trajectory import ScanTrajectory
 
+BINDING_K = 4      # graph nodes each vertex or trajectory point is bound to
+KNN_K = 8          # neighbours per point in the graph geodesics run over
+MAX_INNER = 4      # Gauss-Newton steps per outer iteration of `solve`
+LEVENBERG = 1e-6   # damping, relative to the largest diagonal entry of H
+NORMAL_K = 20      # neighbours per target point in normal estimation
+
 
 @dataclass
 class ArmObservation:
@@ -66,9 +72,11 @@ class DeformationGraph:
         mapped = np.einsum("nkij,nkj->nki", self.affines[idx], rel) + g + self.translations[idx]
         return np.sum(bind_w[..., None] * mapped, axis=1)
 
-    def bind(self, points: np.ndarray, k: int = 4) -> tuple[np.ndarray, np.ndarray]:
-        """Euclidean binding of arbitrary points to up to k nodes within reach."""
+    def bind(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Euclidean binding of arbitrary points to up to BINDING_K nodes
+        within reach."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
+        k = BINDING_K
         reach = 2.0 * self.sampling_radius
         tree = cKDTree(self.node_positions)
         k_eff = min(k + 1, self.n_nodes)
@@ -130,14 +138,11 @@ class SolveParams:
     welsch_c: float = 5.0          # mm, robust kernel scale
     tol: float = 1e-5              # relative energy decrease per outer iteration
     max_outer: int = 50
-    max_inner: int = 4
     max_correspondences: int = 3000
-    binding_k: int = 4
-    levenberg: float = 1e-6
 
     def __post_init__(self):
-        if not (self.alpha1 >= 0 and self.alpha2 >= 0 and self.levenberg >= 0):
-            raise InvalidParams("alpha1, alpha2 and levenberg must be >= 0")
+        if not (self.alpha1 >= 0 and self.alpha2 >= 0):
+            raise InvalidParams("alpha1 and alpha2 must be >= 0")
         if not self.welsch_c > 0:
             raise InvalidParams("welsch_c must be positive")
         if self.max_correspondences < 1:
@@ -236,8 +241,8 @@ def _binding_weights(cd: np.ndarray, found: np.ndarray, d_max: np.ndarray) -> np
     return w / w.sum(axis=1, keepdims=True)
 
 
-def build_graph(points: np.ndarray, radius: float, binding_k: int = 4,
-                knn_k: int = 8) -> DeformationGraph:
+def build_graph(points: np.ndarray, radius: float,
+                binding_k: int = BINDING_K) -> DeformationGraph:
     """Geodesic first-fit node sampling plus vertex bindings.
 
     Geodesic distances run over a k-NN proximity graph; disconnected
@@ -249,7 +254,7 @@ def build_graph(points: np.ndarray, radius: float, binding_k: int = 4,
         raise InvalidParams("radius must be positive")
     if not n or p.shape[1] != 3:
         raise InvalidParams("points must be a non-empty (n, 3) array")
-    k_eff = min(knn_k + 1, n)
+    k_eff = min(KNN_K + 1, n)
     tree = cKDTree(p)
     # k as a list keeps d and idx 2-D for a single point
     d, idx = tree.query(p, k=[*range(1, k_eff + 1)])
@@ -498,7 +503,7 @@ class _BandedNormalEquations:
             flat[self.lin_at] = (self.core @ weight)[self.lin_src]
             flat[self.rot_at] += h_rot.reshape(m, 81)[self.rot_keep]
             band = flat.reshape(self.n, self.bandwidth + 1).T
-            band[0] += params.levenberg * max(band[0].max(), 1.0)
+            band[0] += LEVENBERG * max(band[0].max(), 1.0)
             self.factor = cholesky_banded(band, overwrite_ab=True, lower=True)
         delta = np.empty(self.n)
         # the factor's input was checked by cholesky_banded, and solve
@@ -588,7 +593,7 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
             blocks, e_current = with_targets(mapped)
             history.append(e_current)
 
-        for inner in range(params.max_inner):
+        for inner in range(MAX_INNER):
             # H is factored on the first step only; a failed step with the
             # reused factor is retried once with H factored here, so only a
             # fresh factor's failure ends the inner loop
@@ -611,17 +616,15 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
 # ---------------------------------------------------------------- transfer
 
 def transfer_trajectory(traj: ScanTrajectory, graph: DeformationGraph,
-                        target: PointCloud3, up: np.ndarray,
-                        normal_k: int = 20, binding_k: int = 4) -> ScanTrajectory:
+                        target: PointCloud3, up: np.ndarray) -> ScanTrajectory:
     """Deform the planned trajectory through the graph and attach probe poses."""
-    bind_idx, bind_w = graph.bind(traj.surface_points, k=binding_k)
+    bind_idx, bind_w = graph.bind(traj.surface_points)
     moved = graph.deform(traj.surface_points, bind_idx, bind_w)
-    return attach_probe_poses(ScanTrajectory(moved, traj.centerline_indices),
-                              target, up, normal_k)
+    return attach_probe_poses(ScanTrajectory(moved, traj.centerline_indices), target, up)
 
 
-def attach_probe_poses(traj: ScanTrajectory, target: PointCloud3, up: np.ndarray,
-                       normal_k: int = 20) -> ScanTrajectory:
+def attach_probe_poses(traj: ScanTrajectory, target: PointCloud3,
+                       up: np.ndarray) -> ScanTrajectory:
     """Probe poses at the trajectory's points on the target surface.
 
     Probe z points into the skin (opposite the local target-surface normal),
@@ -632,7 +635,7 @@ def attach_probe_poses(traj: ScanTrajectory, target: PointCloud3, up: np.ndarray
     if target.normals is not None:
         tgt = target
     else:
-        k = min(normal_k, len(target))
+        k = min(NORMAL_K, len(target))
         tgt = estimate_normals(target, k=max(k, 3), up_hint=up)
     tree = cKDTree(tgt.points)
     _, nearest = tree.query(pts)

@@ -15,6 +15,17 @@ from .geometry import PointCloud3, RigidTransform
 
 UP = np.array([0.0, 0.0, 1.0])
 
+# the arm atlas, lengths in mm
+WIDTH_KNOTS = (14.0, 22.0, 26.0)  # horizontal semi-axis a(s) at wrist, elbow, shoulder
+VERTICAL_B = 16.0                 # constant vertical semi-axis
+VESSEL_DEPTH = 4.0                # vessel centerline below the skin top
+VESSEL_RADIUS = 1.2
+AXIAL_STEP = 1.6                  # spacing of the surface rings along the axis
+RING_POINTS = 104                 # surface points per ring
+JITTER = 0.12                     # standard deviation of the radial surface jitter
+CAMERA_MARGIN = 40.0              # table around the arm in the default camera's view
+DEPTH_BAND = 2.0                  # behind a pixel's nearest splat, still averaged in
+
 
 @dataclass
 class ArmTemplate:
@@ -48,18 +59,6 @@ class ArmTemplate:
         """Horizontal cross-section semi-axis a(s) at axial coordinate s (mm)."""
         knots_s = [0.0, self.length_forearm, self.length_forearm + self.length_upperarm]
         return np.interp(s, knots_s, list(self.width_knots))
-
-    def forearm_radius_profile(self, s):
-        """a(s) for arc-length s measured from the wrist, s in [0, length_forearm]."""
-        return self.horizontal_semi_axis(np.clip(s, 0.0, self.length_forearm))
-
-    def upperarm_radius_profile(self, s):
-        """a(s) for arc-length s measured from the elbow, s in [0, length_upperarm]."""
-        return self.horizontal_semi_axis(self.length_forearm + np.clip(s, 0.0, self.length_upperarm))
-
-    @property
-    def joints(self) -> dict[str, np.ndarray]:
-        return {"wrist": self.wrist, "elbow": self.elbow, "shoulder": self.shoulder}
 
     def top_shell(self) -> tuple[PointCloud3, np.ndarray, np.ndarray]:
         """Surface subset above the cross-section center line (camera-visible side).
@@ -135,69 +134,50 @@ class DepthImage:
 
 def make_template(seed: int = 0,
                   length_forearm: float = 250.0,
-                  length_upperarm: float = 280.0,
-                  wrist_width: float = 14.0,
-                  elbow_width: float = 22.0,
-                  shoulder_width: float = 26.0,
-                  vertical_b: float = 16.0,
-                  vessel_depth: float = 4.0,
-                  vessel_radius: float = 1.2,
-                  axial_step: float = 1.6,
-                  ring_points: int = 104,
-                  jitter: float = 0.12) -> ArmTemplate:
+                  length_upperarm: float = 280.0) -> ArmTemplate:
     """Deterministic synthetic arm with elliptical cross-sections.
 
     The width semi-axis a(s) tapers from wrist to shoulder while the vertical
     semi-axis stays constant, so the skin top and the vessel run at constant
     height and the three joint landmarks are collinear in the neutral pose.
-    The vessel centerline sits `vessel_depth` below the top of the skin.
+    The vessel centerline sits VESSEL_DEPTH below the top of the skin.
     """
     if length_forearm <= 50 or length_upperarm <= 50:
         raise InvalidParams("segment lengths must exceed 50 mm")
-    for name, v in [("wrist_width", wrist_width), ("elbow_width", elbow_width),
-                    ("shoulder_width", shoulder_width), ("vertical_b", vertical_b),
-                    ("vessel_depth", vessel_depth), ("vessel_radius", vessel_radius),
-                    ("axial_step", axial_step)]:
-        if v <= 0:
-            raise InvalidParams(f"{name} must be positive")
-    if vessel_depth <= vessel_radius:
-        raise InvalidParams("vessel_depth must exceed vessel_radius")
 
     rng = np.random.default_rng(seed)
     total = length_forearm + length_upperarm
-    knots = (wrist_width, elbow_width, shoulder_width)
-    b = vertical_b
+    b = VERTICAL_B
 
     def a_of(s):
-        return np.interp(s, [0.0, length_forearm, total], list(knots))
+        return np.interp(s, [0.0, length_forearm, total], list(WIDTH_KNOTS))
 
-    s_vals = np.arange(0.0, total + 1e-9, axial_step)
+    s_vals = np.arange(0.0, total + 1e-9, AXIAL_STEP)
     n_rings = len(s_vals)
-    phi_base = np.linspace(0.0, 2.0 * np.pi, ring_points, endpoint=False)
+    phi_base = np.linspace(0.0, 2.0 * np.pi, RING_POINTS, endpoint=False)
     # per-ring angular offset breaks grid alignment without harming invariants
-    offsets = rng.uniform(0.0, 2.0 * np.pi / ring_points, size=n_rings)
+    offsets = rng.uniform(0.0, 2.0 * np.pi / RING_POINTS, size=n_rings)
 
-    pts = np.empty((n_rings * ring_points, 3))
-    axial = np.repeat(s_vals, ring_points)
-    top = np.empty(n_rings * ring_points, dtype=bool)
+    pts = np.empty((n_rings * RING_POINTS, 3))
+    axial = np.repeat(s_vals, RING_POINTS)
+    top = np.empty(n_rings * RING_POINTS, dtype=bool)
     for i, s in enumerate(s_vals):
         a = a_of(s)
         phi = phi_base + offsets[i]
-        sl = slice(i * ring_points, (i + 1) * ring_points)
+        sl = slice(i * RING_POINTS, (i + 1) * RING_POINTS)
         pts[sl, 0] = s
         pts[sl, 1] = a * np.sin(phi)
         pts[sl, 2] = b + b * np.cos(phi)
         top[sl] = np.cos(phi) > 0.0
-    if jitter > 0:
-        center = np.stack([axial, np.zeros_like(axial), np.full_like(axial, b)], axis=1)
-        radial = pts - center
-        radial /= np.linalg.norm(radial, axis=1, keepdims=True)
-        pts = pts + radial * rng.normal(0.0, jitter, size=(len(pts), 1))
+    center = np.stack([axial, np.zeros_like(axial), np.full_like(axial, b)], axis=1)
+    radial = pts - center
+    radial /= np.linalg.norm(radial, axis=1, keepdims=True)
+    pts = pts + radial * rng.normal(0.0, JITTER, size=(len(pts), 1))
 
     margin = 5.0
     s_center = np.arange(margin, total - margin + 1e-9, 1.0)
     centerline = np.stack(
-        [s_center, np.zeros_like(s_center), np.full_like(s_center, 2.0 * b - vessel_depth)],
+        [s_center, np.zeros_like(s_center), np.full_like(s_center, 2.0 * b - VESSEL_DEPTH)],
         axis=1)
 
     wrist = centerline[0].copy()
@@ -208,14 +188,14 @@ def make_template(seed: int = 0,
         surface=PointCloud3(pts),
         centerline=PointCloud3(centerline),
         wrist=wrist, elbow=elbow, shoulder=shoulder,
-        vessel_radius=vessel_radius,
+        vessel_radius=VESSEL_RADIUS,
         surface_axial=axial,
         centerline_axial=s_center,
         length_forearm=length_forearm,
         length_upperarm=length_upperarm,
-        width_knots=knots,
-        vertical_b=vertical_b,
-        vessel_depth=vessel_depth,
+        width_knots=WIDTH_KNOTS,
+        vertical_b=VERTICAL_B,
+        vessel_depth=VESSEL_DEPTH,
         seed=seed,
         _top_mask=top,
     )
@@ -270,8 +250,7 @@ def articulate(template: ArmTemplate, pose: ArticulatedPose) -> ArmTemplate:
     )
 
 
-def default_camera(posed: ArmTemplate, height: float = 800.0,
-                   pitch: float = 1.0, margin: float = 40.0):
+def default_camera(posed: ArmTemplate, height: float = 800.0, pitch: float = 1.0):
     """Top-down camera over the scene centroid plus a resolution that fits it.
 
     Returns (camera_pose, width, height_px).
@@ -282,23 +261,21 @@ def default_camera(posed: ArmTemplate, height: float = 800.0,
     center = (lo + hi) / 2.0
     rotation = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
     cam = RigidTransform(rotation, np.array([center[0], center[1], height]))
-    w = int(np.ceil((hi[0] - lo[0] + 2 * margin) / pitch))
-    h = int(np.ceil((hi[1] - lo[1] + 2 * margin) / pitch))
+    w = int(np.ceil((hi[0] - lo[0] + 2 * CAMERA_MARGIN) / pitch))
+    h = int(np.ceil((hi[1] - lo[1] + 2 * CAMERA_MARGIN) / pitch))
     return cam, w, h
 
 
 def render_depth(posed: ArmTemplate, camera: RigidTransform, width: int, height: int,
-                 pitch: float, table_z: float = 0.0,
-                 noise_sigma: float = 0.0, noise_seed: int = 0,
-                 depth_band: float = 2.0) -> DepthImage:
-    """Orthographic splat render with table background.
+                 pitch: float, noise_sigma: float = 0.0,
+                 noise_seed: int = 0) -> DepthImage:
+    """Orthographic splat render with the table plane z = 0 as background.
 
-    Each pixel averages the splatted depths within depth_band of its minimum;
+    Each pixel averages the splatted depths within DEPTH_BAND of its minimum;
     a raw minimum would bias sloped surfaces toward the camera by half the
     per-pixel depth spread, which matters on steeply articulated poses.
     """
-    cam_z = camera.translation[2]
-    table_depth = cam_z - table_z
+    table_depth = camera.translation[2]
     if table_depth <= 0:
         raise InvalidParams("camera must be above the table")
 
@@ -331,7 +308,7 @@ def render_depth(posed: ArmTemplate, camera: RigidTransform, width: int, height:
     sums = np.zeros(height * width)
     weights = np.zeros(height * width)
     for idx, w in targets:
-        near = depths <= flat[idx] + depth_band
+        near = depths <= flat[idx] + DEPTH_BAND
         np.add.at(sums, idx[near], (w * depths)[near])
         np.add.at(weights, idx[near], w[near])
     hit = weights > 0

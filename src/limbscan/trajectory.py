@@ -39,8 +39,6 @@ def smooth_centerline(raw: np.ndarray, window: int) -> np.ndarray:
     n = len(pts)
     if n < window:
         raise TooFewPoints(f"need >= {window} points, got {n}")
-    if window == 1:
-        return pts.copy()
     half = window // 2
     # clamp: endpoints repeated so the ends are not pulled inward
     padded = np.vstack([np.repeat(pts[:1], half, axis=0), pts,

@@ -25,22 +25,16 @@ def _stripe_image(height=60, width=80, c_lo=30, c_hi=50):
 class TestDepthFeature:
     def test_squared_difference(self):
         d = np.array([10.0, 10.0, 20.0])
-        assert depth_feature(d, 2, k=2) == 20.0 ** 2 - 10.0 ** 2
+        assert depth_feature(d, 2) == 20.0 ** 2 - 10.0 ** 2
 
     def test_flat_is_zero(self):
-        assert depth_feature(np.full(5, 7.0), 4, k=2) == 0.0
-
-    def test_second_difference(self):
-        d = np.array([1.0, 2.0, 4.0])
-        sq = d ** 2
-        assert depth_feature(d, 2, second_difference=True) == \
-            sq[2] - 2 * sq[1] + sq[0]
+        assert depth_feature(np.full(5, 7.0), 4) == 0.0
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            depth_feature(np.ones(5), 1, k=2)
+            depth_feature(np.ones(5), 1)
         with pytest.raises(IndexOutOfRange):
-            depth_feature(np.ones(5), 5, k=2)
+            depth_feature(np.ones(5), 5)
 
 
 class TestExtractionParams:

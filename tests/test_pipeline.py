@@ -1,18 +1,23 @@
 """Pipeline config validation, end-to-end run, sweep isolation, CLI exit codes."""
+import contextlib
+import io
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limbscan import pointio
 from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from limbscan.errors import ConfigError, InvalidParams, StageError
 from limbscan.flowseg import predict_mask
 from limbscan.geometry import PointCloud3
-from limbscan.pipeline import (PipelineConfig, config_from_dict,
+from limbscan.pipeline import (_SECTIONS, PipelineConfig, config_from_dict,
                                config_to_dict, load_config, run_pipeline,
                                sweep)
 from limbscan.registration import DeformationGraph, build_graph
@@ -213,6 +218,13 @@ class TestSweep:
         assert "seed" in rows[0]["error"]
 
 
+@pytest.fixture(scope="module")
+def rendered_140(tmp_path_factory):
+    out = tmp_path_factory.mktemp("render140")
+    assert main(["render", "--out", str(out), "--angle", "140"]) == EXIT_OK
+    return out
+
+
 class TestCli:
     def test_no_command_is_config_error(self):
         assert main([]) == EXIT_CONFIG
@@ -312,6 +324,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: joints must be") and err.count("\n") == 1
         assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("x,y,z\n1,2,3\na,b,c\n", "bad row"),
+        ("1,2,3\n4,5\n", "rows differ"),
+        ("", "no numeric rows"),
+        ("1,2\n3,4\n", "needs finite x,y,z"),
+    ], ids=["non-numeric", "ragged", "empty", "two-columns"])
+    def test_scan_bad_traj_exits_3(self, tmp_path, capsys, body, message):
+        traj = tmp_path / "t.csv"
+        traj.write_text(body)
+        assert main(["scan", "--angle", "180", "--traj", str(traj),
+                     "--out-frames", str(tmp_path / "f"),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {traj}: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("name, corrupt, joints, code, message", [
+        ("depth_meta.json", lambda meta: json.dumps(
+            {k: v for k, v in json.loads(meta).items() if k != "camera_rotation"}),
+         None, EXIT_STAGE, "KeyError('camera_rotation')"),
+        ("depth_meta.json", lambda meta: "not json {", None, EXIT_STAGE, "bad depth meta file"),
+        ("depth_meta.json", lambda meta: meta.replace('"elbow": [', '"elbow": [7, '),
+         None, EXIT_STAGE, "bad joint_pixels"),
+        ("depth.pgm", lambda depth: depth[:1000], None, EXIT_STAGE, "PGM raster has"),
+        (None, None, "1,2,3 4,5,6 7,8,9", EXIT_CONFIG, "too many values to unpack"),
+    ], ids=["meta-no-camera", "meta-not-json", "meta-joint-triple", "depth-truncated",
+            "joints-triples"])
+    def test_extract_bad_input(self, tmp_path, capsys, rendered_140, name, corrupt, joints,
+                               code, message):
+        files = {n: rendered_140 / n for n in ("depth.pgm", "depth_meta.json")}
+        if name:
+            files[name] = tmp_path / name
+            if name.endswith(".json"):
+                files[name].write_text(corrupt((rendered_140 / name).read_text()))
+            else:
+                files[name].write_bytes(corrupt((rendered_140 / name).read_bytes()))
+        argv = ["extract", "--depth", str(files["depth.pgm"]),
+                "--meta", str(files["depth_meta.json"]), "--out", str(tmp_path / "seg")]
+        assert main(argv + (["--joints", joints] if joints else [])) == code
+        err = capsys.readouterr().err
+        expect = "config error: --joints" if joints else f"error: {files[name]}: "
+        assert err.startswith(expect) and message in err and err.count("\n") == 1
+        assert not (tmp_path / "seg").exists()
 
     def test_stage_failure_exits_3(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
@@ -423,3 +479,86 @@ def test_bad_input_is_a_limbscan_error(tmp_path, make):
     with pytest.raises(InvalidParams):
         make(tmp_path)
 
+
+def test_readme_config_example_loads(tmp_path):
+    """The YAML example in README's Configuration section is a valid config
+    whose every value is the one loaded."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+    example = section.split("```yaml\n")[1].split("```")[0]
+    path = tmp_path / "example.yaml"
+    path.write_text(example)
+    cfg = config_to_dict(load_config(path))
+    for key, value in yaml.safe_load(example).items():
+        if isinstance(value, dict):
+            assert {k: cfg[key][k] for k in value} == value
+        else:
+            assert cfg[key] == value
+
+
+_JUNK = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+                  st.text(max_size=4), st.none(), st.lists(st.integers(), max_size=2))
+_VALUES = st.one_of(st.integers(-10, 1100), st.floats(-10.0, 1100.0), _JUNK)
+
+
+@st.composite
+def _configs(draw):
+    """Up to two top-level keys and up to two fields a section, known or
+    unknown, with values in or out of range or of the wrong type; now and
+    then the root or a section is not a mapping."""
+    config = {}
+    for key in draw(st.lists(st.sampled_from(["seed", "output_dir", "bogus", *_SECTIONS]),
+                             max_size=2, unique=True)):
+        if key in _SECTIONS:
+            fields = st.sampled_from([*_SECTIONS[key].__dataclass_fields__, "bogus"])
+            config[key] = draw(st.one_of(st.dictionaries(fields, _VALUES, max_size=2), _JUNK))
+        else:
+            config[key] = draw(_VALUES)
+    return draw(_JUNK) if draw(st.integers(0, 9)) == 0 else config
+
+
+def _flag(name, numbers):
+    """'--name=value', the value a number's repr, nan and inf included, or
+    any short text; the '=' form keeps a leading '-' in the value."""
+    values = st.one_of(numbers.map(repr), st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                       st.text(max_size=5))
+    return values.map(lambda v: f"--{name}={v}")
+
+
+_JOINTS = st.one_of(
+    st.none(),
+    st.lists(st.tuples(st.integers(-5, 600), st.integers(-5, 600)), min_size=2, max_size=4)
+    .map(lambda pairs: " ".join(f"{r},{c}" for r, c in pairs)),
+    st.text(alphabet="0123456789, -", max_size=16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_never_raises_on_generated_input(rendered_140, tmp_path_factory, data):
+    """Generated configs and flag values end in exit 0, 2 or 3 with no
+    traceback. Only commands that do not register run, to stay fast."""
+    work = tmp_path_factory.mktemp("cli")
+    config = work / "c.yaml"
+    config.write_text(yaml.safe_dump(data.draw(_configs(), label="config")))
+    angle = _flag("angle", st.floats(80.0, 190.0))
+    command = data.draw(st.sampled_from(["plan", "scan", "extract"]), label="command")
+    if command == "plan":
+        argv = ["plan", "--config", str(config), "--out", str(work / "o"),
+                data.draw(angle, label="angle")]
+    elif command == "scan":
+        # the trajectory file is missing: the flags are checked before it is read
+        argv = ["scan", data.draw(angle, label="angle"),
+                data.draw(_flag("sigma", st.floats(0.3, 1.2)), label="sigma"),
+                "--traj", str(work / "none.csv"), "--out-frames", str(work / "f"),
+                "--report", str(work / "r.json")]
+    else:
+        argv = ["extract", "--depth", str(rendered_140 / "depth.pgm"),
+                "--meta", str(rendered_140 / "depth_meta.json"), "--out", str(work / "o"),
+                data.draw(_flag("spacing", st.integers(-2, 40)), label="spacing")]
+        joints = data.draw(_JOINTS, label="joints")
+        argv += [] if joints is None else [f"--joints={joints}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_STAGE)
+    assert "Traceback" not in err.getvalue()

@@ -230,7 +230,7 @@ def _dense_normal_equations(g, pts, idx, target, x, params):
         xc[c] += 1e-30j
         J[:, c] = weighted_residual(xc).imag / 1e-30
     H = J.T @ J
-    H += params.levenberg * max(H.diagonal().max(), 1.0) * np.eye(n_par)
+    H += registration.LEVENBERG * max(H.diagonal().max(), 1.0) * np.eye(n_par)
     return H, J.T @ weighted_residual(x)
 
 
@@ -473,7 +473,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("field, value", [
         ("max_correspondences", 0), ("welsch_c", 0.0), ("welsch_c", float("nan")),
-        ("alpha1", -1.0), ("alpha2", -1.0), ("levenberg", -1e-6)])
+        ("alpha1", -1.0), ("alpha2", -1.0)])
     def test_params_validation(self, field, value):
         with pytest.raises(InvalidParams, match=field):
             SolveParams(**{field: value})

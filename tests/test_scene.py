@@ -48,16 +48,15 @@ class TestMakeTemplate:
         assert mask.sum() == len(shell)
 
     def test_width_profiles(self, template):
-        assert template.forearm_radius_profile(0.0) == pytest.approx(
+        assert template.horizontal_semi_axis(0.0) == pytest.approx(
             template.width_knots[0])
-        assert template.upperarm_radius_profile(template.length_upperarm) == \
+        assert template.horizontal_semi_axis(
+            template.length_forearm + template.length_upperarm) == \
             pytest.approx(template.width_knots[2])
 
     def test_rejects_bad_params(self):
         with pytest.raises(InvalidParams):
             make_template(length_forearm=10.0)
-        with pytest.raises(InvalidParams):
-            make_template(vessel_depth=1.0, vessel_radius=1.2)
 
 
 class TestArticulation:
