@@ -195,7 +195,10 @@ def _cmd_scan(args) -> int:
     _, _, posed = build_scene(cfg)
     # probe orientations: z into the skin via the nearest scene surface normal
     shell, _, _ = posed.top_shell()
-    traj = attach_probe_poses(ScanTrajectory(pts, np.arange(len(pts))), shell, UP)
+    try:
+        traj = attach_probe_poses(ScanTrajectory(pts, np.arange(len(pts))), shell, UP)
+    except InvalidParams as exc:
+        raise InvalidParams(f"{args.traj}: {exc}") from exc
     result = run_scan(posed, traj, scan_cfg)
     frames_dir = Path(args.out_frames)
     write_frames(frames_dir, result.frames)

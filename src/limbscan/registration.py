@@ -638,7 +638,11 @@ def attach_probe_poses(traj: ScanTrajectory, target: PointCloud3,
         k = min(NORMAL_K, len(target))
         tgt = estimate_normals(target, k=max(k, 3), up_hint=up)
     tree = cKDTree(tgt.points)
-    _, nearest = tree.query(pts)
+    dist, nearest = tree.query(pts)
+    # an overflowing distance comes back as inf with the out-of-range index n
+    if not np.all(np.isfinite(dist)):
+        raise InvalidParams("a trajectory point is too far from the target surface "
+                            "for a finite distance")
     z_axes = -tgt.normals[nearest]
 
     n = len(pts)

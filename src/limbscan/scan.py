@@ -26,7 +26,13 @@ from .trajectory import ScanTrajectory
 class VirtualFrame:
     """One simulated ultrasound cross-section, measured once when built: its
     world-frame image axes, foreground area in pixels, and (column, row)
-    foreground centroid, None for an empty mask."""
+    foreground centroid, None for an empty mask.
+
+    The centroid is the exact integer first moment of the columns (rows)
+    over the area: the same integer sum, under 2^53, and the same single
+    rounding division as the mean of the foreground pixels' indices, so the
+    same bits, without building those index arrays.
+    """
 
     probe_pose: RigidTransform
     width_px: int
@@ -41,14 +47,18 @@ class VirtualFrame:
         self.mask = np.asarray(self.mask, dtype=np.uint8)
         if self.mask.shape != (self.height_px, self.width_px):
             raise InvalidParams("mask dims must match width/height")
-        if self.pitch <= 0:
+        if not self.pitch > 0:
             raise InvalidParams("pitch must be positive")
-        rows, cols = np.nonzero(self.mask)
-        if np.any(self.mask[rows, cols] != 1):
+        if (self.mask > 1).any():
             raise InvalidParams("mask values must be binary")
         self.axes = image_axes(self.probe_pose)
-        self.area = len(rows)
-        self.centroid = (float(cols.mean()), float(rows.mean())) if self.area else None
+        self.area = int(np.count_nonzero(self.mask))
+        self.centroid = None
+        if self.area:
+            # a column (row) sum is at most the height (width): no uint32 overflow
+            col_moment = self.mask.sum(axis=0, dtype=np.uint32) @ np.arange(self.width_px)
+            row_moment = self.mask.sum(axis=1, dtype=np.uint32) @ np.arange(self.height_px)
+            self.centroid = (int(col_moment) / self.area, int(row_moment) / self.area)
 
 
 @dataclass
@@ -85,7 +95,7 @@ class ScanParams:
         # keep a frame and the vessel sampler a bounded size
         if not (2 <= self.width_px <= 1024 and 2 <= self.height_px <= 1024):
             raise InvalidParams("width_px and height_px must be in [2, 1024]")
-        if self.pitch <= 0:
+        if not self.pitch > 0:
             raise InvalidParams("pitch must be positive")
         if not self.resample_step >= 0.005:
             raise InvalidParams("resample_step must be >= 0.005 mm")
@@ -108,12 +118,14 @@ class ScanResult:
 def image_axes(probe_pose: RigidTransform) -> np.ndarray:
     """World-frame image axes as columns [x_img, y_img, z_img].
 
-    Image x = probe long axis (y), image z = probe push axis (z).
+    Image x = probe long axis (y), image z = probe push axis (z), image
+    y = z × x, written out on Python floats in np.cross's own operation
+    order, so the same bits at a small part of np.cross's call overhead.
     """
-    r = probe_pose.rotation
-    x_i = r[:, 1]
-    z_i = r[:, 2]
-    return np.stack([x_i, np.cross(z_i, x_i), z_i], axis=1)
+    (_, x0, z0), (_, x1, z1), (_, x2, z2) = probe_pose.rotation.tolist()
+    return np.array([[x0, z1 * x2 - z2 * x1, z0],
+                     [x1, z2 * x0 - z0 * x2, z1],
+                     [x2, z0 * x1 - z1 * x0, z2]])
 
 
 class VesselSampler:
@@ -145,6 +157,11 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
     guard, and each of its pixels is tested exactly as on the full grid;
     every other pixel is 0.
     """
+    if not (width_px >= 1 and height_px >= 1):
+        raise InvalidParams(f"image size must be at least 1 x 1 pixels, got "
+                            f"{width_px} x {height_px}")
+    if not pitch > 0:
+        raise InvalidParams(f"pitch must be positive, got {pitch}")
     if sampler is None:
         sampler = VesselSampler(scene.centerline.points, scene.vessel_radius)
     ax = image_axes(probe_pose)

@@ -330,7 +330,8 @@ class TestCli:
         ("1,2,3\n4,5\n", "rows differ"),
         ("", "no numeric rows"),
         ("1,2\n3,4\n", "needs finite x,y,z"),
-    ], ids=["non-numeric", "ragged", "empty", "two-columns"])
+        ("1e308,1e308,1e308\n-1e308,0,0\n", "too far from the target surface"),
+    ], ids=["non-numeric", "ragged", "empty", "two-columns", "huge-finite"])
     def test_scan_bad_traj_exits_3(self, tmp_path, capsys, body, message):
         traj = tmp_path / "t.csv"
         traj.write_text(body)
@@ -532,11 +533,32 @@ _JOINTS = st.one_of(
     st.text(alphabet="0123456789, -", max_size=16))
 
 
+_IN_RANGE = st.floats(-50.0, 250.0).map(repr)
+_FINITE = st.one_of(_IN_RANGE, st.sampled_from(["1e308", "-1e308"]))
+_NUMBERS = st.one_of(_FINITE, st.sampled_from(["nan", "inf", "-inf"]),
+                     st.floats(allow_nan=True, allow_infinity=True).map(repr))
+
+
+@st.composite
+def _trajectory_csv(draw):
+    """A trajectory file body: an optional header, then up to 4 rows of 1 to
+    4 values: all in range, all finite (±1e308 included), any numbers (nan
+    and inf too), or numbers and short text."""
+    values = draw(st.sampled_from([_IN_RANGE, _FINITE, _NUMBERS,
+                                   st.one_of(_NUMBERS, st.text(max_size=4))]), label="values")
+    width = draw(st.integers(1, 4), label="width")
+    rows = draw(st.lists(st.lists(values, min_size=width, max_size=width), max_size=4),
+                label="rows")
+    header = "x,y,z\n" if draw(st.booleans(), label="header") else ""
+    return header + "".join(",".join(row) + "\n" for row in rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_cli_never_raises_on_generated_input(rendered_140, tmp_path_factory, data):
-    """Generated configs and flag values end in exit 0, 2 or 3 with no
-    traceback. Only commands that do not register run, to stay fast."""
+    """Generated configs, flag values and trajectory files end in exit 0, 2
+    or 3 with no traceback. Only commands that do not register run, to stay
+    fast."""
     work = tmp_path_factory.mktemp("cli")
     config = work / "c.yaml"
     config.write_text(yaml.safe_dump(data.draw(_configs(), label="config")))
@@ -546,11 +568,13 @@ def test_cli_never_raises_on_generated_input(rendered_140, tmp_path_factory, dat
         argv = ["plan", "--config", str(config), "--out", str(work / "o"),
                 data.draw(angle, label="angle")]
     elif command == "scan":
-        # the trajectory file is missing: the flags are checked before it is read
-        argv = ["scan", data.draw(angle, label="angle"),
-                data.draw(_flag("sigma", st.floats(0.3, 1.2)), label="sigma"),
-                "--traj", str(work / "none.csv"), "--out-frames", str(work / "f"),
-                "--report", str(work / "r.json")]
+        traj = work / "t.csv"
+        traj.write_text(data.draw(_trajectory_csv(), label="trajectory"), errors="surrogatepass")
+        # each flag now and then left out, so that the file is often read
+        flags = [data.draw(st.one_of(st.none(), flag), label=name) for name, flag in
+                 (("angle", angle), ("sigma", _flag("sigma", st.floats(0.3, 1.2))))]
+        argv = ["scan", *filter(None, flags), "--traj", str(traj),
+                "--out-frames", str(work / "f"), "--report", str(work / "r.json")]
     else:
         argv = ["extract", "--depth", str(rendered_140 / "depth.pgm"),
                 "--meta", str(rendered_140 / "depth_meta.json"), "--out", str(work / "o"),

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 from _util import DOWN_ROTATION, straight_trajectory
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limbscan.errors import InvalidParams, TooFewFrames, VesselLost
 from limbscan.flowseg import mask_centroid
@@ -47,6 +49,58 @@ class TestFrames:
             assert f.centroid[1] == mask_centroid(mask.T)
 
 
+_SIDE = st.integers(1, 64)
+_SHAPES = st.one_of(st.tuples(st.just(1), _SIDE), st.tuples(_SIDE, st.just(1)),
+                    st.tuples(_SIDE, _SIDE))
+
+
+@st.composite
+def _masks(draw):
+    """Binary masks of every shape up to 64 x 64, 1 x N and N x 1 included:
+    all zero, all one, or random at a drawn density."""
+    shape = draw(_SHAPES, label="shape")
+    kind = draw(st.sampled_from(["zeros", "ones", "random"]), label="kind")
+    if kind != "random":
+        return np.full(shape, kind == "ones", dtype=np.uint8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    density = draw(st.floats(0.0, 1.0), label="density")
+    return (rng.uniform(size=shape) < density).astype(np.uint8)
+
+
+class TestFrameMeasurement:
+    @settings(max_examples=300, deadline=None)
+    @given(mask=_masks())
+    def test_area_and_centroid_equal_index_mean(self, mask):
+        h, w = mask.shape
+        f = VirtualFrame(_down_pose(), w, h, 0.1, mask)
+        rows, cols = np.nonzero(mask)
+        assert f.area == len(rows) and type(f.area) is int
+        if len(rows) == 0:
+            assert f.centroid is None
+            return
+        # bit for bit, not merely close
+        assert f.centroid == (float(cols.mean()), float(rows.mean()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(mask=_masks(), value=st.sampled_from([2, 255]), data=st.data())
+    def test_non_binary_value_rejected(self, mask, value, data):
+        h, w = mask.shape
+        mask[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] = value
+        with pytest.raises(InvalidParams, match="binary"):
+            VirtualFrame(_down_pose(), w, h, 0.1, mask)
+
+    def test_image_axes_equal_np_cross(self, rng):
+        for _ in range(500):
+            q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+            q = q * np.sign(np.diag(r))
+            if np.linalg.det(q) < 0:
+                q[:, 0] = -q[:, 0]
+            x, z = q[:, 1], q[:, 2]
+            expected = np.stack([x, np.cross(z, x), z], axis=1)
+            got = image_axes(RigidTransform(q, rng.normal(size=3)))
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 class TestVesselSampler:
     def test_inside_matches_distance_to_line(self, rng):
         line = np.column_stack([np.linspace(0.0, 50.0, 51), np.zeros(51),
@@ -78,6 +132,15 @@ class TestImageSlice:
         rows = np.nonzero(frame.mask)[0]
         center_depth = (rows.mean() + 0.5) * 0.1
         assert abs(center_depth - atlas.vessel_depth) < 0.15
+
+    @pytest.mark.parametrize("width_px, height_px, pitch", [
+        (256, 160, 0.0), (256, 160, -0.1), (-5, 160, 0.1), (256, 160, float("nan")),
+        (0, 160, 0.1),
+    ], ids=["pitch-zero", "pitch-negative", "width-negative", "pitch-nan", "width-zero"])
+    def test_bad_geometry_rejected(self, atlas, width_px, height_px, pitch):
+        with pytest.raises(InvalidParams, match="pitch|image size"):
+            image_slice(atlas, _down_pose(x=120.0, z=2.0 * atlas.vertical_b),
+                        width_px, height_px, pitch)
 
     def test_probe_off_arm_sees_nothing(self, atlas):
         frame = image_slice(atlas, _down_pose(x=120.0, y=50.0,
