@@ -362,10 +362,10 @@ class _ResidualMap:
         bi = graph.bind_idx[corr_idx]
         (q, K), bw = bi.shape, graph.bind_w[corr_idx] * (bi >= 0)
         # rows are correspondences then edges; slots are their nodes (-1 pads)
-        self.nodes = nodes = np.full((q + len(ei), max(K, 2)), -1)
+        nodes = np.full((q + len(ei), max(K, 2)), -1)
         nodes[:q, :K] = bi
         nodes[q:, :2] = np.stack([ei, ej], axis=1)
-        self.u = u = np.zeros(nodes.shape + (4,))
+        u = np.zeros(nodes.shape + (4,))
         u[:q, :K, :3] = bw[..., None] * (verts[corr_idx][:, None, :] - g[bi])
         u[:q, :K, 3] = bw
         u[q:, 0, :3] = g[ej] - g[ei]
@@ -417,60 +417,40 @@ class _BandedNormalEquations:
     banded storage under a reverse Cuthill-McKee order of H's 12 x 12
     node-pair blocks.
 
-    The alignment and edge rows of J are those of the solve's fixed
-    residual map, each times the square root of the row's weight: the
-    Welsch IRLS weight exp(-|r|^2 / c^2) for alignment (frozen per step, so
-    the step descends the robust energy), alpha1 for edges. That part of H
-    is a fixed linear map of the row weights, built from the map's slot
-    vectors u; only the per-node rigidity blocks are rebuilt from A at each
-    factorization.
+    The alignment and edge rows of J are the solve's fixed residual map M,
+    each times the square root of the row's weight: the Welsch IRLS weight
+    exp(-|r|^2 / c^2) for alignment (frozen per step, so the step descends
+    the robust energy), alpha1 for edges. That part of H is M^T diag(w) M;
+    the per-node rigidity blocks come from A. The order and the bandwidth
+    come from the pattern of M^T M plus those blocks.
 
-    H is factored by banded Cholesky once per outer iteration of `solve`,
-    and its inner steps reuse that factor: each solves H_0 delta = -g with
-    the gradient g at the current point and H_0 from an earlier point of the
-    same outer iteration. H_0 is positive definite, so delta still descends
-    and the line search keeps the history monotone (Yao et al., "Quasi-Newton
-    Solver for Robust Non-Rigid Registration", CVPR 2020, reuse one factor of
-    this energy the same way).
+    H is factored by banded Cholesky on the first step of a solve, and
+    later steps reuse that factor across outer iterations: each solves
+    H_0 delta = -g with the gradient g at the current point and H_0 from an
+    earlier point of the solve. H_0 is positive definite, so delta still
+    descends (Yao et al., "Quasi-Newton Solver for Robust Non-Rigid
+    Registration", CVPR 2020, keep one fixed factor of this energy the same
+    way). Once a kept factor's full step fails to lower the energy, `solve`
+    refactors H at the current point and keeps that factor instead.
     """
 
     def __init__(self, residual_map: _ResidualMap):
-        nodes, u = residual_map.nodes, residual_map.u
-        self.n = n = residual_map.matrix.shape[1]
+        self.matrix = residual_map.matrix
+        self.n = n = self.matrix.shape[1]
         m = n // 12
-        # gradient: M^T @ (weight * residual).ravel()
-        self.grad = residual_map.matrix.T
-        # 4 x 4 core of each ordered node-pair block: self.core @ weight
-        r, k1, k2 = np.nonzero((nodes >= 0)[:, :, None] & (nodes >= 0)[:, None, :])
-        pairs, pair_of = np.unique(nodes[r, k1] * m + nodes[r, k2], return_inverse=True)
-        self.core = sp.csr_matrix(
-            ((u[r, k1, :, None] * u[r, k2, None, :]).ravel(),
-             ((16 * pair_of[:, None] + np.arange(16)).ravel(), np.repeat(r, 16))),
-            shape=(16 * len(pairs), len(nodes)))
-
-        j1, j2 = np.divmod(pairs, m)
-        adj = sp.csr_matrix((np.ones(len(pairs)), (j1, j2)), shape=(m, m))
-        order = reverse_cuthill_mckee(adj + sp.identity(m, format="csr"), symmetric_mode=True)
+        # H's pattern, counting M's explicit zeros: M^T M and each node's
+        # 9 x 9 affine block (rigidity)
+        ones = self.matrix.copy()
+        ones.data[:] = 1.0
+        pattern = (ones.T @ ones + sp.kron(sp.identity(m), np.pad(np.ones((9, 9)), (0, 3)))
+                   ).tocoo()
+        adj = sp.csr_matrix((np.ones(pattern.nnz), (pattern.row // 12, pattern.col // 12)),
+                            shape=(m, m))
+        order = reverse_cuthill_mckee(adj, symmetric_mode=True)
         self.perm = (12 * order[:, None] + np.arange(12)).ravel()
-        pos = np.empty(n, dtype=int)
-        pos[self.perm] = np.arange(n)
-        # scalar entries: the core replicated on each _GROUP[a], then each
-        # node's 9 x 9 affine block (rigidity); keep the lower triangle
-        c1, c2 = np.divmod(np.arange(16), 4)
-        lin_r = pos[12 * j1[:, None, None] + _GROUP[:, c1]]
-        lin_c = pos[12 * j2[:, None, None] + _GROUP[:, c2]]
-        lin_src = np.broadcast_to(16 * np.arange(len(pairs))[:, None, None] + np.arange(16),
-                                  lin_r.shape)
-        a, b = np.divmod(np.arange(81), 9)
-        rot_r = pos[12 * np.arange(m)[:, None] + a]
-        rot_c = pos[12 * np.arange(m)[:, None] + b]
-        self.bandwidth = bw = int(max(np.max(lin_r - lin_c), np.max(rot_r - rot_c)))
-        # band entry (d, c) sits at c * (bw + 1) + d of a Fortran-ordered
-        # (bw + 1, n) array, the layout LAPACK factors in place
-        keep = lin_r >= lin_c
-        self.lin_at, self.lin_src = lin_c[keep] * (bw + 1) + (lin_r - lin_c)[keep], lin_src[keep]
-        self.rot_keep = rot_r >= rot_c
-        self.rot_at = rot_c[self.rot_keep] * (bw + 1) + (rot_r - rot_c)[self.rot_keep]
+        self.pos = np.empty(n, dtype=int)
+        self.pos[self.perm] = np.arange(n)
+        self.bandwidth = int(np.max(self.pos[pattern.row] - self.pos[pattern.col]))
         self.factor = None
 
     def step(self, blocks, affines: np.ndarray, params: SolveParams,
@@ -484,7 +464,7 @@ class _BandedNormalEquations:
         weight = np.concatenate([np.exp(-np.sum(r_ali ** 2, axis=1) / params.welsch_c ** 2),
                                  np.full(len(r_reg), params.alpha1)])
         res = np.concatenate([r_ali, r_reg])
-        grad = self.grad @ (weight[:, None] * res).ravel()
+        grad = self.matrix.T @ (weight[:, None] * res).ravel()
 
         # d (A^T A)_ab / d A_cd = delta_ad A_cb + delta_bd A_ca;
         # d det / d A[i, :] = A[i+1, :] x A[i+2, :]
@@ -497,11 +477,18 @@ class _BandedNormalEquations:
 
         if fresh:
             self.factor = None  # free the old factor before the new band exists
-            h_rot = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
-                                     + j_det[:, :, None] * j_det[:, None, :])
+            h_rot = np.zeros((m, 12, 12))
+            h_rot[:, :9, :9] = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
+                                                + j_det[:, :, None] * j_det[:, None, :])
+            h = (self.matrix.T @ sp.diags(np.repeat(weight, 3)) @ self.matrix
+                 + sp.bsr_matrix((h_rot, np.arange(m), np.arange(m + 1)),
+                                 shape=(self.n, self.n))).tocoo()
+            r, c = self.pos[h.row], self.pos[h.col]
+            lower = r >= c
+            # band entry (d, c) sits at c * (bw + 1) + d of a Fortran-ordered
+            # (bw + 1, n) array, the layout LAPACK factors in place
             flat = np.zeros(self.n * (self.bandwidth + 1))
-            flat[self.lin_at] = (self.core @ weight)[self.lin_src]
-            flat[self.rot_at] += h_rot.reshape(m, 81)[self.rot_keep]
+            flat[c[lower] * (self.bandwidth + 1) + (r - c)[lower]] = h.data[lower]
             band = flat.reshape(self.n, self.bandwidth + 1).T
             band[0] += LEVENBERG * max(band[0].max(), 1.0)
             self.factor = cholesky_banded(band, overwrite_ab=True, lower=True)
@@ -563,13 +550,14 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
 
     def take_step(fresh):
         """One step and its line search; True once a trial lowers the
-        energy, False if the step is not finite or 30 halvings fail."""
+        energy, False if the step is not finite or its trials fail: 30
+        halvings with a fresh factor, the full step alone with a kept one."""
         nonlocal x, mapped, blocks, e_current
         delta = normal.step(blocks, _affines(x), params, fresh)
         if not np.all(np.isfinite(delta)):
             return False
         alpha = 1.0
-        for _ in range(30):
+        for _ in range(30 if fresh else 1):
             x_trial = x + alpha * delta
             trial = residual_map(x_trial)
             trial_blocks, e_new = with_targets(trial)
@@ -593,11 +581,12 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
             blocks, e_current = with_targets(mapped)
             history.append(e_current)
 
-        for inner in range(MAX_INNER):
-            # H is factored on the first step only; a failed step with the
-            # reused factor is retried once with H factored here, so only a
-            # fresh factor's failure ends the inner loop
-            fresh = inner == 0
+        for _ in range(MAX_INNER):
+            # H is factored on the solve's first step only; a kept factor's
+            # step that is not finite or fails at full length is retried once
+            # with H factored here, so only a fresh factor's failure ends the
+            # inner loop
+            fresh = normal.factor is None
             try:
                 if not (take_step(fresh) or (not fresh and take_step(True))):
                     break

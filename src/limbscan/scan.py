@@ -157,6 +157,10 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
     guard, and each of its pixels is tested exactly as on the full grid;
     every other pixel is 0.
     """
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in (width_px, height_px)):
+        raise InvalidParams(f"image size must be integer pixels, got "
+                            f"{width_px!r} x {height_px!r}")
     if not (width_px >= 1 and height_px >= 1):
         raise InvalidParams(f"image size must be at least 1 x 1 pixels, got "
                             f"{width_px} x {height_px}")

@@ -319,6 +319,9 @@ class TestBandedNormalEquations:
         got = normal.step(_blocks(residual_map, _pack(g), target), g.affines, params,
                           fresh=True)
         assert normal.bandwidth < len(grad) - 1  # the RCM order leaves a true band
+        # and the band has no padding: its last sub-diagonal holds an entry
+        rows, cols = np.nonzero(H[np.ix_(normal.perm, normal.perm)])
+        assert normal.bandwidth == np.max(rows - cols)
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_reused_factor_step_is_exact(self, rng):
@@ -405,17 +408,16 @@ class TestSolve:
         d, _ = cKDTree(target).query(g.deform(pts))
         assert np.median(d) < 1.0
 
-        # one factorization opens each outer iteration (after its query);
-        # any other follows a failed step and retries it
-        n_outer = events.count("query")
+        # one factorization opens the solve (after its first query); any
+        # other follows a failed step and retries it
+        assert events[:2] == ["query", "factor"]
         retries = sum(a == "solve" and b == "factor" for a, b in zip(events, events[1:]))
-        accepted = len(history) - n_outer
-        assert events.count("factor") == n_outer + retries <= params.max_outer + retries
-        assert events.count("factor") < accepted
+        assert events.count("factor") == 1 + retries
+        assert events.count("factor") < len(history) - events.count("query")
 
     def test_failed_reused_step_is_retried_fresh(self, template, monkeypatch):
-        # a reused factor that yields only a zero step exhausts the line
-        # search; the step is retried with H factored at the same point
+        # a kept factor that yields only a zero step fails its full-length
+        # trial; the step is retried with H factored at the same point
         pts, target = _bending_patch(template)
         params = SolveParams(max_outer=4)
         g = build_graph(pts, radius=15.0)
@@ -426,6 +428,9 @@ class TestSolve:
                   if events[i] == "solve" and events[i - 1] != "factor"]
         assert reused
         assert all(events[i + 1] == "factor" for i in reused)
+        # the factor is kept across outer iterations, so an outer
+        # iteration's first step (right after its query) is retried too
+        assert any(events[i - 1] == "query" for i in reused)
 
         # every accepted step used a fresh factor, as when H is factored on
         # every step
@@ -436,6 +441,23 @@ class TestSolve:
                             step(self, blocks, affines, params, True))
         _, every_step = solve(build_graph(pts, radius=15.0), pts, target, params)
         assert history == every_step
+
+    def test_kept_factor_ends_near_refactoring_every_step(self, template, monkeypatch):
+        # the patch bends by 30 degrees from identity affines, far enough
+        # that the first factor's full steps stop lowering the energy
+        pts, target = _bending_patch(template)
+        events = _solver_calls(monkeypatch)
+        _, history = solve(build_graph(pts, radius=15.0), pts, target, SolveParams())
+        retries = sum(a == "solve" and b == "factor" for a, b in zip(events, events[1:]))
+        assert 0 < retries and events.count("factor") == 1 + retries
+        assert events.count("factor") < len(history) // 10
+        monkeypatch.undo()
+        step = _BandedNormalEquations.step
+        monkeypatch.setattr(_BandedNormalEquations, "step",
+                            lambda self, blocks, affines, params, fresh:
+                            step(self, blocks, affines, params, True))
+        _, every_step = solve(build_graph(pts, radius=15.0), pts, target, SolveParams())
+        assert history[-1] == pytest.approx(every_step[-1], rel=1e-3)
 
     def test_first_outer_iteration_reuses_opening_energy(self, template):
         # the energy at the opening correspondences is recorded once, so

@@ -135,12 +135,18 @@ class TestImageSlice:
 
     @pytest.mark.parametrize("width_px, height_px, pitch", [
         (256, 160, 0.0), (256, 160, -0.1), (-5, 160, 0.1), (256, 160, float("nan")),
-        (0, 160, 0.1),
-    ], ids=["pitch-zero", "pitch-negative", "width-negative", "pitch-nan", "width-zero"])
+        (0, 160, 0.1), (2.5, 160, 0.1), (160.0, 160, 0.1), (256, 160.0, 0.1),
+    ], ids=["pitch-zero", "pitch-negative", "width-negative", "pitch-nan", "width-zero",
+            "width-fractional", "width-float", "height-float"])
     def test_bad_geometry_rejected(self, atlas, width_px, height_px, pitch):
         with pytest.raises(InvalidParams, match="pitch|image size"):
             image_slice(atlas, _down_pose(x=120.0, z=2.0 * atlas.vertical_b),
                         width_px, height_px, pitch)
+
+    def test_numpy_int_size_accepted(self, atlas):
+        pose = _down_pose(x=120.0, z=2.0 * atlas.vertical_b)
+        frame = image_slice(atlas, pose, np.int64(256), np.int32(160), 0.1)
+        np.testing.assert_array_equal(frame.mask, image_slice(atlas, pose, 256, 160, 0.1).mask)
 
     def test_probe_off_arm_sees_nothing(self, atlas):
         frame = image_slice(atlas, _down_pose(x=120.0, y=50.0,
