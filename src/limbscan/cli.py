@@ -20,7 +20,7 @@ from .geometry import RigidTransform
 from .pipeline import (PipelineConfig, RegistrationConfig, build_scene,
                        load_config, plan_scan, register_atlas, render_scene,
                        run_pipeline, summarize_scan, sweep, write_frames,
-                       write_poses)
+                       write_graph, write_poses)
 from .registration import ArmObservation, attach_probe_poses
 from .scan import run_scan
 from .scene import UP, DepthImage, joint_pixels
@@ -169,7 +169,7 @@ def _cmd_register(args) -> int:
                          *_parse_joints_xyz(args.joints_scene))
     reg = RegistrationConfig(alpha1=args.alpha1, alpha2=args.alpha2, radius=args.radius)
     _, graph, history = register_atlas(src, tgt, reg)
-    Path(args.out_graph).write_text(json.dumps(graph.to_dict(), sort_keys=True) + "\n")
+    write_graph(args.out_graph, graph)
     if args.out_history:
         Path(args.out_history).write_text(
             "step,energy\n" + "\n".join(f"{i},{e!r}" for i, e in enumerate(history)) + "\n")

@@ -43,6 +43,18 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
+    def with_translation(self, translation) -> "RigidTransform":
+        """This rotation with a new translation. Only the translation is
+        checked: the rotation was checked when self was built, and the two
+        transforms share it, as neither changes it."""
+        t = np.array(translation, dtype=float)
+        if t.shape != (3,) or not np.all(np.isfinite(t)):
+            raise InvalidParams("translation must be a finite 3-vector")
+        out = object.__new__(RigidTransform)
+        object.__setattr__(out, "rotation", self.rotation)
+        object.__setattr__(out, "translation", t)
+        return out
+
     def apply(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         return p @ self.rotation.T + self.translation

@@ -245,7 +245,7 @@ def run_scan(scene: ArmTemplate, trajectory: ScanTrajectory,
 
     n = len(pts)
     for i in range(n):
-        pose = RigidTransform(trajectory.poses[i].rotation, pts[i])
+        pose = trajectory.poses[i].with_translation(pts[i])
         for attempt in range(params.max_recenter + 1):
             frame = image_slice(scene, pose, params.width_px, params.height_px,
                                 params.pitch, sampler)
@@ -264,7 +264,7 @@ def run_scan(scene: ArmTemplate, trajectory: ScanTrajectory,
                 break
             pts[i + 1:] = new_rest
             pts[i] = pts[i] + delta_p
-            pose = RigidTransform(pose.rotation, pts[i])
+            pose = pose.with_translation(pts[i])
             corrections.append({"station": i, "frame": len(frames) - 1,
                                 "delta_p": delta_p.tolist(), "sigma": params.sigma})
         executed.append(pose)

@@ -49,6 +49,22 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(np.eye(3), np.array([np.nan, 0.0, 0.0]))
 
+    def test_with_translation_matches_constructor(self, rng):
+        pose = _random_rigid(rng)
+        t = rng.uniform(-100.0, 100.0, 3)
+        moved, built = pose.with_translation(t), RigidTransform(pose.rotation, t)
+        assert np.array_equal(moved.rotation, built.rotation)
+        assert np.array_equal(moved.translation, built.translation)
+        # its own copy: the caller's array may change afterwards
+        t[0] += 1.0
+        assert np.array_equal(moved.translation, built.translation)
+
+    @pytest.mark.parametrize("t", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                                   [0.0, 0.0, -np.inf], [0.0, 0.0], np.zeros((1, 3))])
+    def test_with_translation_rejects_bad_vector(self, t):
+        with pytest.raises(InvalidParams):
+            RigidTransform.identity().with_translation(np.array(t))
+
 
 class TestPointCloud3:
     def test_shape_and_len(self, rng):

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -17,9 +18,9 @@ from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from limbscan.errors import ConfigError, InvalidParams, StageError
 from limbscan.flowseg import predict_mask
 from limbscan.geometry import PointCloud3
-from limbscan.pipeline import (_SECTIONS, PipelineConfig, config_from_dict,
-                               config_to_dict, load_config, run_pipeline,
-                               sweep)
+from limbscan.pipeline import (_SECTIONS, STAGES, PipelineConfig, build_scene,
+                               config_from_dict, config_to_dict, load_config,
+                               run_pipeline, sweep, write_graph)
 from limbscan.registration import DeformationGraph, build_graph
 from limbscan.scene import ArticulatedPose, articulate
 from limbscan.trajectory import ScanTrajectory, smooth_centerline
@@ -162,7 +163,7 @@ class TestRunPipeline:
                                            "register", "transfer", "scan",
                                            "report"]
 
-    def test_artifacts_written(self, pipeline_run):
+    def test_artifacts_written(self, pipeline_run, tmp_path):
         out, _ = pipeline_run
         for name in ("atlas_surface.ply", "scene_surface.ply",
                      "scene_centerline.csv", "depth.pgm",
@@ -172,6 +173,16 @@ class TestRunPipeline:
                      "report.json", "timings.json"):
             assert (out / name).exists(), name
         assert len(list((out / "frames").glob("frame_*.pgm"))) > 0
+        # the writer process wrote every artifact whole before the run returned
+        atlas = build_scene(config_from_dict({}))[1]
+        assert np.array_equal(pointio.read_ply(out / "atlas_surface.ply").points,
+                              atlas.surface.points)
+        graph = DeformationGraph.from_dict(json.loads((out / "graph.json").read_text()))
+        write_graph(tmp_path / "graph.json", graph)
+        assert (tmp_path / "graph.json").read_bytes() == (out / "graph.json").read_bytes()
+        timings = json.loads((out / "timings.json").read_text())
+        assert sorted(timings) == sorted([*STAGES, "write"])
+        assert multiprocessing.active_children() == []
 
     def test_report_metrics_sane(self, pipeline_run):
         _, report = pipeline_run
@@ -196,6 +207,16 @@ class TestRunPipeline:
         assert err.value.stage == "render"
         # earlier artifacts survive the failure
         assert (tmp_path / "fail" / "atlas_surface.ply").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_write_failure_raises_before_report(self, tmp_path):
+        out = tmp_path / "bad"
+        (out / "graph.json").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            run_pipeline(replace(config_from_dict({}), output_dir=str(out)))
+        assert not (out / "report.json").exists()
+        assert not (out / "timings.json").exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestSweep:
@@ -254,6 +275,16 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "scene.elbow_angle" in err
         assert not out.exists()
+
+    def test_pipeline_write_failure_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "bad"
+        (out / "graph.json").mkdir(parents=True)
+        assert main(["pipeline", "--out", str(out), "--angle", "140"]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert "graph.json" in err
+        assert not (out / "report.json").exists()
+        assert multiprocessing.active_children() == []
 
     def test_bad_config_file_exits_2(self, tmp_path):
         p = tmp_path / "bad.yaml"
