@@ -90,30 +90,43 @@ def _march(img: DepthImage, seed: np.ndarray, direction: np.ndarray,
            params: ExtractionParams, prev_half_width: float | None):
     """March from seed along direction until an edge fires.
 
-    Returns (half_width_mm, edge_pixel, arm_pixels, reason).
+    Every step up to the image border is taken at once: step t visits the
+    pixel nearest seed + t * direction (ties to even), a step that lands on
+    the previous pixel is skipped, and the first remaining step where the
+    depth feature or the continuity bound fires ends the march, the depth
+    test first.
+
+    Returns (half_width_mm, edge_pixel, reason).
     """
     h, w = img.depth.shape
-    depths = [img.depth[int(seed[0]), int(seed[1])]]
-    pixels = [(int(seed[0]), int(seed[1]))]
-    t = 0
-    while True:
-        t += 1
-        pos = seed + t * direction
-        r, c = int(round(pos[0])), int(round(pos[1]))
-        if not (0 <= r < h and 0 <= c < w):
-            raise NoEdgeFound(f"march exited the image at step {t}")
-        if (r, c) == pixels[-1]:
-            continue
-        pixels.append((r, c))
-        depths.append(img.depth[r, c])
-        i = len(depths) - 1
-        if i >= FEATURE_OFFSET and depth_feature(depths, i) > params.depth_jump_threshold:
-            half = (t - 1) * img.pitch
-            return half, (r, c), pixels[:-1], "depth"
-        half_now = t * img.pitch
-        if prev_half_width is not None and half_now > prev_half_width + params.continuity_slack:
-            # clamp: the recorded half-width stays within the adaptive bound
-            return (t - 1) * img.pitch, (r, c), pixels[:-1], "continuity"
+    # by this step a coordinate is past the border, and rounding is monotone
+    # in t, so the steps inside the image are a prefix of these
+    with np.errstate(divide="ignore"):
+        reach = np.where(direction > 0, (h, w) - seed, seed + 1) / np.abs(direction)
+    t = np.arange(1, int(reach.min()) + 3)
+    path = np.rint(seed + t[:, None] * direction)
+    n_in = int(np.argmax((path < 0).any(axis=1) | (path >= (h, w)).any(axis=1)))
+    # the seed pixel (truncated), then each step's
+    path = np.vstack([np.trunc(seed), path[:n_in]]).astype(int)
+    kept = np.ones(n_in + 1, dtype=bool)
+    kept[1:] = (path[1:] != path[:-1]).any(axis=1)
+    path, t = path[kept], t[:n_in][kept[1:]]
+    # float_power is the C pow of depth_feature's scalar `**`, which differs
+    # from x * x in the last bit for about one value in a thousand
+    sq = np.float_power(img.depth[path[:, 0], path[:, 1]], 2)
+    by_depth = np.zeros(len(t), dtype=bool)
+    # the feature needs FEATURE_OFFSET earlier depths, the seed's included
+    by_depth[FEATURE_OFFSET - 1:] = (sq[FEATURE_OFFSET:] - sq[:-FEATURE_OFFSET]
+                                     > params.depth_jump_threshold)
+    fires = by_depth
+    if prev_half_width is not None:
+        # clamp: the recorded half-width stays within the adaptive bound
+        fires = fires | (t * img.pitch > prev_half_width + params.continuity_slack)
+    if not fires.any():
+        raise NoEdgeFound(f"march exited the image at step {n_in + 1}")
+    i = int(np.argmax(fires))
+    edge = (int(path[i + 1, 0]), int(path[i + 1, 1]))
+    return (int(t[i]) - 1) * img.pitch, edge, "depth" if by_depth[i] else "continuity"
 
 
 def extract_segment(img: DepthImage, joint_a: tuple[int, int], joint_b: tuple[int, int],
@@ -137,8 +150,8 @@ def extract_segment(img: DepthImage, joint_a: tuple[int, int], joint_b: tuple[in
         r, c = int(round(seed[0])), int(round(seed[1]))
         if img.depth[r, c] >= background:
             raise SeedOffArm(f"seed at {(r, c)} has background depth")
-        hw_l, edge_l, px_l, why_l = _march(img, seed, perp, params, prev_left)
-        hw_r, edge_r, px_r, why_r = _march(img, seed, -perp, params, prev_right)
+        hw_l, edge_l, why_l = _march(img, seed, perp, params, prev_left)
+        hw_r, edge_r, why_r = _march(img, seed, -perp, params, prev_right)
         results.append(SeedSearchResult(
             seed=(r, c),
             half_width_left=hw_l, half_width_right=hw_r,
@@ -150,24 +163,17 @@ def extract_segment(img: DepthImage, joint_a: tuple[int, int], joint_b: tuple[in
 
 def _fill_pixels(img: DepthImage, seeds: list[SeedSearchResult]) -> np.ndarray:
     """Pixels strictly between the left and right edge of every seed line."""
-    rows, cols = [], []
-    for s in seeds:
-        seed = np.asarray(s.seed, dtype=float)
-        for edge in (np.asarray(s.edge_left, dtype=float),
-                     np.asarray(s.edge_right, dtype=float)):
-            vec = edge - seed
-            n = int(round(np.linalg.norm(vec)))
-            if n < 1:
-                continue
-            step = vec / n
-            for t in range(n):  # excludes the edge pixel itself
-                p = seed + t * step
-                rows.append(int(round(p[0])))
-                cols.append(int(round(p[1])))
-    if not rows:
-        return np.empty((0, 2), dtype=int)
-    px = np.stack([rows, cols], axis=1)
-    return np.unique(px, axis=0)
+    start = np.repeat(np.array([s.seed for s in seeds], dtype=float).reshape(-1, 2), 2, axis=0)
+    vec = np.array([e for s in seeds for e in (s.edge_left, s.edge_right)],
+                   dtype=float).reshape(-1, 2) - start
+    # pixel offsets are integers, so the rounded length is exact
+    n = np.rint(np.sqrt(np.sum(vec ** 2, axis=1))).astype(int)
+    keep = n >= 1
+    start, vec, n = start[keep], vec[keep], n[keep]
+    # t = 0 .. n - 1 along each line excludes the edge pixel itself
+    t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    p = np.repeat(start, n, axis=0) + t[:, None] * np.repeat(vec / n[:, None], n, axis=0)
+    return np.unique(np.rint(p).astype(int), axis=0)
 
 
 def extract_arm(img: DepthImage, joints: JointPixels,
@@ -179,10 +185,8 @@ def extract_arm(img: DepthImage, joints: JointPixels,
 
     fore_px = _fill_pixels(img, fore_seeds)
     upper_px = _fill_pixels(img, upper_seeds)
-    if len(fore_px) and len(upper_px):
-        fore_set = set(map(tuple, fore_px))
-        keep = np.array([tuple(p) not in fore_set for p in upper_px], dtype=bool)
-        upper_px = upper_px[keep]
+    upper_px = upper_px[~np.isin(upper_px[:, 0] * img.width + upper_px[:, 1],
+                                 fore_px[:, 0] * img.width + fore_px[:, 1])]
 
     fore_cloud = PointCloud3(img.unproject(fore_px[:, 0], fore_px[:, 1]))
     upper_cloud = PointCloud3(img.unproject(upper_px[:, 0], upper_px[:, 1]))

@@ -288,7 +288,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     waiting for the writer after the last stage.
 
     Raises StageError with the failing stage's name; artifacts produced by
-    earlier stages stay on disk. A failed write raises its own OSError before
+    earlier stages stay on disk. A failed write raises its own OSError at the
+    start of the first stage after the write ended, or else before
     report.json and timings.json are written.
     """
     out = Path(cfg.output_dir)
@@ -322,6 +323,10 @@ def _run_stages(cfg: PipelineConfig, out: Path,
 
     @contextmanager
     def stage(name):
+        # a write that has already failed stops the run before this stage
+        for future in pending:
+            if future.done():
+                future.result()
         t0 = time.perf_counter()
         try:
             yield

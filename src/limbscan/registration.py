@@ -412,6 +412,28 @@ def energy(graph: DeformationGraph, vertices: np.ndarray,
 
 # ---------------------------------------------------------------- solver
 
+# the rigidity Jacobian d (A^T A)_ab / d A_cd = delta_ad A_cb + delta_bd A_ca
+# is linear in A: row k of this map is the Jacobian at the k-th unit affine,
+# so A.reshape(m, 9) @ _ROT_MAP is the (m, 9 * 9) Jacobian. Its entries are
+# 0, 1 and 2, so each product entry is one entry of A, or twice one, exactly.
+_ROT_MAP = (np.einsum("ad,kcb->kabcd", np.eye(3), np.eye(9).reshape(9, 3, 3))
+            + np.einsum("bd,kca->kabcd", np.eye(3), np.eye(9).reshape(9, 3, 3))).reshape(9, 81)
+
+
+def _rigidity_jacobians(affines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node Jacobians of A^T A - I, (m, 9, 9), and of det A, (m, 9),
+    with respect to A.ravel()."""
+    m = len(affines)
+    j_rot = (affines.reshape(m, 9) @ _ROT_MAP).reshape(m, 9, 9)
+    # d det / d A[i, :] = A[i+1, :] x A[i+2, :] (rows mod 3); entry j is
+    # A[i+1, j+1] A[i+2, j+2] - A[i+1, j+2] A[i+2, j+1] (columns mod 3),
+    # read from A with its first two rows and columns appended
+    a = np.concatenate([affines, affines[:, :2]], axis=1)
+    a = np.concatenate([a, a[:, :, :2]], axis=2)
+    return j_rot, (a[:, 1:4, 1:4] * a[:, 2:5, 2:5]
+                   - a[:, 1:4, 2:5] * a[:, 2:5, 1:4]).reshape(m, 9)
+
+
 class _BandedNormalEquations:
     """Gauss-Newton normal equations of one solve, H = J^T J, in lower
     banded storage under a reverse Cuthill-McKee order of H's 12 x 12
@@ -436,6 +458,8 @@ class _BandedNormalEquations:
 
     def __init__(self, residual_map: _ResidualMap):
         self.matrix = residual_map.matrix
+        # M^T in rows, for the gradient of every step
+        self.matrix_t = self.matrix.T.tocsr()
         self.n = n = self.matrix.shape[1]
         m = n // 12
         # H's pattern, counting M's explicit zeros: M^T M and each node's
@@ -464,14 +488,9 @@ class _BandedNormalEquations:
         weight = np.concatenate([np.exp(-np.sum(r_ali ** 2, axis=1) / params.welsch_c ** 2),
                                  np.full(len(r_reg), params.alpha1)])
         res = np.concatenate([r_ali, r_reg])
-        grad = self.matrix.T @ (weight[:, None] * res).ravel()
+        grad = self.matrix_t @ (weight[:, None] * res).ravel()
 
-        # d (A^T A)_ab / d A_cd = delta_ad A_cb + delta_bd A_ca;
-        # d det / d A[i, :] = A[i+1, :] x A[i+2, :]
-        eye = np.eye(3)
-        j_rot = (np.einsum("ad,ncb->nabcd", eye, affines)
-                 + np.einsum("bd,nca->nabcd", eye, affines)).reshape(m, 9, 9)
-        j_det = np.cross(affines[:, [1, 2, 0]], affines[:, [2, 0, 1]]).reshape(m, 9)
+        j_rot, j_det = _rigidity_jacobians(affines)
         grad.reshape(m, 12)[:, :9] += params.alpha2 * (
             np.einsum("nri,nr->ni", j_rot, r_rot) + j_det * r_det[:, None])
 

@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limbscan import pointio
+from limbscan import pipeline, pointio
 from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from limbscan.errors import ConfigError, InvalidParams, StageError
 from limbscan.flowseg import predict_mask
@@ -148,6 +149,13 @@ class TestConfig:
             replace(cfg.scene, elbow_angle=90.0)
 
 
+def _failing_write(path, graph):
+    """A graph writer that leaves a marker file, then fails; module-level so
+    that the writer process can unpickle it."""
+    Path(path).with_suffix(".failed").touch()
+    raise OSError(f"cannot write {path}")
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline")
@@ -216,6 +224,31 @@ class TestRunPipeline:
             run_pipeline(replace(config_from_dict({}), output_dir=str(out)))
         assert not (out / "report.json").exists()
         assert not (out / "timings.json").exists()
+        assert multiprocessing.active_children() == []
+
+
+    def test_failed_write_stops_the_next_stage(self, tmp_path, monkeypatch):
+        out = tmp_path / "late"
+        transfer_plan = pipeline.transfer_plan
+
+        def slow_transfer_plan(*args):
+            # hold the transfer stage until the graph write has failed
+            deadline = time.monotonic() + 60.0
+            while not (out / "graph.failed").exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(1.0)  # for the failure to reach this process
+            return transfer_plan(*args)
+
+        scans = []
+        monkeypatch.setattr(pipeline, "write_graph", _failing_write)
+        monkeypatch.setattr(pipeline, "transfer_plan", slow_transfer_plan)
+        monkeypatch.setattr(pipeline, "run_scan", lambda *args: scans.append(args))
+        with pytest.raises(OSError, match=r"cannot write .*graph\.json"):
+            run_pipeline(replace(config_from_dict({}), output_dir=str(out)))
+        assert scans == []
+        assert (out / "transferred_trajectory.csv").exists()
+        assert not (out / "executed_poses.csv").exists()
+        assert not (out / "report.json").exists()
         assert multiprocessing.active_children() == []
 
 

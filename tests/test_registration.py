@@ -8,10 +8,10 @@ from limbscan import registration
 from limbscan.errors import DegenerateSegment, InvalidParams, OutOfBindingReach
 from limbscan.geometry import PointCloud3, RigidTransform
 from limbscan.registration import (ArmObservation, DeformationGraph,
-                                   SolveParams, _BandedNormalEquations,
-                                   _pack, _ResidualMap, _unpack, build_graph,
-                                   energy, initial_align, solve,
-                                   transfer_trajectory, welsch)
+                                   SolveParams, _affines, _BandedNormalEquations,
+                                   _pack, _ResidualMap, _rigidity_jacobians,
+                                   _unpack, build_graph, energy, initial_align,
+                                   solve, transfer_trajectory, welsch)
 from limbscan.trajectory import ScanTrajectory
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -343,6 +343,79 @@ class TestBandedNormalEquations:
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
         fresh = normal.step(_blocks(residual_map, x1, target), g.affines, params, fresh=True)
         assert np.linalg.norm(got - fresh) > 1e-3 * np.linalg.norm(fresh)
+
+
+def _einsum_jacobians(affines):
+    """The rigidity Jacobians as 5-index einsums and np.cross of row pairs."""
+    m, eye = len(affines), np.eye(3)
+    j_rot = (np.einsum("ad,ncb->nabcd", eye, affines)
+             + np.einsum("bd,nca->nabcd", eye, affines)).reshape(m, 9, 9)
+    j_det = np.cross(affines[:, [1, 2, 0]], affines[:, [2, 0, 1]]).reshape(m, 9)
+    return j_rot, j_det
+
+
+def _einsum_step(normal, blocks, affines, params, fresh):
+    """_BandedNormalEquations.step with the einsum Jacobians and the
+    gradient through the transposed view of M."""
+    r_ali, r_reg, r_rot, r_det = blocks
+    m = len(affines)
+    weight = np.concatenate([np.exp(-np.sum(r_ali ** 2, axis=1) / params.welsch_c ** 2),
+                             np.full(len(r_reg), params.alpha1)])
+    grad = normal.matrix.T @ (weight[:, None] * np.concatenate([r_ali, r_reg])).ravel()
+    j_rot, j_det = _einsum_jacobians(affines)
+    grad.reshape(m, 12)[:, :9] += params.alpha2 * (
+        np.einsum("nri,nr->ni", j_rot, r_rot) + j_det * r_det[:, None])
+    if fresh:
+        h_rot = np.zeros((m, 12, 12))
+        h_rot[:, :9, :9] = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
+                                            + j_det[:, :, None] * j_det[:, None, :])
+        h = (normal.matrix.T @ registration.sp.diags(np.repeat(weight, 3)) @ normal.matrix
+             + registration.sp.bsr_matrix((h_rot, np.arange(m), np.arange(m + 1)),
+                                          shape=(normal.n, normal.n))).tocoo()
+        r, c = normal.pos[h.row], normal.pos[h.col]
+        lower = r >= c
+        band = np.zeros((normal.bandwidth + 1, normal.n))
+        band[(r - c)[lower], c[lower]] = h.data[lower]
+        band[0] += registration.LEVENBERG * max(band[0].max(), 1.0)
+        normal.factor = cholesky_banded(band, lower=True)
+    delta = np.empty(normal.n)
+    delta[normal.perm] = cho_solve_banded((normal.factor, True), -grad[normal.perm])
+    return delta
+
+
+class TestStepKernels:
+    """The step's Jacobians and gradient are bit-equal to the einsum,
+    np.cross and transposed-view formulas."""
+
+    def test_rigidity_jacobians(self, rng):
+        x = rng.normal(size=(60, 12)).ravel()
+        x[:12] = np.r_[np.eye(3).ravel(), 0.0, 0.0, 0.0]  # the identity node
+        x[12:24] = np.round(x[12:24], 1)
+        affines = _affines(x)  # a strided view, as in solve
+        j_rot, j_det = _rigidity_jacobians(affines)
+        want_rot, want_det = _einsum_jacobians(affines)
+        assert np.array_equal(j_rot, want_rot)
+        assert np.array_equal(j_det, want_det)
+        assert np.array_equal(np.unique(registration._ROT_MAP), [0.0, 1.0, 2.0])
+
+    def test_transposed_matrix(self, rng):
+        g, pts, _ = _perturbed_graph(rng, n=200)
+        normal = _BandedNormalEquations(_ResidualMap(g, pts, np.arange(0, 200, 2)))
+        v = rng.normal(size=normal.matrix.shape[0])
+        assert np.array_equal(normal.matrix_t @ v, normal.matrix.T @ v)
+
+    def test_step(self, rng):
+        g, pts, target = _perturbed_graph(rng, n=200)
+        params = SolveParams()
+        residual_map = _ResidualMap(g, pts, np.arange(len(pts)))
+        normal, reference = (_BandedNormalEquations(residual_map) for _ in range(2))
+        x0 = _pack(g)
+        x1 = x0 + rng.normal(scale=0.02, size=x0.shape)
+        for x, fresh in ((x0, True), (x1, False), (x1, True)):
+            blocks = _blocks(residual_map, x, target)
+            got = normal.step(blocks, _affines(x), params, fresh)
+            assert np.array_equal(got, _einsum_step(reference, blocks, _affines(x),
+                                                    params, fresh))
 
 
 class TestInitialAlign:
