@@ -99,10 +99,6 @@ class PointCloud3:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def transformed(self, T: RigidTransform) -> "PointCloud3":
-        normals = None if self.normals is None else self.normals @ T.rotation.T
-        return PointCloud3(T.apply(self.points), normals)
-
 
 @dataclass
 class ObbScale:

@@ -37,6 +37,8 @@ from .trajectory import ScanTrajectory, project_trajectory, smooth_centerline
 STAGES = ("scene", "render", "extract", "plan", "register", "transfer",
           "scan", "report")
 RADIUS_SEGMENTS = 14
+SWEEP_FIELDS = ("angle", "seed", "status", "trajectory_rms", "radius_global_error",
+                "radius_max_segment_error", "corrections", "vessel_lost", "error")
 
 
 @dataclass(frozen=True)
@@ -406,10 +408,7 @@ def sweep(base: PipelineConfig, angles=(120.0, 140.0, 160.0), seeds=(0,),
     for angle in angles:
         for seed in seeds:
             cell_dir = base_out / f"angle{angle:g}_seed{seed}"
-            row = {"angle": angle, "seed": seed, "status": "ok",
-                   "trajectory_rms": "", "radius_global_error": "",
-                   "radius_max_segment_error": "", "corrections": "",
-                   "vessel_lost": "", "error": ""}
+            row = dict.fromkeys(SWEEP_FIELDS, "") | {"angle": angle, "seed": seed, "status": "ok"}
             try:
                 rep = run_pipeline(replace(base, seed=seed, output_dir=str(cell_dir),
                                            scene=replace(base.scene, elbow_angle=angle)))
@@ -426,7 +425,7 @@ def sweep(base: PipelineConfig, angles=(120.0, 140.0, 160.0), seeds=(0,),
             rows.append(row)
     if out_csv is not None:
         with open(out_csv, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(f, fieldnames=SWEEP_FIELDS)
             writer.writeheader()
             writer.writerows(rows)
     return rows

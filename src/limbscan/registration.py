@@ -241,6 +241,42 @@ def _binding_weights(cd: np.ndarray, found: np.ndarray, d_max: np.ndarray) -> np
     return w / w.sum(axis=1, keepdims=True)
 
 
+def _proximity_graph(p: np.ndarray) -> sp.csr_matrix:
+    """Symmetric k-NN graph of the points, weighted by distance."""
+    n = len(p)
+    k_eff = min(KNN_K + 1, n)
+    # k as a list keeps d and idx 2-D for a single point
+    d, idx = cKDTree(p).query(p, k=[*range(1, k_eff + 1)])
+    rows = np.repeat(np.arange(n), k_eff - 1)
+    graph = sp.coo_matrix((d[:, 1:].ravel(), (rows, idx[:, 1:].ravel())), shape=(n, n))
+    return graph.maximum(graph.T).tocsr()
+
+
+def _geodesic_pairs(graph: sp.csr_matrix, radius: float):
+    """First-fit sampling: a vertex farther than `radius` from every earlier
+    node becomes a node, whose geodesic search runs to twice the radius.
+    Returns the node vertices and every (vertex, node, distance) pair the
+    searches reached, sorted by vertex, then distance, then node."""
+    min_dist = np.full(graph.shape[0], np.inf)
+    node_vertices, verts, dists = [], [], []
+    for v in range(graph.shape[0]):
+        if min_dist[v] <= radius:
+            continue
+        dist = dijkstra(graph, indices=v, limit=2.0 * radius)
+        np.minimum(min_dist, dist, out=min_dist)
+        hit = np.flatnonzero(np.isfinite(dist)).astype(np.int32)
+        node_vertices.append(v)
+        verts.append(hit)
+        dists.append(dist[hit])
+    node = np.repeat(np.arange(len(verts), dtype=np.int32), [len(h) for h in verts])
+    vert, dist = np.concatenate(verts), np.concatenate(dists)
+    del verts, dists
+    # lexsort is stable and the pairs arrive in node order, so equal
+    # distances keep the lower node first
+    order = np.lexsort((dist, vert))
+    return np.asarray(node_vertices), vert[order], node[order], dist[order]
+
+
 def build_graph(points: np.ndarray, radius: float,
                 binding_k: int = BINDING_K) -> DeformationGraph:
     """Geodesic first-fit node sampling plus vertex bindings.
@@ -254,61 +290,35 @@ def build_graph(points: np.ndarray, radius: float,
         raise InvalidParams("radius must be positive")
     if not n or p.shape[1] != 3:
         raise InvalidParams("points must be a non-empty (n, 3) array")
-    k_eff = min(KNN_K + 1, n)
-    tree = cKDTree(p)
-    # k as a list keeps d and idx 2-D for a single point
-    d, idx = tree.query(p, k=[*range(1, k_eff + 1)])
-    rows = np.repeat(np.arange(n), k_eff - 1)
-    cols = idx[:, 1:].ravel()
-    vals = d[:, 1:].ravel()
-    graph = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    graph = graph.maximum(graph.T).tocsr()
-
-    reach = 2.0 * radius
-    min_dist = np.full(n, np.inf)
-    # each vertex's binding_k + 1 nearest nodes, ascending; ties keep the
-    # lower node index because rows arrive in node order
-    near_d = np.full((n, binding_k + 1), np.inf)
-    near_i = np.full((n, binding_k + 1), -1)
-    node_vertices: list[int] = []
-    reached: list[np.ndarray] = []
-    for v in range(n):
-        if min_dist[v] <= radius:
-            continue
-        dist = dijkstra(graph, indices=v, limit=reach)
-        np.minimum(min_dist, dist, out=min_dist)
-        rows = np.flatnonzero(dist < near_d[:, -1])
-        cand_d = np.hstack([near_d[rows], dist[rows, None]])
-        cand_i = np.hstack([near_i[rows], np.full((len(rows), 1), len(node_vertices))])
-        order = np.argsort(cand_d, axis=1, kind="stable")[:, :-1]
-        near_d[rows] = np.take_along_axis(cand_d, order, axis=1)
-        near_i[rows] = np.take_along_axis(cand_i, order, axis=1)
-        node_vertices.append(v)
-        reached.append(np.flatnonzero(np.isfinite(dist)))
-
-    m = len(node_vertices)
-    node_arr = np.asarray(node_vertices)
-    # nodes x nodes reachability, symmetrized because dijkstra limits can
-    # truncate one direction
-    counts = np.array([len(r) for r in reached])
-    reach_rows = sp.csr_matrix(
-        (np.ones(counts.sum(), dtype=bool), np.concatenate(reached),
-         np.concatenate([[0], np.cumsum(counts)])), shape=(m, n))
-    adj = reach_rows[:, node_arr].toarray()
+    node_arr, vert, node, dist = _geodesic_pairs(_proximity_graph(p), radius)
+    m = len(node_arr)
+    # nodes i and j are neighbours when either one's search reached the
+    # other's vertex, symmetrized because the dijkstra limit can cut one way
+    node_of = np.full(n, -1, dtype=np.int32)
+    node_of[node_arr] = np.arange(m)
+    other = node_of[vert]
+    adj = np.zeros((m, m), dtype=bool)
+    adj[node[other >= 0], other[other >= 0]] = True
     adj |= adj.T
     np.fill_diagonal(adj, False)
     neighbors = [np.flatnonzero(row).tolist() for row in adj]
 
+    # each vertex's binding_k + 1 nearest nodes, ascending, placed by each
+    # pair's rank among its vertex's pairs
+    rank = np.arange(len(vert)) - np.searchsorted(vert, vert)
+    kept = rank <= binding_k
+    near_d = np.full((n, binding_k + 1), np.inf)
+    near_i = np.full((n, binding_k + 1), -1)
+    near_d[vert[kept], rank[kept]] = dist[kept]
+    near_i[vert[kept], rank[kept]] = node[kept]
+
+    # every vertex is a node or within radius of one, so found[:, 0] holds
     k = min(binding_k, m)
     cd = near_d[:, :k]
     found = np.isfinite(cd)
-    n_cand = found.sum(axis=1)
-    if not n_cand.all():
-        raise OutOfBindingReach(f"vertex {int(np.argmin(n_cand))} unreachable from every node")
     next_d = near_d[:, k]
-    last_d = cd[np.arange(n), n_cand - 1]
-    d_max = np.where(np.isfinite(next_d), next_d,
-                     np.where(n_cand > 1, np.maximum(1.1 * last_d, 1e-12), max(reach, 1e-12)))
+    last_d = cd[np.arange(n), found.sum(axis=1) - 1]
+    d_max = np.where(np.isfinite(next_d), next_d, np.maximum(1.1 * last_d, 1e-12))
 
     return DeformationGraph(
         node_positions=p[node_arr],

@@ -46,7 +46,6 @@ class ArmTemplate:
     centerline_axial: np.ndarray
     length_forearm: float
     length_upperarm: float
-    width_knots: tuple  # (wrist, elbow, shoulder) horizontal semi-axes a(s)
     vertical_b: float   # constant vertical semi-axis, keeps the joints collinear
     vessel_depth: float
     seed: int
@@ -54,11 +53,6 @@ class ArmTemplate:
     @property
     def elbow_axial(self) -> float:
         return self.length_forearm
-
-    def horizontal_semi_axis(self, s) -> np.ndarray:
-        """Horizontal cross-section semi-axis a(s) at axial coordinate s (mm)."""
-        knots_s = [0.0, self.length_forearm, self.length_forearm + self.length_upperarm]
-        return np.interp(s, knots_s, list(self.width_knots))
 
     def top_shell(self) -> tuple[PointCloud3, np.ndarray, np.ndarray]:
         """Surface subset above the cross-section center line (camera-visible side).
@@ -193,7 +187,6 @@ def make_template(seed: int = 0,
         centerline_axial=s_center,
         length_forearm=length_forearm,
         length_upperarm=length_upperarm,
-        width_knots=WIDTH_KNOTS,
         vertical_b=VERTICAL_B,
         vessel_depth=VESSEL_DEPTH,
         seed=seed,

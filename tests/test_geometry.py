@@ -84,15 +84,6 @@ class TestPointCloud3:
         with pytest.raises(ValueError):
             PointCloud3(p, normals=p)
 
-    def test_transformed_rotates_normals(self, rng):
-        p = rng.normal(size=(5, 3))
-        n = np.tile([0.0, 0.0, 1.0], (5, 1))
-        t = _random_rigid(rng)
-        moved = PointCloud3(p, n).transformed(t)
-        np.testing.assert_allclose(moved.normals, n @ t.rotation.T, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(moved.normals, axis=1), 1.0,
-                                   atol=1e-9)
-
 
 class TestObbScale:
     def test_factors(self):

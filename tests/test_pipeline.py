@@ -21,7 +21,7 @@ from limbscan.flowseg import predict_mask
 from limbscan.geometry import PointCloud3
 from limbscan.pipeline import (_SECTIONS, STAGES, PipelineConfig, build_scene,
                                config_from_dict, config_to_dict, load_config,
-                               run_pipeline, sweep, write_graph)
+                               SWEEP_FIELDS, run_pipeline, sweep, write_graph)
 from limbscan.registration import DeformationGraph, build_graph
 from limbscan.scene import ArticulatedPose, articulate
 from limbscan.trajectory import ScanTrajectory, smooth_centerline
@@ -264,6 +264,14 @@ class TestSweep:
         text = csv_path.read_text()
         assert text.startswith("angle,seed,status")
         assert text.count("\n") == 3
+
+    def test_empty_grid_writes_header_only(self, tmp_path):
+        base = replace(config_from_dict({}), output_dir=str(tmp_path))
+        csv_path = tmp_path / "sweep.csv"
+        csv_path.write_text("stale\n")
+        assert sweep(base, angles=(), out_csv=str(csv_path)) == []
+        assert sweep(base, seeds=(), out_csv=str(csv_path)) == []
+        assert csv_path.read_bytes() == ",".join(SWEEP_FIELDS).encode() + b"\r\n"
 
     def test_negative_seed_cell_isolated(self, tmp_path):
         base = replace(config_from_dict({}), output_dir=str(tmp_path))

@@ -1,7 +1,11 @@
 """Non-rigid registration: alignment, deformation graph, energy, solver."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from limbscan import registration
@@ -43,6 +47,84 @@ def _perturbed_graph(rng, n=300, radius=8.0):
     g.affines = g.affines + rng.normal(scale=0.05, size=g.affines.shape)
     g.translations = rng.normal(scale=0.5, size=g.translations.shape)
     return g, pts, pts + rng.normal(scale=0.3, size=pts.shape)
+
+
+def _reference_build_graph(points, radius, binding_k=registration.BINDING_K):
+    """`build_graph` as a per-node merge: after each node's search, every
+    vertex it reached re-sorts its binding_k + 1 nearest nodes so far."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    n = len(p)
+    k_eff = min(registration.KNN_K + 1, n)
+    d, idx = cKDTree(p).query(p, k=[*range(1, k_eff + 1)])
+    graph = sp.coo_matrix((d[:, 1:].ravel(), (np.repeat(np.arange(n), k_eff - 1),
+                                              idx[:, 1:].ravel())), shape=(n, n))
+    graph = graph.maximum(graph.T).tocsr()
+    reach = 2.0 * radius
+    min_dist = np.full(n, np.inf)
+    near_d = np.full((n, binding_k + 1), np.inf)
+    near_i = np.full((n, binding_k + 1), -1)
+    node_vertices, reached = [], []
+    for v in range(n):
+        if min_dist[v] <= radius:
+            continue
+        dist = dijkstra(graph, indices=v, limit=reach)
+        np.minimum(min_dist, dist, out=min_dist)
+        rows = np.flatnonzero(dist < near_d[:, -1])
+        cand_d = np.hstack([near_d[rows], dist[rows, None]])
+        cand_i = np.hstack([near_i[rows], np.full((len(rows), 1), len(node_vertices))])
+        order = np.argsort(cand_d, axis=1, kind="stable")[:, :-1]
+        near_d[rows] = np.take_along_axis(cand_d, order, axis=1)
+        near_i[rows] = np.take_along_axis(cand_i, order, axis=1)
+        node_vertices.append(v)
+        reached.append(np.flatnonzero(np.isfinite(dist)))
+    m = len(node_vertices)
+    adj = np.zeros((m, m), dtype=bool)
+    for i, r in enumerate(reached):
+        adj[i] = np.isin(node_vertices, r)
+    adj |= adj.T
+    np.fill_diagonal(adj, False)
+    k = min(binding_k, m)
+    cd = near_d[:, :k]
+    found = np.isfinite(cd)
+    n_cand = found.sum(axis=1)
+    next_d = near_d[:, k]
+    last_d = cd[np.arange(n), n_cand - 1]
+    d_max = np.where(np.isfinite(next_d), next_d,
+                     np.where(n_cand > 1, np.maximum(1.1 * last_d, 1e-12), max(reach, 1e-12)))
+    return (p[node_vertices], [np.flatnonzero(row).tolist() for row in adj],
+            np.where(found, near_i[:, :k], -1),
+            registration._binding_weights(cd, found, d_max))
+
+
+def _lattice(n):
+    axes = np.meshgrid(np.arange(n), np.arange(n), np.arange(3), indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, 3).astype(float)
+
+
+def _graph_cases():
+    rng = np.random.default_rng(7)
+    slab = rng.uniform(0.0, 60.0, (300, 3)) * np.array([1.0, 0.4, 0.1])
+    for k in range(1, 8):
+        yield f"slab-k{k}", slab, 8.0, k
+        yield f"small-k{k}", rng.uniform(0.0, 20.0, (50, 3)), 3.0, k
+    blob = rng.uniform(0.0, 10.0, (80, 3))
+    yield "two-clusters", np.vstack([blob, blob[::-1] + 500.0]), 4.0, 4
+    yield "one-point", np.array([[1.0, 2.0, 3.0]]), 5.0, 4
+    yield "five-identical", np.ones((5, 3)), 5.0, 4
+    yield "five-identical-k1", np.ones((5, 3)), 5.0, 1
+    for radius in (1.0, 1.5, 2.0, 3.0):
+        for k in (1, 4, 6):
+            yield f"lattice-r{radius:g}-k{k}", _lattice(12), radius, k
+    yield "fewer-nodes-than-k", rng.uniform(0.0, 3.0, (30, 3)), 50.0, 6
+    yield "line", _line_cloud(), 10.0, 4
+
+
+def _assert_graph_equal(g, ref):
+    positions, neighbors, bind_idx, bind_w = ref
+    assert np.array_equal(g.node_positions, positions)
+    assert g.neighbors == neighbors
+    assert np.array_equal(g.bind_idx, bind_idx) and g.bind_idx.dtype == bind_idx.dtype
+    assert np.array_equal(g.bind_w, bind_w)
 
 
 class TestWelsch:
@@ -101,6 +183,33 @@ class TestBuildGraph:
     def test_rejects_empty_or_malformed_points(self, points):
         with pytest.raises(InvalidParams):
             build_graph(points, radius=5.0)
+
+    @pytest.mark.parametrize("points, radius, binding_k",
+                             [pytest.param(*case, id=name) for name, *case in _graph_cases()])
+    def test_matches_per_node_merge(self, points, radius, binding_k):
+        _assert_graph_equal(build_graph(points, radius, binding_k),
+                            _reference_build_graph(points, radius, binding_k))
+
+    def test_matches_per_node_merge_on_aligned_atlas(self, atlas, scene_cache):
+        posed, _, seg = scene_cache(140.0)
+        target = ArmObservation(seg.forearm, seg.upperarm, posed.wrist, posed.elbow,
+                                posed.shoulder)
+        pts = initial_align(_observation(atlas), target)[0].union_points()
+        _assert_graph_equal(build_graph(pts, 8.0), _reference_build_graph(pts, 8.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cells=st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=1,
+                          max_size=60, unique=True),
+           radius=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+           binding_k=st.integers(1, 6))
+    def test_every_vertex_binds_and_nodes_bind_to_themselves(self, cells, radius,
+                                                              binding_k):
+        pts = np.array(cells, dtype=float)
+        g = build_graph(pts, radius, binding_k)
+        assert np.all(g.bind_idx[:, 0] >= 0) and np.all(np.isfinite(g.bind_w))
+        np.testing.assert_allclose(g.bind_w.sum(axis=1), 1.0, atol=1e-12)
+        own = [int(np.flatnonzero((pts == q).all(axis=1))[0]) for q in g.node_positions]
+        np.testing.assert_array_equal(g.bind_idx[own, 0], np.arange(g.n_nodes))
 
     def test_single_point_is_one_node(self):
         pts = np.array([[1.0, 2.0, 3.0]])
@@ -425,7 +534,8 @@ class TestInitialAlign:
         c, s = np.cos(theta), np.sin(theta)
         T = RigidTransform(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
                            np.array([30.0, -12.0, 4.0]))
-        tgt = ArmObservation(src.forearm.transformed(T), src.upperarm.transformed(T),
+        tgt = ArmObservation(PointCloud3(T.apply(src.forearm.points)),
+                             PointCloud3(T.apply(src.upperarm.points)),
                              T.apply(src.wrist), T.apply(src.elbow),
                              T.apply(src.shoulder))
         aligned, transforms, scales, maps = initial_align(src, tgt)
@@ -438,7 +548,8 @@ class TestInitialAlign:
     def test_point_maps_match_aligned_cloud(self, atlas):
         src = _observation(atlas)
         T = RigidTransform(np.eye(3), np.array([5.0, 2.0, 0.0]))
-        tgt = ArmObservation(src.forearm.transformed(T), src.upperarm.transformed(T),
+        tgt = ArmObservation(PointCloud3(T.apply(src.forearm.points)),
+                             PointCloud3(T.apply(src.upperarm.points)),
                              T.apply(src.wrist), T.apply(src.elbow),
                              T.apply(src.shoulder))
         aligned, _, _, maps = initial_align(src, tgt)

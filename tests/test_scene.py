@@ -4,7 +4,7 @@ import pytest
 
 from limbscan.errors import InvalidParams, OutOfFrame
 from limbscan.geometry import RigidTransform
-from limbscan.scene import (ArticulatedPose, DepthImage, articulate,
+from limbscan.scene import (WIDTH_KNOTS, ArticulatedPose, DepthImage, articulate,
                             default_camera, hinge_points, joint_pixels,
                             make_template, render_depth)
 
@@ -35,7 +35,10 @@ class TestMakeTemplate:
 
     def test_surface_on_elliptic_sections(self, template):
         p = template.surface.points
-        a = template.horizontal_semi_axis(template.surface_axial)
+        a = np.interp(template.surface_axial,
+                      [0.0, template.elbow_axial,
+                       template.length_forearm + template.length_upperarm],
+                      WIDTH_KNOTS)
         b = template.vertical_b
         # implicit ellipse equation, allowing the radial jitter
         val = (p[:, 1] / a) ** 2 + ((p[:, 2] - b) / b) ** 2
@@ -46,13 +49,6 @@ class TestMakeTemplate:
         assert np.all(shell.points[:, 2] > template.vertical_b - 0.5)
         assert len(axial) == len(shell)
         assert mask.sum() == len(shell)
-
-    def test_width_profiles(self, template):
-        assert template.horizontal_semi_axis(0.0) == pytest.approx(
-            template.width_knots[0])
-        assert template.horizontal_semi_axis(
-            template.length_forearm + template.length_upperarm) == \
-            pytest.approx(template.width_knots[2])
 
     def test_rejects_bad_params(self):
         with pytest.raises(InvalidParams):

@@ -112,8 +112,8 @@ class TestProjectTrajectory:
         c, s = np.cos(theta), np.sin(theta)
         T = RigidTransform(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
                            np.array([3.0, -7.0, 11.0]))
-        moved = project_trajectory(T.apply(cl), surf.transformed(T), T.apply(UP) -
-                                   T.translation)
+        moved = project_trajectory(T.apply(cl), PointCloud3(T.apply(surf.points)),
+                                   T.apply(UP) - T.translation)
         np.testing.assert_array_equal(moved.centerline_indices,
                                       base.centerline_indices)
         np.testing.assert_allclose(moved.surface_points,
