@@ -11,11 +11,6 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateConfiguration, EmptyCloud, InvalidParams
 
-_ORTHO_TOL = 1e-9
-
-# below this size a linear scan beats building a tree
-_KNN_EXHAUSTIVE_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class RigidTransform:
@@ -162,8 +157,9 @@ def pca_obb(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def knn(query: np.ndarray, points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of the k nearest cloud points, ascending.
 
-    Ties are broken by lower index. Uses a k-d tree above a small size
-    threshold, exhaustive scan below it.
+    Ties are broken by lower index: every point within the k-th smallest
+    distance is a candidate, and the candidates are sorted by (distance,
+    index).
     """
     q = np.asarray(query, dtype=float).reshape(3)
     p = np.atleast_2d(np.asarray(points, dtype=float))
@@ -172,17 +168,12 @@ def knn(query: np.ndarray, points: np.ndarray, k: int) -> tuple[np.ndarray, np.n
         raise EmptyCloud("knn on empty cloud")
     if not (1 <= k <= n):
         raise InvalidParams(f"k={k} out of range for cloud of {n}")
-    if n <= _KNN_EXHAUSTIVE_LIMIT:
-        d = np.linalg.norm(p - q, axis=1)
-        idx = np.lexsort((np.arange(n), d))[:k]
-        return idx, d[idx]
-    tree = cKDTree(p)
-    d, idx = tree.query(q, k=k)
-    d = np.atleast_1d(d)
-    idx = np.atleast_1d(idx)
-    # enforce the (distance, index) order for deterministic tie-breaks
-    order = np.lexsort((idx, d))
-    return idx[order], d[order]
+    d = np.linalg.norm(p - q, axis=1)
+    if np.isnan(d).any():
+        raise InvalidParams("non-finite query or points")
+    cand = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
+    idx = cand[np.lexsort((cand, d[cand]))[:k]]
+    return idx, d[idx]
 
 
 def estimate_normals(cloud: PointCloud3, k: int, up_hint: np.ndarray) -> PointCloud3:

@@ -60,6 +60,8 @@ class SceneConfig:
         if not (50 < self.length_forearm <= 1000 and 50 < self.length_upperarm <= 1000):
             raise ConfigError("field 'scene.length_forearm'/'scene.length_upperarm' "
                               "outside valid range (50, 1000] mm")
+        if not self.blend_halfwidth > 0:
+            raise ConfigError("field 'scene.blend_halfwidth' must be positive")
         if not self.noise_sigma >= 0:
             raise ConfigError("field 'scene.noise_sigma' must be >= 0")
         if not self.render_pitch >= 0.25:
@@ -89,12 +91,12 @@ class RegistrationConfig:
     tol: float = 1e-5
 
     def __post_init__(self):
-        if not (self.alpha1 >= 0 and self.alpha2 >= 0):
-            raise ConfigError("field 'registration.alpha1'/'alpha2' must be >= 0")
-        if not self.radius > 0:
-            raise ConfigError("field 'registration.radius' must be positive")
-        if not self.tol > 0:
-            raise ConfigError("field 'registration.tol' must be positive")
+        if not (0 <= self.alpha1 < math.inf and 0 <= self.alpha2 < math.inf):
+            raise ConfigError("field 'registration.alpha1'/'alpha2' must be finite and >= 0")
+        if not 0 < self.radius < math.inf:
+            raise ConfigError("field 'registration.radius' must be finite and positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("field 'registration.tol' must be finite and positive")
 
 
 @dataclass(frozen=True)

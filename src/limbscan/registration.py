@@ -76,23 +76,13 @@ class DeformationGraph:
         """Euclidean binding of arbitrary points to up to BINDING_K nodes
         within reach."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        k = BINDING_K
-        reach = 2.0 * self.sampling_radius
-        tree = cKDTree(self.node_positions)
-        k_eff = min(k + 1, self.n_nodes)
-        d, idx = tree.query(p, k=k_eff)
-        # pad to k + 1 columns; the padding is never within reach
-        d = np.pad(d.reshape(len(p), k_eff), ((0, 0), (0, k + 1 - k_eff)),
-                   constant_values=np.inf)
-        idx = np.pad(idx.reshape(len(p), k_eff), ((0, 0), (0, k + 1 - k_eff)))
-        found = d[:, :k] <= reach
+        # k as a list keeps BINDING_K + 1 columns, missing neighbours at inf
+        d, idx = cKDTree(self.node_positions).query(p, k=[*range(1, BINDING_K + 2)])
+        found = d[:, :BINDING_K] <= 2.0 * self.sampling_radius
         if not found[:, 0].all():
             raise OutOfBindingReach(
                 f"point {int(np.argmin(found[:, 0]))} beyond reach of every node")
-        rows, n_cand = np.arange(len(p)), found.sum(axis=1)
-        d_max = np.where(np.isfinite(d[rows, n_cand]), d[rows, n_cand],
-                         1.1 * np.maximum(d[rows, n_cand - 1], 1e-12))
-        return np.where(found, idx[:, :k], -1), _binding_weights(d[:, :k], found, d_max)
+        return _bindings(d, idx, found)
 
     def to_dict(self) -> dict:
         return {
@@ -141,12 +131,16 @@ class SolveParams:
     max_correspondences: int = 3000
 
     def __post_init__(self):
-        if not (self.alpha1 >= 0 and self.alpha2 >= 0):
-            raise InvalidParams("alpha1 and alpha2 must be >= 0")
-        if not self.welsch_c > 0:
-            raise InvalidParams("welsch_c must be positive")
-        if self.max_correspondences < 1:
-            raise InvalidParams("max_correspondences must be >= 1")
+        for name in ("alpha1", "alpha2"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InvalidParams(f"{name} must be finite and >= 0")
+        for name in ("welsch_c", "tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidParams(f"{name} must be finite and positive")
+        for name, low in (("max_outer", 0), ("max_correspondences", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise InvalidParams(f"{name} must be an integer >= {low}")
 
 
 # ---------------------------------------------------------------- alignment
@@ -232,13 +226,26 @@ def initial_align(source: ArmObservation, target: ArmObservation,
 
 # ---------------------------------------------------------------- graph
 
-def _binding_weights(cd: np.ndarray, found: np.ndarray, d_max: np.ndarray) -> np.ndarray:
-    """Convex weights (1 - d / d_max)^2 over each row's found candidates,
-    uniform where they all vanish."""
-    w = np.where(found, np.maximum(1.0 - cd / d_max[:, None], 0.0) ** 2, 0.0)
+def _bindings(cand_d: np.ndarray, cand_i: np.ndarray,
+              found: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bind each row to its found candidates with convex weights
+    (1 - d / d_max)^2, uniform where they all vanish.
+
+    Rows list their candidates nearest first, with one column after the
+    last one `found` (n, k) can mark, and each row finds at least one. d_max
+    is the first candidate not found, or max(1.1 x the last found, 1e-12)
+    when that one is at inf. Returns (bind_idx, bind_w), with bind_idx -1
+    where a candidate is not found.
+    """
+    n, k = found.shape
+    rows, n_found = np.arange(n), found.sum(axis=1)
+    d_next = cand_d[rows, n_found]
+    d_max = np.where(np.isfinite(d_next), d_next,
+                     np.maximum(1.1 * cand_d[rows, n_found - 1], 1e-12))
+    w = np.where(found, np.maximum(1.0 - cand_d[:, :k] / d_max[:, None], 0.0) ** 2, 0.0)
     flat = w.sum(axis=1) <= 0
     w[flat] = found[flat]
-    return w / w.sum(axis=1, keepdims=True)
+    return np.where(found, cand_i[:, :k], -1), w / w.sum(axis=1, keepdims=True)
 
 
 def _proximity_graph(p: np.ndarray) -> sp.csr_matrix:
@@ -286,8 +293,8 @@ def build_graph(points: np.ndarray, radius: float,
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(p)
-    if radius <= 0:
-        raise InvalidParams("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise InvalidParams("radius must be finite and positive")
     if not n or p.shape[1] != 3:
         raise InvalidParams("points must be a non-empty (n, 3) array")
     node_arr, vert, node, dist = _geodesic_pairs(_proximity_graph(p), radius)
@@ -312,23 +319,10 @@ def build_graph(points: np.ndarray, radius: float,
     near_d[vert[kept], rank[kept]] = dist[kept]
     near_i[vert[kept], rank[kept]] = node[kept]
 
-    # every vertex is a node or within radius of one, so found[:, 0] holds
-    k = min(binding_k, m)
-    cd = near_d[:, :k]
-    found = np.isfinite(cd)
-    next_d = near_d[:, k]
-    last_d = cd[np.arange(n), found.sum(axis=1) - 1]
-    d_max = np.where(np.isfinite(next_d), next_d, np.maximum(1.1 * last_d, 1e-12))
-
-    return DeformationGraph(
-        node_positions=p[node_arr],
-        affines=np.tile(np.eye(3), (m, 1, 1)),
-        translations=np.zeros((m, 3)),
-        neighbors=neighbors,
-        sampling_radius=radius,
-        bind_idx=np.where(found, near_i[:, :k], -1),
-        bind_w=_binding_weights(cd, found, d_max),
-    )
+    # every vertex is a node or within radius of one, so each row finds one
+    bind_idx, bind_w = _bindings(near_d, near_i, np.isfinite(near_d[:, :min(binding_k, m)]))
+    return DeformationGraph(p[node_arr], np.tile(np.eye(3), (m, 1, 1)), np.zeros((m, 3)),
+                            neighbors, radius, bind_idx, bind_w)
 
 
 # ---------------------------------------------------------------- energy
@@ -507,8 +501,10 @@ class _BandedNormalEquations:
         if fresh:
             self.factor = None  # free the old factor before the new band exists
             h_rot = np.zeros((m, 12, 12))
-            h_rot[:, :9, :9] = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
-                                                + j_det[:, :, None] * j_det[:, None, :])
+            # a huge alpha2 overflows to inf, which cholesky_banded rejects
+            with np.errstate(over="ignore"):
+                h_rot[:, :9, :9] = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
+                                                    + j_det[:, :, None] * j_det[:, None, :])
             h = (self.matrix.T @ sp.diags(np.repeat(weight, 3)) @ self.matrix
                  + sp.bsr_matrix((h_rot, np.arange(m), np.arange(m + 1)),
                                  shape=(self.n, self.n))).tocoo()
@@ -520,7 +516,12 @@ class _BandedNormalEquations:
             flat[c[lower] * (self.bandwidth + 1) + (r - c)[lower]] = h.data[lower]
             band = flat.reshape(self.n, self.bandwidth + 1).T
             band[0] += LEVENBERG * max(band[0].max(), 1.0)
-            self.factor = cholesky_banded(band, overwrite_ab=True, lower=True)
+            try:
+                self.factor = cholesky_banded(band, overwrite_ab=True, lower=True)
+            except np.linalg.LinAlgError:
+                raise  # H is not positive definite, which solve handles
+            except ValueError as exc:  # cholesky_banded's own finiteness check
+                raise NonFiniteEnergy(f"non-finite normal equations: {exc}") from exc
         delta = np.empty(self.n)
         # the factor's input was checked by cholesky_banded, and solve
         # rejects a non-finite delta
@@ -636,8 +637,7 @@ def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,
 def transfer_trajectory(traj: ScanTrajectory, graph: DeformationGraph,
                         target: PointCloud3, up: np.ndarray) -> ScanTrajectory:
     """Deform the planned trajectory through the graph and attach probe poses."""
-    bind_idx, bind_w = graph.bind(traj.surface_points)
-    moved = graph.deform(traj.surface_points, bind_idx, bind_w)
+    moved = graph.deform(traj.surface_points, *graph.bind(traj.surface_points))
     return attach_probe_poses(ScanTrajectory(moved, traj.centerline_indices), target, up)
 
 

@@ -97,6 +97,9 @@ class DepthImage:
         valid = self.depth > 0
         if not np.all(np.isfinite(self.depth[valid])):
             raise InvalidParams("non-finite depth values")
+        if not (0 < self.pitch < np.inf and 0 < self.table_depth < np.inf):
+            raise InvalidParams(f"pitch {self.pitch} and table depth {self.table_depth} "
+                                "must be finite and positive")
 
     @property
     def height(self) -> int:

@@ -151,6 +151,18 @@ class TestKnn:
         idx, _ = knn(np.array([1.5, 0.0, 0.0]), pts, 4)
         np.testing.assert_array_equal(idx, [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("layout", [np.repeat, np.tile], ids=["grouped", "interleaved"])
+    def test_ties_across_the_k_boundary(self, layout):
+        """Ten points at each x = 0..9, so most k cut a class of tied
+        points; the lower indices of the cut class are kept."""
+        pts = np.zeros((100, 3))
+        pts[:, 0] = layout(np.arange(10.0), 10)
+        for k in range(1, 101):
+            idx, d = knn(np.zeros(3), pts, k)
+            oidx, od = _knn_oracle(np.zeros(3), pts, k)
+            np.testing.assert_array_equal(idx, oidx)
+            np.testing.assert_array_equal(d, od)
+
     def test_line_query(self):
         pts = np.zeros((10, 3))
         pts[:, 0] = np.arange(10.0)

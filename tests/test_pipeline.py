@@ -101,6 +101,7 @@ class TestConfig:
         ("extraction:\n  seed_spacing: 2.5\n", "extraction.seed_spacing"),
         ("registration:\n  radius: .inf\n", "registration.radius"),
         ("registration:\n  tol: .nan\n", "registration.tol"),
+        ("scene:\n  blend_halfwidth: 0\n", "scene.blend_halfwidth"),
     ])
     def test_bad_value_names_field(self, tmp_path, capsys, text, name):
         p = tmp_path / "bad.yaml"
@@ -397,6 +398,34 @@ class TestCli:
         assert err.startswith("config error: joints must be") and err.count("\n") == 1
         assert not (tmp_path / "g.json").exists()
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--alpha1", "inf"], "registration.alpha1"), (["--alpha2", "inf"], "alpha2"),
+        (["--alpha1", "nan"], "registration.alpha1"), (["--radius", "inf"], "registration.radius"),
+    ])
+    def test_register_non_finite_flag_exits_2(self, tmp_path, capsys, flags, name):
+        assert main(self._register_argv(tmp_path, tmp_path / "good.ply") + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err and err.count("\n") == 1
+        assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--alpha1", "--alpha2"])
+    def test_register_huge_weight_exits_3(self, tmp_path, capsys, flag):
+        """A finite weight whose normal equations overflow fails the solve."""
+        assert main(self._register_argv(tmp_path, tmp_path / "good.ply")
+                    + [flag, "1e308"]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite normal equations: ") and err.count("\n") == 1
+        assert not (tmp_path / "g.json").exists()
+
+    def test_pipeline_huge_weight_fails_register(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("registration: {alpha1: 1.0e+308}\n")
+        assert main(["pipeline", "--config", str(p), "--angle", "140",
+                     "--out", str(tmp_path / "o")]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'register' failed: non-finite normal equations")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("body, message", [
         ("x,y,z\n1,2,3\na,b,c\n", "bad row"),
         ("1,2,3\n4,5\n", "rows differ"),
@@ -423,8 +452,15 @@ class TestCli:
          None, EXIT_STAGE, "bad joint_pixels"),
         ("depth.pgm", lambda depth: depth[:1000], None, EXIT_STAGE, "PGM raster has"),
         (None, None, "1,2,3 4,5,6 7,8,9", EXIT_CONFIG, "too many values to unpack"),
+        ("depth_meta.json", lambda meta: json.dumps(json.loads(meta) | {"pitch": 0}),
+         None, EXIT_STAGE, "must be finite and positive"),
+        ("depth_meta.json", lambda meta: json.dumps(json.loads(meta) | {"pitch": -1}),
+         None, EXIT_STAGE, "must be finite and positive"),
+        ("depth_meta.json", lambda meta: json.dumps(
+            json.loads(meta) | {"table_depth": float("nan")}),
+         None, EXIT_STAGE, "must be finite and positive"),
     ], ids=["meta-no-camera", "meta-not-json", "meta-joint-triple", "depth-truncated",
-            "joints-triples"])
+            "joints-triples", "meta-pitch-zero", "meta-pitch-negative", "meta-table-nan"])
     def test_extract_bad_input(self, tmp_path, capsys, rendered_140, name, corrupt, joints,
                                code, message):
         files = {n: rendered_140 / n for n in ("depth.pgm", "depth_meta.json")}

@@ -49,6 +49,15 @@ def _perturbed_graph(rng, n=300, radius=8.0):
     return g, pts, pts + rng.normal(scale=0.3, size=pts.shape)
 
 
+def _reference_weights(cd, found, d_max):
+    """Convex weights (1 - d / d_max)^2 over each row's found candidates,
+    uniform where they all vanish."""
+    w = np.where(found, np.maximum(1.0 - cd / d_max[:, None], 0.0) ** 2, 0.0)
+    flat = w.sum(axis=1) <= 0
+    w[flat] = found[flat]
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def _reference_build_graph(points, radius, binding_k=registration.BINDING_K):
     """`build_graph` as a per-node merge: after each node's search, every
     vertex it reached re-sorts its binding_k + 1 nearest nodes so far."""
@@ -93,7 +102,24 @@ def _reference_build_graph(points, radius, binding_k=registration.BINDING_K):
                      np.where(n_cand > 1, np.maximum(1.1 * last_d, 1e-12), max(reach, 1e-12)))
     return (p[node_vertices], [np.flatnonzero(row).tolist() for row in adj],
             np.where(found, near_i[:, :k], -1),
-            registration._binding_weights(cd, found, d_max))
+            _reference_weights(cd, found, d_max))
+
+
+def _reference_bind(graph, points):
+    """`DeformationGraph.bind` with its own padding: a k-d tree query of
+    min(K + 1, nodes) neighbours, padded to K + 1 columns at inf."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    k = registration.BINDING_K
+    k_eff = min(k + 1, graph.n_nodes)
+    d, idx = cKDTree(graph.node_positions).query(p, k=k_eff)
+    d = np.pad(d.reshape(len(p), k_eff), ((0, 0), (0, k + 1 - k_eff)),
+               constant_values=np.inf)
+    idx = np.pad(idx.reshape(len(p), k_eff), ((0, 0), (0, k + 1 - k_eff)))
+    found = d[:, :k] <= 2.0 * graph.sampling_radius
+    rows, n_cand = np.arange(len(p)), found.sum(axis=1)
+    d_max = np.where(np.isfinite(d[rows, n_cand]), d[rows, n_cand],
+                     1.1 * np.maximum(d[rows, n_cand - 1], 1e-12))
+    return np.where(found, idx[:, :k], -1), _reference_weights(d[:, :k], found, d_max)
 
 
 def _lattice(n):
@@ -178,6 +204,11 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(_line_cloud(), radius=0.0)
 
+    @pytest.mark.parametrize("radius", [float("inf"), float("nan")])
+    def test_rejects_non_finite_radius(self, radius):
+        with pytest.raises(InvalidParams, match="radius must be finite"):
+            build_graph(_line_cloud(), radius=radius)
+
     @pytest.mark.parametrize("points", [np.zeros((0, 3)), np.zeros(0), np.zeros((4, 2))],
                              ids=["no-rows", "flat-empty", "two-columns"])
     def test_rejects_empty_or_malformed_points(self, points):
@@ -249,6 +280,20 @@ class TestDeformationGraph:
         g = build_graph(pts, radius=3.0)
         with pytest.raises(OutOfBindingReach):
             g.bind(np.array([[500.0, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("radius", [30.0, 10.0, 6.0, 4.5, 4.0, 2.0])
+    def test_bind_matches_reference(self, rng, radius):
+        """On a line, 1 to 4 nodes leave fewer than K + 1 candidates, and
+        at small radii the farther candidates lie beyond reach; the probes
+        include every node's own position."""
+        line = _line_cloud(n=40, step=0.5)
+        g = build_graph(line, radius)
+        probes = np.vstack([g.node_positions, line + rng.normal(scale=0.3, size=line.shape)])
+        bind_idx, bind_w = g.bind(probes)
+        ref_idx, ref_w = _reference_bind(g, probes)
+        assert np.array_equal(bind_idx, ref_idx) and bind_idx.dtype == ref_idx.dtype
+        assert np.array_equal(bind_w, ref_w)
+        assert np.array_equal(bind_idx[:g.n_nodes, 0], np.arange(g.n_nodes))
 
     def test_bind_weights_convex(self, rng):
         pts = rng.uniform(-20.0, 20.0, (200, 3))
@@ -678,8 +723,11 @@ class TestSolve:
             solve(g, pts, target)
 
     @pytest.mark.parametrize("field, value", [
-        ("max_correspondences", 0), ("welsch_c", 0.0), ("welsch_c", float("nan")),
-        ("alpha1", -1.0), ("alpha2", -1.0)])
+        ("max_correspondences", 0), ("max_correspondences", 2.5),
+        ("welsch_c", 0.0), ("welsch_c", float("nan")), ("welsch_c", float("inf")),
+        ("alpha1", -1.0), ("alpha1", float("inf")), ("alpha2", -1.0), ("alpha2", float("nan")),
+        ("tol", float("nan")), ("tol", 0.0), ("tol", -1.0), ("tol", float("inf")),
+        ("max_outer", 2.5), ("max_outer", -1)])
     def test_params_validation(self, field, value):
         with pytest.raises(InvalidParams, match=field):
             SolveParams(**{field: value})
