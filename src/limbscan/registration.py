@@ -76,6 +76,8 @@ class DeformationGraph:
         """Euclidean binding of arbitrary points to up to BINDING_K nodes
         within reach."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
+        if not np.isfinite(p).all():
+            raise InvalidParams("points to bind must be finite")
         # k as a list keeps BINDING_K + 1 columns, missing neighbours at inf
         d, idx = cKDTree(self.node_positions).query(p, k=[*range(1, BINDING_K + 2)])
         found = d[:, :BINDING_K] <= 2.0 * self.sampling_radius
@@ -249,14 +251,25 @@ def _bindings(cand_d: np.ndarray, cand_i: np.ndarray,
 
 
 def _proximity_graph(p: np.ndarray) -> sp.csr_matrix:
-    """Symmetric k-NN graph of the points, weighted by distance."""
+    """Symmetric k-NN graph of the points, weighted by distance.
+
+    Coincident points are joined by explicit zero-weight edges, which
+    dijkstra follows, so they share one node.
+    """
     n = len(p)
     k_eff = min(KNN_K + 1, n)
     # k as a list keeps d and idx 2-D for a single point
     d, idx = cKDTree(p).query(p, k=[*range(1, k_eff + 1)])
     rows = np.repeat(np.arange(n), k_eff - 1)
+    # `maximum` drops zeros, so a zero-length edge enters as the least
+    # positive float and leaves as an explicit 0. No distance equals it: a
+    # nonzero one is the root of a sum of squares >= 5e-324, so >= 2e-162.
+    tiny = np.nextafter(0.0, 1.0)
+    d[d == 0.0] = tiny
     graph = sp.coo_matrix((d[:, 1:].ravel(), (rows, idx[:, 1:].ravel())), shape=(n, n))
-    return graph.maximum(graph.T).tocsr()
+    graph = graph.maximum(graph.T).tocsr()
+    graph.data[graph.data == tiny] = 0.0
+    return graph
 
 
 def _geodesic_pairs(graph: sp.csr_matrix, radius: float):

@@ -91,6 +91,13 @@ class ScanParams:
     resample_step: float = 0.05   # vessel polyline resampling, mm
 
     def __post_init__(self):
+        for name in ("width_px", "height_px", "max_recenter"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise InvalidParams(f"{name} must be an integer, got {value!r}")
+        for name in ("pitch", "deadband_px", "lateral_bias", "resample_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
         # the upper bound on the image and the lower one on the polyline step
         # keep a frame and the vessel sampler a bounded size
         if not (2 <= self.width_px <= 1024 and 2 <= self.height_px <= 1024):
@@ -154,8 +161,16 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
     a sample p needs p within r of the image plane and itself within r of
     p's in-plane projection, laterally and in depth. So the window is the box
     around the projections of the samples near the plane, grown by r plus a
-    guard, and each of its pixels is tested exactly as on the full grid;
-    every other pixel is 0.
+    guard; every other pixel is 0.
+
+    Each window pixel gets the full-grid answer, `sampler.inside`, but most
+    are decided without the tree. A pixel within r of p0, the near sample
+    closest to the plane, is inside: its distance is the tree's own formula
+    ((dx² + dy²) + dz², then sqrt) and the tree's minimum is no larger. A
+    pixel more than r from the bounding box of the near samples is outside,
+    as every other sample lies more than reach > r from the plane; the
+    1e-6 mm margin dwarfs the float error of the box distance. Only the
+    pixels between the two go to the tree.
     """
     if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                for v in (width_px, height_px)):
@@ -164,8 +179,8 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
     if not (width_px >= 1 and height_px >= 1):
         raise InvalidParams(f"image size must be at least 1 x 1 pixels, got "
                             f"{width_px} x {height_px}")
-    if not pitch > 0:
-        raise InvalidParams(f"pitch must be positive, got {pitch}")
+    if not 0 < pitch < math.inf:
+        raise InvalidParams(f"pitch must be finite and positive, got {pitch}")
     if sampler is None:
         sampler = VesselSampler(scene.centerline.points, scene.vessel_radius)
     ax = image_axes(probe_pose)
@@ -174,10 +189,12 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
     # only to RigidTransform's 1e-6
     reach = sampler.radius + pitch + 1e-5 * (sampler.radius + (width_px + height_px) * pitch)
     t = probe_pose.translation
-    off_plane = sampler.points @ ax[:, 1] - t @ ax[:, 1]
-    near = (sampler.points[np.abs(off_plane) <= reach] - t) @ ax   # lateral, off-plane, depth
-    if len(near) == 0:
+    off_plane = np.abs(sampler.points @ ax[:, 1] - t @ ax[:, 1])
+    # compress: the same rows as a boolean index, several times faster
+    pts = np.compress(off_plane <= reach, sampler.points, axis=0)
+    if len(pts) == 0:
         return VirtualFrame(probe_pose, width_px, height_px, pitch, mask)
+    near = (pts - t) @ ax   # lateral, off-plane, depth
     c0, c1 = _pixel_span(near[:, 0] / pitch + width_px / 2.0, reach / pitch, width_px)
     r0, r1 = _pixel_span(near[:, 2] / pitch - 0.5, reach / pitch, height_px)
     lat = (np.arange(width_px) - width_px / 2.0) * pitch
@@ -185,7 +202,14 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
     grid = (t[None, None, :]
             + dep[r0:r1, None, None] * ax[:, 2]
             + lat[None, c0:c1, None] * ax[:, 0])
-    mask[r0:r1, c0:c1] = sampler.inside(grid.reshape(-1, 3)).reshape(r1 - r0, c1 - c0)
+    d0 = grid - sampler.points[np.argmin(off_plane)]
+    inside = np.sqrt((d0[..., 0] ** 2 + d0[..., 1] ** 2) + d0[..., 2] ** 2) <= sampler.radius
+    gap = np.maximum(np.maximum(pts.min(axis=0) - grid, grid - pts.max(axis=0)), 0.0)
+    box_sq = (gap[..., 0] ** 2 + gap[..., 1] ** 2) + gap[..., 2] ** 2
+    maybe = ~inside & (box_sq <= (sampler.radius + 1e-6) ** 2)
+    if maybe.any():
+        inside[maybe] = sampler.inside(grid[maybe])
+    mask[r0:r1, c0:c1] = inside
     return VirtualFrame(probe_pose, width_px, height_px, pitch, mask)
 
 

@@ -65,9 +65,13 @@ def _reference_build_graph(points, radius, binding_k=registration.BINDING_K):
     n = len(p)
     k_eff = min(registration.KNN_K + 1, n)
     d, idx = cKDTree(p).query(p, k=[*range(1, k_eff + 1)])
-    graph = sp.coo_matrix((d[:, 1:].ravel(), (np.repeat(np.arange(n), k_eff - 1),
-                                              idx[:, 1:].ravel())), shape=(n, n))
-    graph = graph.maximum(graph.T).tocsr()
+    # each k-NN edge both ways, zero-length ones (coincident points) included
+    edges = {}
+    for v in range(n):
+        for u, dist in zip(idx[v, 1:].tolist(), d[v, 1:].tolist()):
+            edges[v, u] = edges[u, v] = dist
+    rows, cols = zip(*edges) if edges else ((), ())
+    graph = sp.csr_matrix((list(edges.values()), (rows, cols)), shape=(n, n))
     reach = 2.0 * radius
     min_dist = np.full(n, np.inf)
     near_d = np.full((n, binding_k + 1), np.inf)
@@ -242,6 +246,18 @@ class TestBuildGraph:
         own = [int(np.flatnonzero((pts == q).all(axis=1))[0]) for q in g.node_positions]
         np.testing.assert_array_equal(g.bind_idx[own, 0], np.arange(g.n_nodes))
 
+    def test_coincident_points_share_one_node(self, rng):
+        g = build_graph(np.ones((5, 3)), 5.0)
+        assert g.n_nodes == 1
+        np.testing.assert_array_equal(g.bind_idx, np.zeros((5, 1)))
+        cloud = rng.uniform(0.0, 10.0, (50, 3))
+        cloud = np.vstack([cloud, cloud[[7, 7, 7]]])
+        g = build_graph(cloud, 2.0)
+        assert sum((g.node_positions == cloud[7]).all(axis=1)) == 1
+        for c in (50, 51, 52):
+            np.testing.assert_array_equal(g.bind_idx[c], g.bind_idx[7])
+            np.testing.assert_array_equal(g.bind_w[c], g.bind_w[7])
+
     def test_single_point_is_one_node(self):
         pts = np.array([[1.0, 2.0, 3.0]])
         g = build_graph(pts, radius=5.0)
@@ -280,6 +296,12 @@ class TestDeformationGraph:
         g = build_graph(pts, radius=3.0)
         with pytest.raises(OutOfBindingReach):
             g.bind(np.array([[500.0, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bind_rejects_non_finite_point(self, rng, bad):
+        g = build_graph(rng.uniform(-5.0, 5.0, (100, 3)), radius=3.0)
+        with pytest.raises(InvalidParams, match="finite"):
+            g.bind(np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]))
 
     @pytest.mark.parametrize("radius", [30.0, 10.0, 6.0, 4.5, 4.0, 2.0])
     def test_bind_matches_reference(self, rng, radius):

@@ -1,9 +1,13 @@
 """Virtual scan loop: imaging, centering servo, reconstruction, radius report."""
+import dataclasses
+
 import numpy as np
 import pytest
 from _util import DOWN_ROTATION, straight_trajectory
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from limbscan.errors import InvalidParams, TooFewFrames, VesselLost
 from limbscan.flowseg import mask_centroid
@@ -11,6 +15,7 @@ from limbscan.geometry import PointCloud3, RigidTransform
 from limbscan.scan import (ReconstructedVessel, ScanParams, VesselSampler,
                            VirtualFrame, centering_step, image_axes,
                            image_slice, radius_report, reconstruct, run_scan)
+from limbscan.scene import ArticulatedPose, articulate
 
 
 def _down_pose(x=0.0, y=0.0, z=32.0):
@@ -136,8 +141,9 @@ class TestImageSlice:
     @pytest.mark.parametrize("width_px, height_px, pitch", [
         (256, 160, 0.0), (256, 160, -0.1), (-5, 160, 0.1), (256, 160, float("nan")),
         (0, 160, 0.1), (2.5, 160, 0.1), (160.0, 160, 0.1), (256, 160.0, 0.1),
+        (256, 160, float("inf")),
     ], ids=["pitch-zero", "pitch-negative", "width-negative", "pitch-nan", "width-zero",
-            "width-fractional", "width-float", "height-float"])
+            "width-fractional", "width-float", "height-float", "pitch-inf"])
     def test_bad_geometry_rejected(self, atlas, width_px, height_px, pitch):
         with pytest.raises(InvalidParams, match="pitch|image size"):
             image_slice(atlas, _down_pose(x=120.0, z=2.0 * atlas.vertical_b),
@@ -169,14 +175,28 @@ def _tilted(deg):
 
 
 def _full_grid_mask(sampler, pose, width_px, height_px, pitch):
-    """Every pixel of the image through `sampler.inside`."""
+    """Every pixel of the image through a k-d tree of the sampler's points of
+    its own: inside when its nearest sample is within the radius."""
     ax = image_axes(pose)
     lat = (np.arange(width_px) - width_px / 2.0) * pitch
     dep = (np.arange(height_px) + 0.5) * pitch
     grid = (pose.translation[None, None, :]
             + dep[:, None, None] * ax[:, 2]
             + lat[None, :, None] * ax[:, 0])
-    return sampler.inside(grid.reshape(-1, 3)).reshape(height_px, width_px).astype(np.uint8)
+    d, _ = cKDTree(sampler.points).query(grid.reshape(-1, 3))
+    return (d <= sampler.radius).reshape(height_px, width_px).astype(np.uint8)
+
+
+def _count_tree_queries(sampler):
+    """Wrap `sampler.inside` to count the points passed to it."""
+    calls, inside = [], sampler.inside
+
+    def counting(query):
+        calls.append(len(query))
+        return inside(query)
+
+    sampler.inside = counting
+    return calls
 
 
 # the atlas vessel runs along x from 5 to 525 mm at y = 0, z = 28 (4 mm deep)
@@ -185,6 +205,7 @@ WINDOW_POSES = {
     "clipped-right": (DOWN_ROTATION, [120.0, -12.5, 32.0], 256, 160, 0.1),
     "yawed-30": (_yawed(30.0), [120.0, 0.0, 32.0], 256, 160, 0.1),
     "yawed-70": (_yawed(70.0), [120.0, 3.0, 32.0], 256, 160, 0.1),
+    "yawed-89": (_yawed(89.0), [120.0, 0.0, 32.0], 256, 160, 0.1),
     "tilted-long-axis": (_tilted(35.0), [140.0, 0.0, 32.0], 256, 160, 0.1),
     "through-endpoint": (DOWN_ROTATION, [5.0, 0.0, 32.0], 256, 160, 0.1),
     "off-arm": (DOWN_ROTATION, [120.0, 50.0, 32.0], 256, 160, 0.1),
@@ -209,6 +230,49 @@ class TestImageSliceWindow:
             assert want.any() and not want.all()
         if name.startswith("clipped"):
             assert want[:, 0].any() or want[:, -1].any()
+
+    def test_elbow_plane_crossing_twice(self, template):
+        """At 100 deg the blended elbow folds the vessel, so the plane
+        x = 245.5 cuts it twice; the window holds both cuts and part of it
+        goes to the tree."""
+        posed = articulate(template, ArticulatedPose(100.0))
+        pose = RigidTransform(DOWN_ROTATION, np.array([245.5, 0.0, 60.0]))
+        sampler = VesselSampler(posed.centerline.points, posed.vessel_radius)
+        tree_queries = _count_tree_queries(sampler)
+        got = image_slice(posed, pose, 96, 128, 0.25, sampler).mask
+        assert np.array_equal(got, _full_grid_mask(sampler, pose, 96, 128, 0.25))
+        assert ndimage.label(got)[1] == 2
+        assert sum(tree_queries) > 0
+
+    @pytest.mark.parametrize("radius, rows", [(1.0, (3, 12)), (np.nextafter(1.0, 0.0), (4, 11))],
+                             ids=["at-radius", "one-ulp-beyond"])
+    def test_pixel_at_exactly_the_radius(self, atlas, radius, rows):
+        """A straight vessel sampled every 0.25 mm in the image plane, all
+        values dyadic: the pixel centres of rows 3 and 11 lie exactly 1 mm
+        above and below a sample, and the one in column 0 of those rows
+        exactly 1 mm from the first sample, the one taken as nearest the
+        plane. They are inside for r = 1 and outside for r one ulp less."""
+        line = np.array([[0.0, 0.0, 28.125], [20.0, 0.0, 28.125]])
+        sampler = VesselSampler(line, radius=radius, step=0.25)
+        # image x along world x, pushing down: the plane is y = 0
+        pose = RigidTransform(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                        [0.0, 0.0, -1.0]]), np.array([8.0, 0.0, 30.0]))
+        tree_queries = _count_tree_queries(sampler)
+        got = image_slice(atlas, pose, 64, 32, 0.25, sampler).mask
+        assert np.array_equal(got, _full_grid_mask(sampler, pose, 64, 32, 0.25))
+        lo, hi = rows
+        assert got[lo:hi].all() and not got[:lo].any() and not got[hi:].any()
+        assert sum(tree_queries) > 0
+
+    def test_tree_queried_only_where_needed(self, atlas):
+        pose = straight_trajectory(atlas).poses[0]
+        sampler = VesselSampler(atlas.centerline.points, atlas.vessel_radius)
+        tree_queries = _count_tree_queries(sampler)
+        assert image_slice(atlas, pose, 256, 160, 0.1, sampler).area > 0
+        assert sum(tree_queries) == 0
+        rotation, t, w, h, pitch = WINDOW_POSES["yawed-89"]
+        image_slice(atlas, RigidTransform(rotation, np.array(t)), w, h, pitch, sampler)
+        assert sum(tree_queries) > 0
 
     def test_random_poses_equal_full_grid(self, atlas, rng):
         sampler = VesselSampler(atlas.centerline.points, atlas.vessel_radius)
@@ -308,14 +372,21 @@ class TestRunScan:
             run_scan(atlas, bare, ScanParams())
 
     def test_params_validation(self):
-        with pytest.raises(InvalidParams):
-            ScanParams(sigma=0.5)
-        with pytest.raises(InvalidParams):
-            ScanParams(sigma=1.0)
-        with pytest.raises(InvalidParams):
-            ScanParams(pitch=0.0)
-        with pytest.raises(InvalidParams):
-            ScanParams(max_recenter=-1)
+        for field, value in [
+                ("sigma", 0.5), ("sigma", 1.0), ("pitch", 0.0), ("max_recenter", -1),
+                ("pitch", np.inf), ("deadband_px", np.nan), ("lateral_bias", np.inf),
+                ("lateral_bias", np.nan), ("resample_step", np.inf), ("max_recenter", 2.5),
+                ("width_px", 256.0), ("height_px", 160.5), ("width_px", True)]:
+            with pytest.raises(InvalidParams, match=field):
+                ScanParams(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("pitch", np.inf), ("max_recenter", 2.5), ("deadband_px", np.nan)])
+    def test_replaced_params_validated(self, atlas, field, value):
+        """dataclasses.replace re-runs the checks, so a scan never starts."""
+        with pytest.raises(InvalidParams, match=field):
+            run_scan(atlas, straight_trajectory(atlas, 100.0, 105.0),
+                     dataclasses.replace(ScanParams(), **{field: value}))
 
 
 class TestReconstruct:
