@@ -31,13 +31,16 @@ EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
 
+def _given(args, *names) -> dict:
+    """The flags among names that were given; one left out keeps its default."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
 def _load_cfg(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    if getattr(args, "out", None):
+    if args.out:
         cfg = replace(cfg, output_dir=args.out)
-    if getattr(args, "angle", None) is not None:
-        cfg = replace(cfg, scene=replace(cfg.scene, elbow_angle=args.angle))
-    return cfg
+    return replace(cfg, scene=replace(cfg.scene, **_given(args, "elbow_angle")))
 
 
 def _cmd_scene(args) -> int:
@@ -100,12 +103,8 @@ def _parse_joint_pixels(text: str) -> JointPixels:
 
 
 def _cmd_extract(args) -> int:
-    try:
-        params = ExtractionParams(depth_jump_threshold=args.td,
-                                  continuity_slack=args.tl,
-                                  seed_spacing=args.spacing)
-    except InvalidParams as exc:
-        raise ConfigError(str(exc)) from exc
+    params = ExtractionParams(**_given(args, "depth_jump_threshold", "continuity_slack",
+                                       "seed_spacing"))
     joints = _parse_joint_pixels(args.joints) if args.joints else None
     img, meta = _read_depth(args.depth, args.meta)
     if joints is None:
@@ -161,13 +160,13 @@ def _parse_joints_xyz(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _cmd_register(args) -> int:
+    reg = RegistrationConfig(**_given(args, "alpha1", "alpha2", "radius"))
     src = ArmObservation(pointio.read_ply(args.atlas_forearm),
                          pointio.read_ply(args.atlas_upperarm),
                          *_parse_joints_xyz(args.joints_atlas))
     tgt = ArmObservation(pointio.read_ply(args.scene_forearm),
                          pointio.read_ply(args.scene_upperarm),
                          *_parse_joints_xyz(args.joints_scene))
-    reg = RegistrationConfig(alpha1=args.alpha1, alpha2=args.alpha2, radius=args.radius)
     _, graph, history = register_atlas(src, tgt, reg)
     write_graph(args.out_graph, graph)
     if args.out_history:
@@ -179,14 +178,7 @@ def _cmd_register(args) -> int:
 
 def _cmd_scan(args) -> int:
     cfg = _load_cfg(args)
-    scan_cfg = cfg.scan
-    try:
-        if args.sigma is not None:
-            scan_cfg = replace(scan_cfg, sigma=args.sigma)
-        if args.bias_inject is not None:
-            scan_cfg = replace(scan_cfg, lateral_bias=args.bias_inject)
-    except InvalidParams as exc:
-        raise ConfigError(str(exc)) from exc
+    scan_cfg = replace(cfg.scan, **_given(args, "sigma", "lateral_bias"))
     pts = pointio.read_points_csv(args.traj)
     if pts.shape[1] < 3 or not np.all(np.isfinite(pts)):
         raise InvalidParams(f"{args.traj}: a trajectory row needs finite x,y,z as its "
@@ -256,10 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Limb-surface ultrasound scan-trajectory planning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None):
+    def common(p):
         p.add_argument("--config", help="pipeline YAML config file")
-        p.add_argument("--out", default=out_default, help="output directory")
-        p.add_argument("--angle", type=float, default=None,
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--angle", dest="elbow_angle", type=float,
                        help="override scene elbow angle (degrees)")
 
     common(sub.add_parser("scene", help="generate atlas + posed scene clouds"))
@@ -269,9 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", required=True, help="16-bit depth PGM")
     p.add_argument("--meta", required=True, help="depth meta JSON from render")
     p.add_argument("--joints", default=None, help="'r,c r,c r,c' wrist elbow shoulder")
-    p.add_argument("--td", type=float, default=20000.0, help="depth jump threshold mm^2")
-    p.add_argument("--tl", type=float, default=10.0, help="continuity slack mm")
-    p.add_argument("--spacing", type=int, default=3, help="seed spacing px")
+    p.add_argument("--td", dest="depth_jump_threshold", type=float,
+                   help="depth jump threshold mm^2")
+    p.add_argument("--tl", dest="continuity_slack", type=float, help="continuity slack mm")
+    p.add_argument("--spacing", dest="seed_spacing", type=int, help="seed spacing px")
     p.add_argument("--out", required=True, help="output directory")
 
     common(sub.add_parser("plan", help="plan the scan trajectory on the atlas"))
@@ -283,17 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene-upperarm", required=True)
     p.add_argument("--joints-atlas", required=True, help="'x,y,z;x,y,z;x,y,z'")
     p.add_argument("--joints-scene", required=True, help="'x,y,z;x,y,z;x,y,z'")
-    p.add_argument("--alpha1", type=float, default=10.0)
-    p.add_argument("--alpha2", type=float, default=100.0)
-    p.add_argument("--radius", type=float, default=15.0)
+    p.add_argument("--alpha1", type=float)
+    p.add_argument("--alpha2", type=float)
+    p.add_argument("--radius", type=float)
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-history", default=None)
 
     p = sub.add_parser("scan", help="simulate the scan along a trajectory")
     common(p)
     p.add_argument("--traj", required=True, help="trajectory CSV (x,y,z last columns)")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--bias-inject", type=float, default=None,
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--bias-inject", dest="lateral_bias", type=float,
                    help="constant lateral bias mm")
     p.add_argument("--out-frames", required=True)
     p.add_argument("--report", required=True)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all limbscan modules."""
+"""Exception hierarchy of limbscan, and the type check every params class runs."""
+import math
+from numbers import Integral
 
 
 class LimbscanError(Exception):
@@ -14,7 +16,7 @@ class EmptyCloud(LimbscanError):
 
 
 class InvalidParams(LimbscanError, ValueError):
-    """A parameter or input value is malformed or out of range."""
+    """An input such as an array, a file or its metadata is malformed or out of range."""
 
 
 class OutOfFrame(LimbscanError):
@@ -69,8 +71,8 @@ class TooFewFrames(LimbscanError):
     pass
 
 
-class ConfigError(LimbscanError):
-    """A pipeline configuration field is missing or out of range."""
+class ConfigError(InvalidParams):
+    """A parameter value is malformed or out of range (CLI exit 2)."""
 
 
 class StageError(LimbscanError):
@@ -80,3 +82,28 @@ class StageError(LimbscanError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+# annotation -> (accepts, description); Integral takes NumPy ints too, and
+# floats take ints as they are, so a config written with `elbow_angle: 140`
+# round-trips to the same report bytes
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: (isinstance(v, Integral) and not isinstance(v, bool))
+              or (isinstance(v, float) and math.isfinite(v)), "a finite number"),
+}
+
+
+def check_fields(cls, values: dict, prefix: str = "") -> None:
+    """Raise ConfigError for a key that is not a field of the dataclass cls,
+    or a value not of its field's annotated type. A field annotated with any
+    other name, such as str or a config section, takes an instance of it."""
+    fields = cls.__dataclass_fields__
+    for name, value in values.items():
+        if name not in fields:
+            raise ConfigError(f"unknown config field '{prefix}{name}'")
+        kind = fields[name].type
+        accepts, what = _FIELD_TYPES.get(
+            kind, (lambda v: type(v).__name__ == kind, f"a {kind}"))
+        if not accepts(value):
+            raise ConfigError(f"field '{prefix}{name}' must be {what}, got {value!r}")

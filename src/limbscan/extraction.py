@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidParams, NoEdgeFound, SeedOffArm
+from .errors import (ConfigError, IndexOutOfRange, InvalidParams, NoEdgeFound,
+                     SeedOffArm, check_fields)
 from .geometry import PointCloud3
 from .scene import DepthImage
 
@@ -46,10 +47,11 @@ class ExtractionParams:
     seed_spacing: int = 3                   # px along the joint line
 
     def __post_init__(self):
+        check_fields(type(self), vars(self))
         if self.depth_jump_threshold <= 0 or self.continuity_slack <= 0:
-            raise InvalidParams("thresholds must be positive")
+            raise ConfigError("thresholds must be positive")
         if self.seed_spacing < 1:
-            raise InvalidParams("seed spacing must be >= 1")
+            raise ConfigError("seed spacing must be >= 1")
 
 
 @dataclass

@@ -15,7 +15,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import dijkstra, reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateSegment, InvalidParams, NonFiniteEnergy, OutOfBindingReach
+from .errors import (ConfigError, DegenerateSegment, InvalidParams, NonFiniteEnergy,
+                     OutOfBindingReach, check_fields)
 from .geometry import ObbScale, PointCloud3, RigidTransform, estimate_normals, pca_obb
 from .trajectory import ScanTrajectory
 
@@ -133,16 +134,14 @@ class SolveParams:
     max_correspondences: int = 3000
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise InvalidParams(f"{name} must be finite and >= 0")
+        check_fields(type(self), vars(self))
+        for name, low in (("alpha1", 0), ("alpha2", 0), ("max_outer", 0),
+                          ("max_correspondences", 1)):
+            if not getattr(self, name) >= low:
+                raise ConfigError(f"{name} must be >= {low}")
         for name in ("welsch_c", "tol"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise InvalidParams(f"{name} must be finite and positive")
-        for name, low in (("max_outer", 0), ("max_correspondences", 1)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
-                raise InvalidParams(f"{name} must be an integer >= {low}")
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
 
 
 # ---------------------------------------------------------------- alignment

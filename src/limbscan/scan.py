@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidParams, TooFewFrames, VesselLost
+from .errors import ConfigError, InvalidParams, TooFewFrames, VesselLost, check_fields
 from .geometry import PointCloud3, RigidTransform
 from .scene import ArmTemplate
 from .trajectory import ScanTrajectory
@@ -91,25 +91,19 @@ class ScanParams:
     resample_step: float = 0.05   # vessel polyline resampling, mm
 
     def __post_init__(self):
-        for name in ("width_px", "height_px", "max_recenter"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise InvalidParams(f"{name} must be an integer, got {value!r}")
-        for name in ("pitch", "deadband_px", "lateral_bias", "resample_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
+        check_fields(type(self), vars(self))
         # the upper bound on the image and the lower one on the polyline step
         # keep a frame and the vessel sampler a bounded size
         if not (2 <= self.width_px <= 1024 and 2 <= self.height_px <= 1024):
-            raise InvalidParams("width_px and height_px must be in [2, 1024]")
+            raise ConfigError("width_px and height_px must be in [2, 1024]")
         if not self.pitch > 0:
-            raise InvalidParams("pitch must be positive")
+            raise ConfigError("pitch must be positive")
         if not self.resample_step >= 0.005:
-            raise InvalidParams("resample_step must be >= 0.005 mm")
+            raise ConfigError("resample_step must be >= 0.005 mm")
         if not (0.5 < self.sigma < 1.0):
-            raise InvalidParams(f"sigma {self.sigma} outside (0.5, 1)")
+            raise ConfigError(f"sigma {self.sigma} outside (0.5, 1)")
         if self.deadband_px < 0 or self.max_recenter < 0:
-            raise InvalidParams("deadband and max_recenter must be >= 0")
+            raise ConfigError("deadband and max_recenter must be >= 0")
 
 
 @dataclass

@@ -16,18 +16,14 @@ from scipy.spatial.transform import Rotation
 
 from limbscan.extraction import ExtractionParams, JointPixels, extract_arm
 from limbscan.flowseg import attention_fuse, dice, predict_mask
-from limbscan.geometry import PointCloud3, RigidTransform, fit_rigid, knn
-from limbscan.pipeline import config_from_dict, run_pipeline
-from limbscan.registration import (ArmObservation, SolveParams, build_graph,
-                                   energy, initial_align, solve,
-                                   transfer_trajectory)
+from limbscan.geometry import RigidTransform, fit_rigid, knn
+from limbscan.pipeline import (_observation_from_atlas, build_scene, config_from_dict,
+                               plan_scan, register_atlas, render_scene, run_pipeline,
+                               transfer_plan)
+from limbscan.registration import ArmObservation, SolveParams, build_graph, energy, solve
 from limbscan.scan import (ScanParams, VirtualFrame, centering_step,
                            radius_report, reconstruct, run_scan)
-from limbscan.scene import (UP, ArticulatedPose, articulate, default_camera,
-                            hinge_points, joint_pixels, make_template,
-                            render_depth)
-from limbscan.trajectory import (ScanTrajectory, project_trajectory,
-                                 smooth_centerline)
+from limbscan.scene import hinge_points, joint_pixels
 
 ANGLES = (120.0, 140.0, 160.0)
 SEEDS = (0, 1, 2, 3, 4)
@@ -39,58 +35,33 @@ def _criterion(capsys, name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _observation(arm) -> ArmObservation:
-    cloud, axial, _ = arm.top_shell()
-    fm = axial <= arm.elbow_axial
-    return ArmObservation(PointCloud3(cloud.points[fm]),
-                          PointCloud3(cloud.points[~fm]),
-                          arm.wrist, arm.elbow, arm.shoulder)
-
-
 def _registration_run(angle, seed):
-    """Full scene -> render -> extract -> register -> transfer chain."""
+    """The pipeline's scene -> render -> extract -> plan -> register ->
+    transfer stages, through the functions run_pipeline calls."""
     t0 = time.perf_counter()
-    template = make_template(seed=seed)
-    atlas = articulate(template, ArticulatedPose(180.0))
-    posed = articulate(template, ArticulatedPose(angle))
-
-    camera, w, h = default_camera(posed)
-    img = render_depth(posed, camera, w, h, 1.0)
+    cfg = config_from_dict({"seed": seed, "scene": {"elbow_angle": angle}})
+    template, atlas, posed = build_scene(cfg)
+    img = render_scene(posed, cfg.scene, cfg.seed)
     jp = joint_pixels(img, posed)
-    seg = extract_arm(img, JointPixels(jp["wrist"], jp["elbow"], jp["shoulder"]))
-
-    ca = atlas.centerline_axial
-    span = (ca >= 100.0 - 1e-9) & (ca <= 170.0 + 1e-9)
-    cl = smooth_centerline(atlas.centerline.points[span], 5)
-    shell, _, _ = atlas.top_shell()
-    traj = project_trajectory(cl, shell, UP)
-
-    source = _observation(atlas)
+    seg = extract_arm(img, JointPixels(jp["wrist"], jp["elbow"], jp["shoulder"]),
+                      cfg.extraction)
+    traj = plan_scan(atlas, cfg.plan)
+    source = _observation_from_atlas(atlas)
     target = ArmObservation(seg.forearm, seg.upperarm, posed.wrist, posed.elbow,
                             posed.shoulder)
-    aligned, _, _, maps = initial_align(source, target)
-    graph = build_graph(aligned.union_points(), 15.0)
-    graph, history = solve(graph, aligned.union_points(),
-                           target.union_points(), SolveParams())
+    maps, graph, history = register_atlas(source, target, cfg.registration)
 
     # surface distance against the scene surface itself, not the extracted
     # pixel cloud: the latter carries ~0.6 mm of sensor bias plus the 1 mm
     # pixel sampling, a floor no registration can undercut
-    deformed = graph.deform(aligned.union_points())
-    d, _ = cKDTree(posed.surface.points).query(deformed)
+    aligned = np.vstack([maps["forearm"](source.forearm.points),
+                         maps["upperarm"](source.upperarm.points)])
+    d, _ = cKDTree(posed.surface.points).query(graph.deform(aligned))
     median_dist = float(np.median(d))
 
-    pts = traj.surface_points
-    fm = pts[:, 0] <= atlas.elbow_axial
-    pre = np.empty_like(pts)
-    if fm.any():
-        pre[fm] = maps["forearm"](pts[fm])
-    if (~fm).any():
-        pre[~fm] = maps["upperarm"](pts[~fm])
-    moved = transfer_trajectory(ScanTrajectory(pre, traj.centerline_indices),
-                                graph, target.forearm, UP)
+    moved = transfer_plan(traj, atlas, maps, graph, target.forearm)
     truth = hinge_points(traj.surface_points, traj.surface_points[:, 0],
-                         template.elbow, angle, 30.0)
+                         template.elbow, angle, cfg.scene.blend_halfwidth)
     diff = moved.surface_points - truth
     rms = float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
     return {"angle": angle, "seed": seed, "median_dist": median_dist,

@@ -122,6 +122,7 @@ class TestConfig:
         ("scan", "width_px", 1025, 1024),
         ("scan", "height_px", 1025, 1024),
         ("scan", "resample_step", 0.001, 0.005),
+        ("registration", "radius", 1.0, 2.0),
     ])
     def test_resource_fields_bounded(self, tmp_path, capsys, section, name, bad, edge):
         # a config cannot ask for a huge template, depth image, frame or
@@ -148,6 +149,16 @@ class TestConfig:
             replace(cfg, seed=-1)
         with pytest.raises(ConfigError, match="scene.elbow_angle"):
             replace(cfg.scene, elbow_angle=90.0)
+        with pytest.raises(ConfigError, match="'seed' must be an integer"):
+            replace(cfg, seed=1.5)
+        with pytest.raises(ConfigError, match="'seed' must be an integer"):
+            replace(cfg, seed=True)
+        with pytest.raises(ConfigError, match="plan.smooth_window"):
+            replace(cfg.plan, smooth_window=3.0)
+        with pytest.raises(ConfigError, match="scene.elbow_angle"):
+            replace(cfg.scene, elbow_angle="140")
+        with pytest.raises(ConfigError, match="seed_spacing"):
+            replace(cfg.extraction, seed_spacing=2.5)
 
 
 def _failing_write(path, graph):
@@ -346,13 +357,31 @@ class TestCli:
          "--report", "r.json"],
         ["extract", "--depth", "d.pgm", "--meta", "m.json", "--spacing", "0",
          "--out", "e"],
-    ], ids=["scan-sigma", "extract-spacing"])
+        ["extract", "--depth", "d.pgm", "--meta", "m.json", "--tl", "nan", "--out", "e"],
+        ["extract", "--depth", "d.pgm", "--meta", "m.json", "--tl", "inf", "--out", "e"],
+        ["extract", "--depth", "d.pgm", "--meta", "m.json", "--td", "nan", "--out", "e"],
+        ["register", "--atlas-forearm", "a.ply", "--atlas-upperarm", "a.ply",
+         "--scene-forearm", "s.ply", "--scene-upperarm", "s.ply",
+         "--joints-atlas", "0,0,0;1,0,0;2,0,0", "--joints-scene", "0,0,0;1,0,0;2,0,0",
+         "--radius", "1", "--out-graph", "g.json"],
+    ], ids=["scan-sigma", "extract-spacing", "extract-tl-nan", "extract-tl-inf",
+            "extract-td-nan", "register-radius"])
     def test_bad_params_flag_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_extract_defaults_match_flags(self, tmp_path, rendered_140):
+        """Flags left out take the ExtractionParams defaults."""
+        argv = ["extract", "--depth", str(rendered_140 / "depth.pgm"),
+                "--meta", str(rendered_140 / "depth_meta.json")]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main(argv + ["--out", str(tmp_path / "b"), "--td", "20000", "--tl", "10",
+                            "--spacing", "3"]) == EXIT_OK
+        for name in ("forearm.ply", "upperarm.ply", "extract_report.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_register_non_ply_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ply"

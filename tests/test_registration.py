@@ -749,7 +749,7 @@ class TestSolve:
         ("welsch_c", 0.0), ("welsch_c", float("nan")), ("welsch_c", float("inf")),
         ("alpha1", -1.0), ("alpha1", float("inf")), ("alpha2", -1.0), ("alpha2", float("nan")),
         ("tol", float("nan")), ("tol", 0.0), ("tol", -1.0), ("tol", float("inf")),
-        ("max_outer", 2.5), ("max_outer", -1)])
+        ("max_outer", 2.5), ("max_outer", -1), ("alpha1", "10"), ("max_outer", True)])
     def test_params_validation(self, field, value):
         with pytest.raises(InvalidParams, match=field):
             SolveParams(**{field: value})

@@ -376,7 +376,8 @@ class TestRunScan:
                 ("sigma", 0.5), ("sigma", 1.0), ("pitch", 0.0), ("max_recenter", -1),
                 ("pitch", np.inf), ("deadband_px", np.nan), ("lateral_bias", np.inf),
                 ("lateral_bias", np.nan), ("resample_step", np.inf), ("max_recenter", 2.5),
-                ("width_px", 256.0), ("height_px", 160.5), ("width_px", True)]:
+                ("width_px", 256.0), ("height_px", 160.5), ("width_px", True),
+                ("sigma", "0.8"), ("lateral_bias", None)]:
             with pytest.raises(InvalidParams, match=field):
                 ScanParams(**{field: value})
 
