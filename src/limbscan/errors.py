@@ -1,5 +1,8 @@
-"""Exception hierarchy of limbscan, and the type check every params class runs."""
+"""Exception hierarchy of limbscan, and the type and range check every
+params class runs."""
+import functools
 import math
+from dataclasses import field
 from numbers import Integral
 
 
@@ -94,9 +97,29 @@ _FIELD_TYPES = {
 }
 
 
+def bounded(default, interval: str):
+    """A dataclass field whose value check_fields holds to interval, written
+    like "(90, 180]" or "[0, inf)"."""
+    return field(default=default, metadata={"range": interval})
+
+
+@functools.cache
+def _endpoints(interval: str) -> tuple[float, float, bool, bool]:
+    """(lo, hi, lo closed, hi closed) of an interval such as "(90, 180]"."""
+    lo, hi = (float(s) for s in interval[1:-1].split(","))
+    return lo, hi, interval[0] == "[", interval[-1] == "]"
+
+
+def _within(value, interval: str) -> bool:
+    lo, hi, lo_closed, hi_closed = _endpoints(interval)
+    return ((lo <= value if lo_closed else lo < value)
+            and (value <= hi if hi_closed else value < hi))
+
+
 def check_fields(cls, values: dict, prefix: str = "") -> None:
     """Raise ConfigError for a key that is not a field of the dataclass cls,
-    or a value not of its field's annotated type. A field annotated with any
+    a value not of its field's annotated type, or a value outside the
+    interval the field declares (see bounded). A field annotated with any
     other name, such as str or a config section, takes an instance of it."""
     fields = cls.__dataclass_fields__
     for name, value in values.items():
@@ -107,3 +130,6 @@ def check_fields(cls, values: dict, prefix: str = "") -> None:
             kind, (lambda v: type(v).__name__ == kind, f"a {kind}"))
         if not accepts(value):
             raise ConfigError(f"field '{prefix}{name}' must be {what}, got {value!r}")
+        interval = fields[name].metadata.get("range")
+        if interval is not None and not _within(value, interval):
+            raise ConfigError(f"field '{prefix}{name}' must be in {interval}, got {value!r}")

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, IndexOutOfRange, InvalidParams, NoEdgeFound,
-                     SeedOffArm, check_fields)
+from .errors import (IndexOutOfRange, InvalidParams, NoEdgeFound, SeedOffArm,
+                     bounded, check_fields)
 from .geometry import PointCloud3
 from .scene import DepthImage
 
@@ -42,16 +42,12 @@ TABLE_MARGIN = 1.0   # mm below the table depth still counted as background
 
 @dataclass(frozen=True)
 class ExtractionParams:
-    depth_jump_threshold: float = 20000.0   # T_d, mm^2
-    continuity_slack: float = 10.0          # T_l, mm
-    seed_spacing: int = 3                   # px along the joint line
+    depth_jump_threshold: float = bounded(20000.0, "(0, inf)")  # T_d, mm^2
+    continuity_slack: float = bounded(10.0, "(0, inf)")         # T_l, mm
+    seed_spacing: int = bounded(3, "[1, inf)")                  # px along the joint line
 
     def __post_init__(self):
         check_fields(type(self), vars(self))
-        if self.depth_jump_threshold <= 0 or self.continuity_slack <= 0:
-            raise ConfigError("thresholds must be positive")
-        if self.seed_spacing < 1:
-            raise ConfigError("seed spacing must be >= 1")
 
 
 @dataclass

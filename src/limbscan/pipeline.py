@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import pointio
-from .errors import ConfigError, LimbscanError, StageError, check_fields
+from .errors import ConfigError, LimbscanError, StageError, bounded, check_fields
 from .extraction import ExtractionParams, JointPixels, extract_arm
 from .geometry import PointCloud3
 from .registration import (ArmObservation, DeformationGraph, SolveParams,
@@ -42,60 +42,45 @@ SWEEP_FIELDS = ("angle", "seed", "status", "trajectory_rms", "radius_global_erro
 
 @dataclass(frozen=True)
 class SceneConfig:
-    elbow_angle: float = 160.0
-    length_forearm: float = 250.0
-    length_upperarm: float = 280.0
-    blend_halfwidth: float = 30.0
-    noise_sigma: float = 0.0
-    render_pitch: float = 1.0
-    camera_height: float = 800.0
+    # the template is only articulable without self-intersection above 90 deg
+    elbow_angle: float = bounded(160.0, "(90, 180]")
+    # the upper bounds keep the template and the depth image a bounded size
+    length_forearm: float = bounded(250.0, "(50, 1000]")
+    length_upperarm: float = bounded(280.0, "(50, 1000]")
+    blend_halfwidth: float = bounded(30.0, "(0, inf)")
+    noise_sigma: float = bounded(0.0, "[0, inf)")
+    render_pitch: float = bounded(1.0, "[0.25, inf)")
+    # depth.pgm stores depth in 16-bit 0.1 mm units, so a table farther than
+    # 6553.5 mm would be clipped to it and the arm lost from the file
+    camera_height: float = bounded(800.0, "(0, 6553.5]")
 
     def __post_init__(self):
         check_fields(type(self), vars(self), "scene.")
-        # the template is only articulable without self-intersection above 90 deg
-        if not (90.0 < self.elbow_angle <= 180.0):
-            raise ConfigError(f"field 'scene.elbow_angle' = {self.elbow_angle} "
-                              "outside valid range (90, 180]")
-        # the upper bounds keep the template and the depth image a bounded size
-        if not (50 < self.length_forearm <= 1000 and 50 < self.length_upperarm <= 1000):
-            raise ConfigError("field 'scene.length_forearm'/'scene.length_upperarm' "
-                              "outside valid range (50, 1000] mm")
-        if not self.blend_halfwidth > 0:
-            raise ConfigError("field 'scene.blend_halfwidth' must be positive")
-        if not self.noise_sigma >= 0:
-            raise ConfigError("field 'scene.noise_sigma' must be >= 0")
-        if not self.render_pitch >= 0.25:
-            raise ConfigError("field 'scene.render_pitch' must be >= 0.25 mm")
-        if not self.camera_height > 0:
-            raise ConfigError("field 'scene.camera_height' must be positive")
 
 
 @dataclass(frozen=True)
 class PlanConfig:
     scan_start_mm: float = 100.0
-    scan_length_mm: float = 70.0
-    smooth_window: int = 5
+    scan_length_mm: float = bounded(70.0, "(0, inf)")
+    smooth_window: int = bounded(5, "[1, inf)")
 
     def __post_init__(self):
         check_fields(type(self), vars(self), "plan.")
-        if not self.scan_length_mm > 0:
-            raise ConfigError("field 'plan.scan_length_mm' must be positive")
-        if self.smooth_window < 1 or self.smooth_window % 2 == 0:
-            raise ConfigError("field 'plan.smooth_window' must be odd and >= 1")
+        if self.smooth_window % 2 == 0:
+            raise ConfigError("field 'plan.smooth_window' must be odd, "
+                              f"got {self.smooth_window!r}")
 
 
 @dataclass(frozen=True)
 class RegistrationConfig:
     alpha1: float = 10.0
     alpha2: float = 100.0
-    radius: float = 15.0
+    # a smaller radius samples more nodes: a 140 deg run peaks at 129 MB at 8 mm, 549 at 2 mm
+    radius: float = bounded(15.0, "[2, inf)")
     tol: float = 1e-5
 
     def __post_init__(self):
         check_fields(type(self), vars(self), "registration.")
-        # a smaller radius samples more nodes: a 140 deg run peaks at 129 MB at 8 mm, 549 at 2 mm
-        if not self.radius >= 2.0:
-            raise ConfigError("field 'registration.radius' must be >= 2 mm")
         self.solve_params()  # SolveParams checks alpha1, alpha2 and tol
 
     def solve_params(self) -> SolveParams:
@@ -104,7 +89,7 @@ class RegistrationConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    seed: int = 0
+    seed: int = bounded(0, "[0, inf)")
     output_dir: str = "out"
     scene: SceneConfig = field(default_factory=SceneConfig)
     extraction: ExtractionParams = field(default_factory=ExtractionParams)
@@ -114,8 +99,6 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_fields(type(self), vars(self))
-        if self.seed < 0:
-            raise ConfigError("field 'seed' must be >= 0")
         margin = 5.0
         start, end = self.plan.scan_start_mm, self.plan.scan_start_mm + self.plan.scan_length_mm
         if not (margin <= start and end <= self.scene.length_forearm - margin):
@@ -139,9 +122,10 @@ def config_from_dict(data: dict) -> PipelineConfig:
         sub = data.get(section, {})
         if not isinstance(sub, dict):
             raise ConfigError(f"section '{section}' must be a mapping")
-        # checked here too, so that a type error names the section
-        check_fields(cls, sub, f"{section}.")
         try:
+            # checked here too, so that an error names the field with its
+            # section, which ExtractionParams and ScanParams do not know
+            check_fields(cls, sub, f"{section}.")
             top[section] = cls(**sub)
         except ConfigError as exc:
             raise ConfigError(f"section '{section}': {exc}") from exc

@@ -15,8 +15,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import dijkstra, reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
-from .errors import (ConfigError, DegenerateSegment, InvalidParams, NonFiniteEnergy,
-                     OutOfBindingReach, check_fields)
+from .errors import (DegenerateSegment, InvalidParams, NonFiniteEnergy,
+                     OutOfBindingReach, bounded, check_fields)
 from .geometry import ObbScale, PointCloud3, RigidTransform, estimate_normals, pca_obb
 from .trajectory import ScanTrajectory
 
@@ -126,22 +126,15 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class SolveParams:
-    alpha1: float = 10.0
-    alpha2: float = 100.0
-    welsch_c: float = 5.0          # mm, robust kernel scale
-    tol: float = 1e-5              # relative energy decrease per outer iteration
-    max_outer: int = 50
-    max_correspondences: int = 3000
+    alpha1: float = bounded(10.0, "[0, inf)")
+    alpha2: float = bounded(100.0, "[0, inf)")
+    welsch_c: float = bounded(5.0, "(0, inf)")   # mm, robust kernel scale
+    tol: float = bounded(1e-5, "(0, inf)")       # relative energy decrease per outer iteration
+    max_outer: int = bounded(50, "[0, inf)")
+    max_correspondences: int = bounded(3000, "[1, inf)")
 
     def __post_init__(self):
         check_fields(type(self), vars(self))
-        for name, low in (("alpha1", 0), ("alpha2", 0), ("max_outer", 0),
-                          ("max_correspondences", 1)):
-            if not getattr(self, name) >= low:
-                raise ConfigError(f"{name} must be >= {low}")
-        for name in ("welsch_c", "tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
 
 
 # ---------------------------------------------------------------- alignment

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, InvalidParams, TooFewFrames, VesselLost, check_fields
+from .errors import InvalidParams, TooFewFrames, VesselLost, bounded, check_fields
 from .geometry import PointCloud3, RigidTransform
 from .scene import ArmTemplate
 from .trajectory import ScanTrajectory
@@ -81,29 +81,19 @@ class RadiusReport:
 
 @dataclass(frozen=True)
 class ScanParams:
-    width_px: int = 256
-    height_px: int = 160
-    pitch: float = 0.1            # mm / px
-    sigma: float = 0.8            # Eq. decay weight, in (0.5, 1)
-    deadband_px: float = 2.0      # no correction below this centroid error
-    lateral_bias: float = 0.0     # injected constant lateral offset, mm
-    max_recenter: int = 2         # re-images after a correction, per station
-    resample_step: float = 0.05   # vessel polyline resampling, mm
+    # the upper bounds on the image size and the lower one on resample_step
+    # keep a frame and the vessel sampler a bounded size
+    width_px: int = bounded(256, "[2, 1024]")
+    height_px: int = bounded(160, "[2, 1024]")
+    pitch: float = bounded(0.1, "(0, inf)")            # mm / px
+    sigma: float = bounded(0.8, "(0.5, 1)")            # Eq. decay weight
+    deadband_px: float = bounded(2.0, "[0, inf)")      # no correction below this centroid error
+    lateral_bias: float = 0.0                          # injected constant lateral offset, mm
+    max_recenter: int = bounded(2, "[0, inf)")         # re-images after a correction, per station
+    resample_step: float = bounded(0.05, "[0.005, inf)")  # vessel polyline resampling, mm
 
     def __post_init__(self):
         check_fields(type(self), vars(self))
-        # the upper bound on the image and the lower one on the polyline step
-        # keep a frame and the vessel sampler a bounded size
-        if not (2 <= self.width_px <= 1024 and 2 <= self.height_px <= 1024):
-            raise ConfigError("width_px and height_px must be in [2, 1024]")
-        if not self.pitch > 0:
-            raise ConfigError("pitch must be positive")
-        if not self.resample_step >= 0.005:
-            raise ConfigError("resample_step must be >= 0.005 mm")
-        if not (0.5 < self.sigma < 1.0):
-            raise ConfigError(f"sigma {self.sigma} outside (0.5, 1)")
-        if self.deadband_px < 0 or self.max_recenter < 0:
-            raise ConfigError("deadband and max_recenter must be >= 0")
 
 
 @dataclass

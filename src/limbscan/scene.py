@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidParams, OutOfFrame
+from .errors import InvalidParams, OutOfFrame, bounded, check_fields
 from .geometry import PointCloud3, RigidTransform
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -72,15 +72,12 @@ class ArmTemplate:
 class ArticulatedPose:
     """Elbow hinge angle plus an optional whole-arm rigid pose."""
 
-    elbow_angle: float
+    elbow_angle: float = field(metadata={"range": "[90, 180]"})
     global_pose: RigidTransform = field(default_factory=RigidTransform.identity)
-    blend_halfwidth: float = 30.0
+    blend_halfwidth: float = bounded(30.0, "(0, inf)")
 
     def __post_init__(self):
-        if not (90.0 <= self.elbow_angle <= 180.0):
-            raise InvalidParams(f"elbow_angle {self.elbow_angle} outside [90, 180]")
-        if self.blend_halfwidth <= 0:
-            raise InvalidParams("blend_halfwidth must be > 0")
+        check_fields(type(self), vars(self))
 
 
 @dataclass

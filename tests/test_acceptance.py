@@ -5,8 +5,14 @@ real terminal (bypassing pytest capture) so the gate is auditable from the
 test log regardless of verbosity settings.
 """
 import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from _util import straight_trajectory
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
+import limbscan
 from limbscan.extraction import ExtractionParams, JointPixels, extract_arm
 from limbscan.flowseg import attention_fuse, dice, predict_mask
 from limbscan.geometry import RigidTransform, fit_rigid, knn
@@ -293,4 +300,36 @@ def test_criterion_8_pipeline_determinism(tmp_path, capsys):
     ok = first == second and len(first) > 10
     _criterion(capsys, "criterion 8 pipeline determinism", ok,
                f"two identical runs, {len(first)} artifacts byte-compared "
-               f"(wall-clock timings.json excluded): identical = {first == second}")
+               f"(wall-clock timings.json excluded; byte-identical for one BLAS "
+               f"build and thread count): identical = {first == second}")
+
+
+def _assert_agree(a, b, path="report"):
+    """Floats agree to 1e-12 relative; every other value is equal."""
+    if isinstance(a, float) or isinstance(b, float):
+        assert math.isclose(a, b, rel_tol=1e-12), f"{path}: {a!r} != {b!r}"
+    elif isinstance(a, (list, dict)):
+        assert type(a) is type(b) and len(a) == len(b), path
+        keys = a.keys() if isinstance(a, dict) else range(len(a))
+        for k in keys:
+            _assert_agree(a[k], b[k], f"{path}[{k!r}]")
+    else:
+        assert a == b, f"{path}: {a!r} != {b!r}"
+
+
+def test_report_agrees_across_blas_threads(tmp_path):
+    """The BLAS thread count changes the order of floating-point sums, so
+    report.json is byte-identical only for one thread count; across counts
+    its numbers agree to rounding."""
+    reports = []
+    for threads in ("1", "2"):
+        env = os.environ | {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                            "MKL_NUM_THREADS": threads,
+                            "PYTHONPATH": str(Path(limbscan.__file__).parents[1])}
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        # the same relative output directory, which report.json records
+        subprocess.run([sys.executable, "-m", "limbscan.cli", "pipeline", "--angle", "140",
+                        "--out", "out"], cwd=work, env=env, check=True, capture_output=True)
+        reports.append(json.loads((work / "out" / "report.json").read_text()))
+    _assert_agree(*reports)

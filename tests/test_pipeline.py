@@ -1,5 +1,6 @@
 """Pipeline config validation, end-to-end run, sweep isolation, CLI exit codes."""
 import contextlib
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -17,12 +18,15 @@ from hypothesis import strategies as st
 from limbscan import pipeline, pointio
 from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from limbscan.errors import ConfigError, InvalidParams, StageError
+from limbscan.extraction import ExtractionParams
 from limbscan.flowseg import predict_mask
 from limbscan.geometry import PointCloud3
-from limbscan.pipeline import (_SECTIONS, STAGES, PipelineConfig, build_scene,
+from limbscan.pipeline import (_SECTIONS, STAGES, PipelineConfig, PlanConfig,
+                               RegistrationConfig, SceneConfig, build_scene,
                                config_from_dict, config_to_dict, load_config,
                                SWEEP_FIELDS, run_pipeline, sweep, write_graph)
-from limbscan.registration import DeformationGraph, build_graph
+from limbscan.registration import DeformationGraph, SolveParams, build_graph
+from limbscan.scan import ScanParams
 from limbscan.scene import ArticulatedPose, articulate
 from limbscan.trajectory import ScanTrajectory, smooth_centerline
 
@@ -102,6 +106,7 @@ class TestConfig:
         ("registration:\n  radius: .inf\n", "registration.radius"),
         ("registration:\n  tol: .nan\n", "registration.tol"),
         ("scene:\n  blend_halfwidth: 0\n", "scene.blend_halfwidth"),
+        ("scene:\n  camera_height: 7000\n", "scene.camera_height"),
     ])
     def test_bad_value_names_field(self, tmp_path, capsys, text, name):
         p = tmp_path / "bad.yaml"
@@ -138,6 +143,62 @@ class TestConfig:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert name in err
         assert not out.exists()
+
+    def test_declared_bounds(self):
+        """Each bounded field's interval, as declared next to its default:
+        a closed endpoint is accepted, an open one and the nearest float
+        outside either endpoint are rejected naming the field."""
+        bounds = {
+            (SceneConfig, "elbow_angle"): "(90, 180]",
+            (SceneConfig, "length_forearm"): "(50, 1000]",
+            (SceneConfig, "length_upperarm"): "(50, 1000]",
+            (SceneConfig, "blend_halfwidth"): "(0, inf)",
+            (SceneConfig, "noise_sigma"): "[0, inf)",
+            (SceneConfig, "render_pitch"): "[0.25, inf)",
+            (SceneConfig, "camera_height"): "(0, 6553.5]",
+            (PlanConfig, "scan_length_mm"): "(0, inf)",
+            (PlanConfig, "smooth_window"): "[1, inf)",
+            (RegistrationConfig, "radius"): "[2, inf)",
+            (PipelineConfig, "seed"): "[0, inf)",
+            (ExtractionParams, "depth_jump_threshold"): "(0, inf)",
+            (ExtractionParams, "continuity_slack"): "(0, inf)",
+            (ExtractionParams, "seed_spacing"): "[1, inf)",
+            (ScanParams, "width_px"): "[2, 1024]",
+            (ScanParams, "height_px"): "[2, 1024]",
+            (ScanParams, "pitch"): "(0, inf)",
+            (ScanParams, "sigma"): "(0.5, 1)",
+            (ScanParams, "deadband_px"): "[0, inf)",
+            (ScanParams, "max_recenter"): "[0, inf)",
+            (ScanParams, "resample_step"): "[0.005, inf)",
+            (SolveParams, "alpha1"): "[0, inf)",
+            (SolveParams, "alpha2"): "[0, inf)",
+            (SolveParams, "welsch_c"): "(0, inf)",
+            (SolveParams, "tol"): "(0, inf)",
+            (SolveParams, "max_outer"): "[0, inf)",
+            (SolveParams, "max_correspondences"): "[1, inf)",
+            (ArticulatedPose, "elbow_angle"): "[90, 180]",
+            (ArticulatedPose, "blend_halfwidth"): "(0, inf)",
+        }
+        declared = {(cls, f.name): f.metadata["range"]
+                    for cls in {cls for cls, _ in bounds}
+                    for f in dataclasses.fields(cls) if "range" in f.metadata}
+        assert declared == bounds
+        for (cls, name), interval in bounds.items():
+            is_int = cls.__dataclass_fields__[name].type == "int"
+            required = {"elbow_angle": 140.0} if cls is ArticulatedPose else {}
+            lo, hi = (float(x) for x in interval[1:-1].split(","))
+            for end, closed, outward in ((lo, interval[0] == "[", -np.inf),
+                                         (hi, interval[-1] == "]", np.inf)):
+                if np.isinf(end):
+                    continue
+                outside = end + np.sign(outward) if is_int else np.nextafter(end, outward)
+                for value, ok in ((end, closed), (outside, False)):
+                    value = int(value) if is_int else float(value)
+                    if ok:
+                        cls(**required | {name: value})
+                    else:
+                        with pytest.raises(ConfigError, match=f"{name}' must be in"):
+                            cls(**required | {name: value})
 
     def test_int_kept_for_float_field(self):
         cfg = config_from_dict({"scene": {"elbow_angle": 140}})
@@ -371,6 +432,18 @@ class TestCli:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--tl", "-1", "continuity_slack"), ("--td", "-1", "depth_jump_threshold"),
+        ("--spacing", "0", "seed_spacing")])
+    def test_range_flag_names_field(self, tmp_path, capsys, monkeypatch, flag, value, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(["extract", "--depth", "d.pgm", "--meta", "m.json", flag, value,
+                     "--out", "e"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field '{name}' must be in ")
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_extract_defaults_match_flags(self, tmp_path, rendered_140):

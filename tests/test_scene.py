@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from limbscan.errors import InvalidParams, OutOfFrame
+from limbscan.errors import ConfigError, InvalidParams, OutOfFrame
 from limbscan.geometry import RigidTransform
 from limbscan.scene import (WIDTH_KNOTS, ArticulatedPose, DepthImage, articulate,
                             default_camera, hinge_points, joint_pixels,
@@ -63,6 +63,8 @@ class TestArticulation:
             ArticulatedPose(180.1)
         with pytest.raises(InvalidParams):
             ArticulatedPose(160.0, blend_halfwidth=0.0)
+        with pytest.raises(ConfigError, match="blend_halfwidth"):
+            ArticulatedPose(140.0, blend_halfwidth=float("nan"))
 
     def test_neutral_pose_is_identity(self, template, atlas):
         np.testing.assert_allclose(atlas.surface.points, template.surface.points,
