@@ -140,10 +140,7 @@ def _cmd_plan(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _, atlas, _ = build_scene(cfg)
     traj = plan_scan(atlas, cfg.plan)
-    rows = np.column_stack([np.arange(len(traj)), traj.centerline_indices,
-                            traj.surface_points])
-    pointio.write_points_csv(out / "atlas_trajectory.csv", rows,
-                             header="index,centerline_index,x,y,z")
+    pointio.write_points_csv(out / "atlas_trajectory.csv", traj.surface_points)
     print(f"trajectory with {len(traj)} points written to {out}")
     return EXIT_OK
 

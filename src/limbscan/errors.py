@@ -43,7 +43,7 @@ class TooFewPoints(LimbscanError):
 
 
 class NoSurfaceAbove(LimbscanError):
-    """No surface point lies in the up half-space of a centerline point."""
+    """No skin plane lies above a centerline point within reach."""
 
 
 class DegenerateSegment(LimbscanError):

@@ -1,6 +1,7 @@
 """Network-free segmentation math: flow-based mask propagation, attention
 fusion of a one-channel map into multi-channel features, dice metric, and the
-horizontal mask centroid used by the centering servo.
+horizontal mask centroid. The centering servo reads `VirtualFrame.centroid`,
+not `mask_centroid`; the tests hold the former to the latter as reference.
 
 Masks are (H, W) arrays with values in {0, 1}; flow fields are (2, H, W)
 with plane 0 the row displacement and plane 1 the column displacement, in

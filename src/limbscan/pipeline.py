@@ -21,7 +21,8 @@ import numpy as np
 import yaml
 
 from . import pointio
-from .errors import ConfigError, LimbscanError, StageError, bounded, check_fields
+from .errors import (ConfigError, InvalidParams, LimbscanError, StageError, bounded,
+                     check_fields)
 from .extraction import ExtractionParams, JointPixels, extract_arm
 from .geometry import PointCloud3
 from .registration import (ArmObservation, DeformationGraph, SolveParams,
@@ -73,15 +74,14 @@ class PlanConfig:
 
 @dataclass(frozen=True)
 class RegistrationConfig:
-    alpha1: float = 10.0
-    alpha2: float = 100.0
+    alpha1: float = bounded(10.0, "[0, inf)")    # the intervals of SolveParams' fields
+    alpha2: float = bounded(100.0, "[0, inf)")
     # a smaller radius samples more nodes: a 140 deg run peaks at 129 MB at 8 mm, 549 at 2 mm
     radius: float = bounded(15.0, "[2, inf)")
-    tol: float = 1e-5
+    tol: float = bounded(1e-5, "(0, inf)")
 
     def __post_init__(self):
         check_fields(type(self), vars(self), "registration.")
-        self.solve_params()  # SolveParams checks alpha1, alpha2 and tol
 
     def solve_params(self) -> SolveParams:
         return SolveParams(alpha1=self.alpha1, alpha2=self.alpha2, tol=self.tol)
@@ -180,6 +180,11 @@ def build_scene(cfg: PipelineConfig) -> tuple[ArmTemplate, ArmTemplate, ArmTempl
 
 def render_scene(posed: ArmTemplate, scene: SceneConfig, seed: int) -> DepthImage:
     """Top-down depth image of the posed scene, noise seeded by the config seed."""
+    # the arm's top depends on its pose, so this bound cannot sit on the config field
+    top = float(posed.surface.points[:, 2].max())
+    if scene.camera_height <= top:
+        raise InvalidParams(f"field 'scene.camera_height' must be above the posed arm's "
+                            f"top at {top:.1f} mm, got {scene.camera_height:g}")
     camera, w, h = default_camera(posed, height=scene.camera_height, pitch=scene.render_pitch)
     return render_depth(posed, camera, w, h, scene.render_pitch,
                         noise_sigma=scene.noise_sigma, noise_seed=seed)

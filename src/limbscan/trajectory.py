@@ -10,6 +10,9 @@ from scipy.spatial import cKDTree
 from .errors import InvalidParams, NoSurfaceAbove, TooFewPoints
 from .geometry import PointCloud3, RigidTransform
 
+# mm across `up` from a centerline point to the skin points whose plane sets its height
+PLANE_REACH = 2.0
+
 
 @dataclass
 class ScanTrajectory:
@@ -51,43 +54,28 @@ def smooth_centerline(raw: np.ndarray, window: int) -> np.ndarray:
 
 def project_trajectory(centerline: np.ndarray, surface: PointCloud3,
                        up: np.ndarray) -> ScanTrajectory:
-    """Project each centerline point to its nearest skin point in the up half-space.
+    """Carry each centerline point straight up onto the skin, one station per point.
 
-    Consecutive duplicates are collapsed, keeping the first occurrence, so a
-    dense centerline over a coarser surface yields strictly advancing points.
+    A station keeps its centerline point's position across `up` and takes the
+    height of the least-squares plane through the surface points above that
+    point within PLANE_REACH mm of it across `up`.
     """
     cl = np.atleast_2d(np.asarray(centerline, dtype=float))
     up_v = np.asarray(up, dtype=float).reshape(3)
     up_v = up_v / np.linalg.norm(up_v)
+    across = np.linalg.svd(up_v[None, :])[2][1:]  # (2, 3) orthonormal, normal to up
     surf = surface.points
-    tree = cKDTree(surf)
-
-    chosen: list[int] = []
-    for i, c in enumerate(cl):
-        # grow the candidate set until one lies strictly above c
-        k = 8
-        best = -1
-        while True:
-            k_eff = min(k, len(surf))
-            d, idx = tree.query(c, k=k_eff)
-            d = np.atleast_1d(d)
-            idx = np.atleast_1d(idx)
-            order = np.lexsort((idx, d))  # deterministic tie-break by index
-            for j in order:
-                if (surf[idx[j]] - c) @ up_v > 0.0:
-                    best = int(idx[j])
-                    break
-            if best >= 0 or k_eff == len(surf):
-                break
-            k *= 4
-        if best < 0:
-            raise NoSurfaceAbove(f"centerline point {i} has no surface point above")
-        chosen.append(best)
-
-    pts, cl_idx = [], []
-    for i, s_idx in enumerate(chosen):
-        if pts and s_idx == chosen[i - 1]:
-            continue
-        pts.append(surf[s_idx])
-        cl_idx.append(i)
-    return ScanTrajectory(np.asarray(pts), np.asarray(cl_idx))
+    near = cKDTree(surf @ across.T).query_ball_point(cl @ across.T, PLANE_REACH)
+    heights = np.empty(len(cl))
+    for i, (c, idx) in enumerate(zip(cl, near)):
+        d = surf[idx] - c
+        h = d @ up_v
+        above = h > 0.0
+        design = np.column_stack([np.ones(above.sum()), d[above] @ across.T])
+        coef, _, rank, _ = np.linalg.lstsq(design, h[above], rcond=None)
+        # coef[0] is the plane's height at the centerline point itself
+        if rank < 3 or coef[0] <= 0.0:
+            raise NoSurfaceAbove(f"centerline point {i} has no skin plane above it "
+                                 f"within {PLANE_REACH} mm")
+        heights[i] = coef[0]
+    return ScanTrajectory(cl + heights[:, None] * up_v, np.arange(len(cl)))

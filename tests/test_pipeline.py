@@ -107,6 +107,9 @@ class TestConfig:
         ("registration:\n  tol: .nan\n", "registration.tol"),
         ("scene:\n  blend_halfwidth: 0\n", "scene.blend_halfwidth"),
         ("scene:\n  camera_height: 7000\n", "scene.camera_height"),
+        ("registration:\n  alpha1: -1\n", "registration.alpha1"),
+        ("registration:\n  alpha2: -1\n", "registration.alpha2"),
+        ("registration:\n  tol: 0\n", "registration.tol"),
     ])
     def test_bad_value_names_field(self, tmp_path, capsys, text, name):
         p = tmp_path / "bad.yaml"
@@ -158,7 +161,10 @@ class TestConfig:
             (SceneConfig, "camera_height"): "(0, 6553.5]",
             (PlanConfig, "scan_length_mm"): "(0, inf)",
             (PlanConfig, "smooth_window"): "[1, inf)",
+            (RegistrationConfig, "alpha1"): "[0, inf)",
+            (RegistrationConfig, "alpha2"): "[0, inf)",
             (RegistrationConfig, "radius"): "[2, inf)",
+            (RegistrationConfig, "tol"): "(0, inf)",
             (PipelineConfig, "seed"): "[0, inf)",
             (ExtractionParams, "depth_jump_threshold"): "(0, inf)",
             (ExtractionParams, "continuity_slack"): "(0, inf)",
@@ -286,6 +292,7 @@ class TestRunPipeline:
         with pytest.raises(StageError) as err:
             run_pipeline(cfg)
         assert err.value.stage == "render"
+        assert "scene.camera_height" in str(err.value)
         # earlier artifacts survive the failure
         assert (tmp_path / "fail" / "atlas_surface.ply").exists()
         assert multiprocessing.active_children() == []
@@ -375,8 +382,9 @@ class TestCli:
 
     def test_plan_command(self, tmp_path):
         assert main(["plan", "--out", str(tmp_path)]) == EXIT_OK
-        body = (tmp_path / "atlas_trajectory.csv").read_text()
-        assert body.startswith("index,centerline_index,x,y,z")
+        lines = (tmp_path / "atlas_trajectory.csv").read_text().splitlines()
+        # the pipeline's plan-stage format: one x,y,z row per centerline point
+        assert lines[0] == "x,y,z" and len(lines) == 1 + 71
 
     def test_invalid_angle_exits_2(self, tmp_path):
         assert main(["scene", "--out", str(tmp_path), "--angle", "90"]) == \
@@ -585,7 +593,9 @@ class TestCli:
         p.write_text("scene:\n  camera_height: 10\n")
         assert main(["pipeline", "--config", str(p),
                      "--out", str(tmp_path / "o")]) == EXIT_STAGE
-        assert capsys.readouterr().err.startswith("error: stage 'render' failed")
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'render' failed") and err.count("\n") == 1
+        assert "scene.camera_height" in err
 
     def test_missing_input_exits_3(self, tmp_path):
         assert main(["extract", "--depth", str(tmp_path / "no.pgm"),

@@ -84,19 +84,26 @@ class TestProjectTrajectory:
         assert np.all(traj.surface_points[:, 2] > 0.0)
         assert np.all(np.diff(traj.centerline_indices) > 0)
 
-    def test_picks_nearest_above(self, rng):
-        # one point directly above, everything else far away
-        pts = np.array([[0.0, 0.0, 1.0], [50.0, 0.0, 1.0], [0.0, 50.0, 1.0],
-                        [0.0, 0.0, -1.0]])
-        traj = project_trajectory(np.zeros((1, 3)), PointCloud3(pts), UP)
-        np.testing.assert_array_equal(traj.surface_points[0], [0.0, 0.0, 1.0])
+    def test_exact_height_on_tilted_plane(self, rng):
+        a, b, c = 5.0, 0.2, -0.15
+        xy = rng.uniform(0.0, 20.0, (400, 2))
+        surf = PointCloud3(np.column_stack([xy, a + xy @ [b, c]]))
+        n = 15
+        cl = np.column_stack([np.linspace(3.0, 17.0, n), rng.uniform(4.0, 16.0, n),
+                              np.full(n, -1.0)])
+        traj = project_trajectory(cl, surf, UP)
+        assert len(traj) == n
+        np.testing.assert_array_equal(traj.centerline_indices, np.arange(n))
+        np.testing.assert_array_equal(traj.surface_points[:, :2], cl[:, :2])
+        np.testing.assert_allclose(traj.surface_points[:, 2], a + cl[:, :2] @ [b, c],
+                                   rtol=0.0, atol=1e-9)
 
-    def test_duplicates_collapsed(self):
-        pts = np.array([[0.0, 0.0, 1.0], [10.0, 0.0, 1.0]])
-        cl = np.column_stack([np.linspace(0.0, 10.0, 9), np.zeros(9), np.zeros(9)])
-        traj = project_trajectory(cl, PointCloud3(pts), UP)
-        assert len(traj) == 2
-        assert traj.centerline_indices[0] == 0
+    def test_too_few_points_within_reach(self):
+        # two skin points over the centerline point, the rest beyond 2 mm
+        pts = np.array([[0.5, 0.0, 1.0], [0.0, 0.5, 1.0], [2.5, 0.0, 1.0],
+                        [0.0, 2.5, 1.0], [-2.5, -2.5, 1.0]])
+        with pytest.raises(NoSurfaceAbove):
+            project_trajectory(np.zeros((1, 3)), PointCloud3(pts), UP)
 
     def test_no_surface_above(self):
         pts = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, -2.0], [0.0, 1.0, -3.0]])
@@ -125,4 +132,4 @@ class TestProjectTrajectory:
         traj = project_trajectory(cl, shell, UP)
         # projected points sit on the skin above the vessel
         assert np.all(traj.surface_points[:, 2] > atlas.centerline.points[0, 2])
-        assert np.max(np.abs(traj.surface_points[:, 1])) < 4.0
+        assert np.max(np.abs(traj.surface_points[:, 1])) <= 0.05
