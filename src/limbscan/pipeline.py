@@ -76,7 +76,7 @@ class PlanConfig:
 class RegistrationConfig:
     alpha1: float = bounded(10.0, "[0, inf)")    # the intervals of SolveParams' fields
     alpha2: float = bounded(100.0, "[0, inf)")
-    # a smaller radius samples more nodes: a 140 deg run peaks at 129 MB at 8 mm, 549 at 2 mm
+    # a smaller radius samples more nodes: a 140 deg run peaks at 115 MB at 8 mm, 460 at 2 mm
     radius: float = bounded(15.0, "[2, inf)")
     tol: float = bounded(1e-5, "(0, inf)")
 
@@ -186,8 +186,15 @@ def render_scene(posed: ArmTemplate, scene: SceneConfig, seed: int) -> DepthImag
         raise InvalidParams(f"field 'scene.camera_height' must be above the posed arm's "
                             f"top at {top:.1f} mm, got {scene.camera_height:g}")
     camera, w, h = default_camera(posed, height=scene.camera_height, pitch=scene.render_pitch)
-    return render_depth(posed, camera, w, h, scene.render_pitch,
-                        noise_sigma=scene.noise_sigma, noise_seed=seed)
+    img = render_depth(posed, camera, w, h, scene.render_pitch,
+                       noise_sigma=scene.noise_sigma, noise_seed=seed)
+    # depth.pgm stores (0, 6553.5] mm, like camera_height's bound; only noise
+    # can take a depth outside it, and one outside would be clipped in the file
+    if not np.all((img.depth > 0) & (img.depth <= 65535 / pointio.DEPTH_SCALE)):
+        raise InvalidParams(f"field 'scene.noise_sigma' must keep every depth in "
+                            f"(0, 6553.5] mm, which depth.pgm stores, "
+                            f"got {scene.noise_sigma:g}")
+    return img
 
 
 def plan_scan(atlas: ArmTemplate, plan: PlanConfig) -> ScanTrajectory:

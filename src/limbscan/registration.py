@@ -349,17 +349,34 @@ def _edges(graph: DeformationGraph) -> tuple[np.ndarray, np.ndarray]:
 _GROUP = np.array([[0, 1, 2, 9], [3, 4, 5, 10], [6, 7, 8, 11]])
 
 
+def _columns(x: np.ndarray) -> np.ndarray:
+    """Z(x), (4m, 3): column a of node n's 4 x 3 block holds the unknowns
+    _GROUP[a] of node n, (A[a, 0], A[a, 1], A[a, 2], t[a])."""
+    y = x.reshape(-1, 12)
+    return np.concatenate([_affines(x).transpose(0, 2, 1), y[:, None, 9:]],
+                          axis=1).reshape(-1, 3)
+
+
+def _uncolumns(z: np.ndarray) -> np.ndarray:
+    """The packed unknowns (see _pack) of z in Z's (4m, 3) layout; the
+    inverse of _columns."""
+    z = z.reshape(-1, 4, 3)
+    return np.concatenate([z[:, :3].transpose(0, 2, 1).reshape(-1, 9), z[:, 3]],
+                          axis=1).ravel()
+
+
 class _ResidualMap:
     """The residuals of one solve as functions of the packed unknowns x
     (see _pack).
 
     Deformed correspondences and edge residuals are affine in x, and the
     bindings, the correspondence subset and the edges never change within a
-    solve, so they are one fixed sparse map: stacked and raveled, they are
-    M @ x + c. In coordinate a, a row's entries at a slot node are a 4-vector
-    u over _GROUP[a]: the binding weight times (vertex - node) and the
-    weight for an alignment row, (g_j - g_i, 1) at node i and (0, -1) at
-    node j for edge (i, j). Only the per-node rigidity blocks are nonlinear.
+    solve, so they are one fixed sparse map: stacked, they are
+    U @ Z(x) + c (see _columns). Each coordinate of a residual has the same
+    coefficients, so U has one row per residual and four columns per node:
+    at a slot node, the binding weight times (vertex - node) and the weight
+    for an alignment row, (g_j - g_i, 1) at node i and (0, -1) at node j for
+    edge (i, j). Only the per-node rigidity blocks are nonlinear.
     """
 
     def __init__(self, graph: DeformationGraph, verts: np.ndarray, corr_idx: np.ndarray):
@@ -382,13 +399,11 @@ class _ResidualMap:
         u[q:, 1, 3] = -1.0
 
         r, k = np.nonzero(nodes >= 0)
+        # from COO, so each row lists its nodes in ascending order, as does Z
         self.matrix = sp.csr_matrix(
-            (np.repeat(u[r, k, None, :], 3, axis=1).ravel(),
-             (np.repeat(3 * r[:, None] + np.arange(3), 4, axis=1).ravel(),
-              (12 * nodes[r, k, None, None] + _GROUP).ravel())),
-            shape=(3 * len(nodes), 12 * graph.n_nodes))
-        self.offset = np.concatenate([np.einsum("qk,qki->qi", bw, g[bi]),
-                                      g[ei] - g[ej]]).ravel()
+            (u[r, k].ravel(), (np.repeat(r, 4), (4 * nodes[r, k, None] + np.arange(4)).ravel())),
+            shape=(len(nodes), 4 * graph.n_nodes))
+        self.offset = np.concatenate([np.einsum("qk,qki->qi", bw, g[bi]), g[ei] - g[ej]])
         self.q = q
 
     def __call__(self, x: np.ndarray):
@@ -396,7 +411,7 @@ class _ResidualMap:
         r_det (m,)) at x: an edge's predicted minus actual neighbour
         position, A^T A - I and det(A) - 1. The alignment residual is the
         deformed correspondences minus their targets."""
-        mapped = (self.matrix @ x + self.offset).reshape(-1, 3)
+        mapped = self.matrix @ _columns(x) + self.offset
         A = _affines(x)
         ata = np.einsum("nij,nik->njk", A, A)
         return (mapped[:self.q], mapped[self.q:],
@@ -448,12 +463,13 @@ class _BandedNormalEquations:
     banded storage under a reverse Cuthill-McKee order of H's 12 x 12
     node-pair blocks.
 
-    The alignment and edge rows of J are the solve's fixed residual map M,
+    The alignment and edge rows of J are the solve's fixed residual map U,
     each times the square root of the row's weight: the Welsch IRLS weight
     exp(-|r|^2 / c^2) for alignment (frozen per step, so the step descends
-    the robust energy), alpha1 for edges. That part of H is M^T diag(w) M;
-    the per-node rigidity blocks come from A. The order and the bandwidth
-    come from the pattern of M^T M plus those blocks.
+    the robust energy), alpha1 for edges. That part of H is U^T diag(w) U
+    in each coordinate a, at the unknowns _GROUP[a] of each node; the
+    per-node rigidity blocks come from A. The order comes from the nodes
+    that share a residual, plus each node with itself.
 
     H is factored by banded Cholesky on the first step of a solve, and
     later steps reuse that factor across outer iterations: each solves
@@ -466,24 +482,26 @@ class _BandedNormalEquations:
     """
 
     def __init__(self, residual_map: _ResidualMap):
-        self.matrix = residual_map.matrix
-        # M^T in rows, for the gradient of every step
-        self.matrix_t = self.matrix.T.tocsr()
-        self.n = n = self.matrix.shape[1]
-        m = n // 12
-        # H's pattern, counting M's explicit zeros: M^T M and each node's
-        # 9 x 9 affine block (rigidity)
-        ones = self.matrix.copy()
-        ones.data[:] = 1.0
-        pattern = (ones.T @ ones + sp.kron(sp.identity(m), np.pad(np.ones((9, 9)), (0, 3)))
-                   ).tocoo()
-        adj = sp.csr_matrix((np.ones(pattern.nnz), (pattern.row // 12, pattern.col // 12)),
-                            shape=(m, m))
+        self.matrix = u = residual_map.matrix
+        # U^T in rows, each listing its residuals in ascending order: the
+        # gradient of every step, and the left factor of U^T W U
+        self.matrix_t = u.T.tocsr()
+        m = u.shape[1] // 4
+        self.n = n = 12 * m
+        # nodes that share a residual, and each node with itself (rigidity),
+        # in canonical CSR: the RCM order breaks ties by index order
+        slots = sp.csr_matrix((np.ones(u.nnz), u.indices // 4, u.indptr), shape=(u.shape[0], m))
+        adj = (slots.T @ slots + sp.identity(m)).tocsr()
+        adj.sum_duplicates()
         order = reverse_cuthill_mckee(adj, symmetric_mode=True)
         self.perm = (12 * order[:, None] + np.arange(12)).ravel()
         self.pos = np.empty(n, dtype=int)
         self.pos[self.perm] = np.arange(n)
-        self.bandwidth = int(np.max(self.pos[pattern.row] - self.pos[pattern.col]))
+        # a residual at nodes i and j couples every unknown of _GROUP[0] at
+        # i with every one at j, the farthest apart being A[0, 0] and t[0]: 9
+        rank = self.pos[::12] // 12
+        adj = adj.tocoo()
+        self.bandwidth = 12 * int(np.max(rank[adj.row] - rank[adj.col])) + 9
         self.factor = None
 
     def step(self, blocks, affines: np.ndarray, params: SolveParams,
@@ -497,7 +515,7 @@ class _BandedNormalEquations:
         weight = np.concatenate([np.exp(-np.sum(r_ali ** 2, axis=1) / params.welsch_c ** 2),
                                  np.full(len(r_reg), params.alpha1)])
         res = np.concatenate([r_ali, r_reg])
-        grad = self.matrix_t @ (weight[:, None] * res).ravel()
+        grad = _uncolumns(self.matrix_t @ (weight[:, None] * res))
 
         j_rot, j_det = _rigidity_jacobians(affines)
         grad.reshape(m, 12)[:, :9] += params.alpha2 * (
@@ -505,21 +523,35 @@ class _BandedNormalEquations:
 
         if fresh:
             self.factor = None  # free the old factor before the new band exists
-            h_rot = np.zeros((m, 12, 12))
-            # a huge alpha2 overflows to inf, which cholesky_banded rejects
+            # U^T (W U) sums each entry's terms u_rj (w_r u_rk) over its
+            # residuals in ascending order, the terms and order of the
+            # 3R x 12m form; W scales a copy of U's data because a product
+            # with sp.diags would list the rows in another order
+            wu = self.matrix.copy()
+            # a huge alpha1 or alpha2 overflows to inf, which cholesky_banded
+            # rejects
             with np.errstate(over="ignore"):
-                h_rot[:, :9, :9] = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
-                                                    + j_det[:, :, None] * j_det[:, None, :])
-            h = (self.matrix.T @ sp.diags(np.repeat(weight, 3)) @ self.matrix
-                 + sp.bsr_matrix((h_rot, np.arange(m), np.arange(m + 1)),
-                                 shape=(self.n, self.n))).tocoo()
-            r, c = self.pos[h.row], self.pos[h.col]
-            lower = r >= c
+                wu.data *= np.repeat(weight, np.diff(wu.indptr))
+                h_rot = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
+                                         + j_det[:, :, None] * j_det[:, None, :])
+            h = (self.matrix_t @ wu).tocoo()
+            del wu
             # band entry (d, c) sits at c * (bw + 1) + d of a Fortran-ordered
             # (bw + 1, n) array, the layout LAPACK factors in place
             flat = np.zeros(self.n * (self.bandwidth + 1))
-            flat[c[lower] * (self.bandwidth + 1) + (r - c)[lower]] = h.data[lower]
+            j_node, j_col = np.divmod(h.row, 4)
+            k_node, k_col = np.divmod(h.col, 4)
+            for group in _GROUP:
+                # entry (j, k) of U^T W U is H's entry (k, j) in each group
+                r = self.pos[12 * k_node + group[k_col]]
+                c = self.pos[12 * j_node + group[j_col]]
+                lower = r >= c
+                flat[c[lower] * (self.bandwidth + 1) + (r - c)[lower]] = h.data[lower]
             band = flat.reshape(self.n, self.bandwidth + 1).T
+            # only each rigidity block's 9 x 9 affine part: its translation
+            # rows would reach past the band
+            i, j = np.tril_indices(9)
+            band[i - j, self.pos[::12, None] + j] += h_rot[:, i, j]
             band[0] += LEVENBERG * max(band[0].max(), 1.0)
             try:
                 self.factor = cholesky_banded(band, overwrite_ab=True, lower=True)

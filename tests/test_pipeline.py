@@ -597,6 +597,17 @@ class TestCli:
         assert err.startswith("error: stage 'render' failed") and err.count("\n") == 1
         assert "scene.camera_height" in err
 
+    def test_unstorable_noise_exits_3_in_render(self, tmp_path, capsys):
+        # noise this large makes depths depth.pgm cannot store
+        p = tmp_path / "c.yaml"
+        p.write_text("scene: {noise_sigma: 1.0e+300}\n")
+        assert main(["pipeline", "--config", str(p), "--angle", "140",
+                     "--out", str(tmp_path / "o")]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'render' failed") and err.count("\n") == 1
+        assert "scene.noise_sigma" in err
+        assert not (tmp_path / "o" / "depth.pgm").exists()
+
     def test_missing_input_exits_3(self, tmp_path):
         assert main(["extract", "--depth", str(tmp_path / "no.pgm"),
                      "--meta", str(tmp_path / "no.json"),

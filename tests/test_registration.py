@@ -1,11 +1,13 @@
 """Non-rigid registration: alignment, deformation graph, energy, solver."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import dijkstra, reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
 from limbscan import registration
@@ -473,6 +475,20 @@ class TestResidualMap:
             r_rot, [(A.T @ A - np.eye(3)).ravel() for A in g.affines], rtol=0, atol=1e-12)
         np.testing.assert_allclose(r_det, np.linalg.det(g.affines) - 1.0, rtol=0, atol=1e-12)
 
+    def test_expanded_map_is_its_jacobian(self, rng):
+        # the map is affine in x, so a unit complex step reads each column
+        # of its Jacobian exactly
+        g, pts, _ = _perturbed_graph(rng, n=200)
+        residual_map = _ResidualMap(g, pts, np.arange(0, 200, 3))
+        x = _pack(g)
+        jac = np.empty((3 * residual_map.matrix.shape[0], x.size))
+        for c in range(x.size):
+            xc = x.astype(complex)
+            xc[c] += 1j
+            deformed, r_reg, *_ = residual_map(xc)
+            jac[:, c] = np.concatenate([deformed, r_reg]).imag.ravel()
+        assert np.array_equal(_expanded(residual_map.matrix).toarray(), jac)
+
     def test_rejects_vertex_count_other_than_bound(self, rng):
         g, pts, target = _perturbed_graph(rng)
         for verts in (pts[:100], np.vstack([pts, pts[:1]])):
@@ -530,33 +546,162 @@ def _einsum_jacobians(affines):
     return j_rot, j_det
 
 
+def _expanded(u):
+    """The 3R x 12m map M over the packed unknowns that U stands for: row
+    3r + a holds U's row r at the unknowns _GROUP[a] of each node, so
+    M @ x is (U @ Z(x)).ravel()."""
+    coo = u.tocoo()
+    node, col = np.divmod(coo.col, 4)
+    rows = 3 * coo.row[:, None] + np.arange(3)
+    cols = 12 * node[:, None] + registration._GROUP.T[col]
+    return sp.csr_matrix((np.repeat(coo.data, 3), (rows.ravel(), cols.ravel())),
+                         shape=(3 * u.shape[0], 3 * u.shape[1]))
+
+
+def _pattern_order(matrix):
+    """RCM order and bandwidth from H's 12m-wide pattern: M^T M, counting
+    M's explicit zeros, plus each node's 9 x 9 affine block."""
+    n = matrix.shape[1]
+    m = n // 12
+    ones = matrix.copy()
+    ones.data[:] = 1.0
+    pattern = (ones.T @ ones + sp.kron(sp.identity(m), np.pad(np.ones((9, 9)), (0, 3)))
+               ).tocoo()
+    adj = sp.csr_matrix((np.ones(pattern.nnz), (pattern.row // 12, pattern.col // 12)),
+                        shape=(m, m))
+    order = reverse_cuthill_mckee(adj, symmetric_mode=True)
+    perm = (12 * order[:, None] + np.arange(12)).ravel()
+    pos = np.empty(n, dtype=int)
+    pos[perm] = np.arange(n)
+    return perm, int(np.max(pos[pattern.row] - pos[pattern.col]))
+
+
+def _reference_band(matrix, normal, weight, h_rot):
+    """Undamped H in lower band storage as M^T diag(w) M plus each node's
+    rigidity block padded to 12 x 12, summed as sparse matrices."""
+    m = len(h_rot)
+    h_rot = np.pad(h_rot, ((0, 0), (0, 3), (0, 3)))
+    h = (matrix.T @ sp.diags(np.repeat(weight, 3)) @ matrix
+         + sp.bsr_matrix((h_rot, np.arange(m), np.arange(m + 1)),
+                         shape=(normal.n, normal.n))).tocoo()
+    r, c = normal.pos[h.row], normal.pos[h.col]
+    lower = r >= c
+    band = np.zeros((normal.bandwidth + 1, normal.n))
+    band[(r - c)[lower], c[lower]] = h.data[lower]
+    return band
+
+
+def _weights(blocks, params):
+    r_ali, r_reg = blocks[:2]
+    return np.concatenate([np.exp(-np.sum(r_ali ** 2, axis=1) / params.welsch_c ** 2),
+                           np.full(len(r_reg), params.alpha1)])
+
+
 def _einsum_step(normal, blocks, affines, params, fresh):
     """_BandedNormalEquations.step with the einsum Jacobians and the
-    gradient through the transposed view of M."""
+    gradient and H through the 3R x 12m map M."""
     r_ali, r_reg, r_rot, r_det = blocks
     m = len(affines)
-    weight = np.concatenate([np.exp(-np.sum(r_ali ** 2, axis=1) / params.welsch_c ** 2),
-                             np.full(len(r_reg), params.alpha1)])
-    grad = normal.matrix.T @ (weight[:, None] * np.concatenate([r_ali, r_reg])).ravel()
+    matrix = _expanded(normal.matrix)
+    weight = _weights(blocks, params)
+    grad = matrix.T @ (weight[:, None] * np.concatenate([r_ali, r_reg])).ravel()
     j_rot, j_det = _einsum_jacobians(affines)
     grad.reshape(m, 12)[:, :9] += params.alpha2 * (
         np.einsum("nri,nr->ni", j_rot, r_rot) + j_det * r_det[:, None])
     if fresh:
-        h_rot = np.zeros((m, 12, 12))
-        h_rot[:, :9, :9] = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
-                                            + j_det[:, :, None] * j_det[:, None, :])
-        h = (normal.matrix.T @ registration.sp.diags(np.repeat(weight, 3)) @ normal.matrix
-             + registration.sp.bsr_matrix((h_rot, np.arange(m), np.arange(m + 1)),
-                                          shape=(normal.n, normal.n))).tocoo()
-        r, c = normal.pos[h.row], normal.pos[h.col]
-        lower = r >= c
-        band = np.zeros((normal.bandwidth + 1, normal.n))
-        band[(r - c)[lower], c[lower]] = h.data[lower]
+        h_rot = params.alpha2 * (np.einsum("nri,nrj->nij", j_rot, j_rot)
+                                 + j_det[:, :, None] * j_det[:, None, :])
+        band = _reference_band(matrix, normal, weight, h_rot)
         band[0] += registration.LEVENBERG * max(band[0].max(), 1.0)
         normal.factor = cholesky_banded(band, lower=True)
     delta = np.empty(normal.n)
     delta[normal.perm] = cho_solve_banded((normal.factor, True), -grad[normal.perm])
     return delta
+
+
+@pytest.fixture(scope="module")
+def aligned_140(atlas, scene_cache):
+    """The atlas aligned to the 140 deg scene, and the scene's points: the
+    source and target of the pipeline's solve."""
+    posed, _, seg = scene_cache(140.0)
+    target = ArmObservation(seg.forearm, seg.upperarm, posed.wrist, posed.elbow, posed.shoulder)
+    aligned = initial_align(_observation(atlas), target)[0]
+    return aligned.union_points(), target.union_points()
+
+
+def _solve_inputs(aligned_140, radius):
+    """The pipeline's graph, vertices, correspondence subset and opening
+    targets at this radius."""
+    verts, tgt = aligned_140
+    corr = np.arange(0, len(verts), max(1, len(verts) // SolveParams().max_correspondences))
+    targets = tgt[cKDTree(tgt).query(verts[corr])[1]]
+    return build_graph(verts, radius), verts, corr, targets
+
+
+class TestFourColumnForm:
+    """The R x 4m map U gives bit-equal results to the 3R x 12m map M."""
+
+    @pytest.fixture(params=["radius-15", "radius-8", "one-node"])
+    def case(self, request, rng, aligned_140):
+        if request.param == "one-node":
+            verts = rng.uniform(0.0, 1.0, (20, 3))
+            g, corr = build_graph(verts, radius=5.0), np.arange(20)
+            targets = verts + rng.normal(scale=0.3, size=verts.shape)
+            assert g.n_nodes == 1
+        else:
+            g, verts, corr, targets = _solve_inputs(aligned_140, float(request.param[7:]))
+        g.affines = g.affines + rng.normal(scale=0.05, size=g.affines.shape)
+        g.translations = rng.normal(scale=0.5, size=g.translations.shape)
+        return g, verts, corr, targets
+
+    def test_bit_equal_to_expanded_map(self, case, monkeypatch):
+        g, verts, corr, targets = case
+        residual_map = _ResidualMap(g, verts, corr)
+        u, x = residual_map.matrix, _pack(g)
+        matrix = _expanded(u)
+        assert u.nnz * 3 == matrix.nnz
+        assert np.array_equal((u @ registration._columns(x)).ravel(), matrix @ x)
+
+        params = SolveParams()
+        blocks = _blocks(residual_map, x, targets)
+        weight = _weights(blocks, params)
+        v = weight[:, None] * np.concatenate(blocks[:2])
+        normal = _BandedNormalEquations(residual_map)
+        assert np.array_equal(registration._uncolumns(normal.matrix_t @ v),
+                              matrix.T @ v.ravel())
+
+        perm, bandwidth = _pattern_order(matrix)
+        assert np.array_equal(normal.perm, perm)
+        assert normal.bandwidth == bandwidth
+
+        bands = []
+        monkeypatch.setattr(registration, "cholesky_banded",
+                            lambda band, **kw: bands.append(band.copy())
+                            or cholesky_banded(band, **kw))
+        normal.step(blocks, g.affines, params, fresh=True)
+        j_rot, j_det = _rigidity_jacobians(g.affines)
+        expected = _reference_band(matrix, normal, weight, params.alpha2 * (
+            np.einsum("nri,nrj->nij", j_rot, j_rot) + j_det[:, :, None] * j_det[:, None, :]))
+        expected[0] += registration.LEVENBERG * max(expected[0].max(), 1.0)
+        assert np.array_equal(bands[0], expected)
+
+    def test_setup_and_first_step_peak_memory(self, aligned_140):
+        # declared before measuring: the band itself plus 20 MiB for U, U^T,
+        # U^T W U and the band's index arrays
+        g, verts, corr, targets = _solve_inputs(aligned_140, 8.0)
+        tracemalloc.start()
+        try:
+            residual_map = _ResidualMap(g, verts, corr)
+            normal = _BandedNormalEquations(residual_map)
+            x = _pack(g)
+            normal.step(_blocks(residual_map, x, targets), _affines(x), SolveParams(),
+                        fresh=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band_bytes = 8 * normal.n * (normal.bandwidth + 1)
+        print(f"peak {peak / 2**20:.2f} MiB, band {band_bytes / 2**20:.2f} MiB")
+        assert peak <= band_bytes + 20 * 2**20
 
 
 class TestStepKernels:
