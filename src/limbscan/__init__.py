@@ -2,7 +2,7 @@
 
 Synthetic atlas generation, depth rendering, adaptive surface extraction,
 trajectory planning, non-rigid registration via embedded deformation graphs,
-flow-based mask propagation, and a closed-loop scan simulation.
+and a closed-loop scan simulation.
 """
 from .errors import LimbscanError
 from .geometry import PointCloud3, RigidTransform, fit_rigid, knn, pca_obb
@@ -12,7 +12,6 @@ from .trajectory import ScanTrajectory, project_trajectory, smooth_centerline
 from .registration import (ArmObservation, DeformationGraph, SolveParams,
                            build_graph, energy, initial_align, solve,
                            transfer_trajectory)
-from .flowseg import attention_fuse, dice, dice_loss, mask_centroid, predict_mask
 from .scan import (ScanParams, VirtualFrame, image_slice, radius_report,
                    reconstruct, run_scan)
 from .pipeline import PipelineConfig, load_config, run_pipeline, sweep
@@ -25,8 +24,7 @@ __all__ = [
     "ExtractionParams", "JointPixels", "extract_arm", "ScanTrajectory",
     "project_trajectory", "smooth_centerline", "ArmObservation",
     "DeformationGraph", "SolveParams", "build_graph", "energy",
-    "initial_align", "solve", "transfer_trajectory", "attention_fuse", "dice",
-    "dice_loss", "mask_centroid", "predict_mask", "ScanParams", "VirtualFrame",
-    "image_slice", "radius_report", "reconstruct", "run_scan",
+    "initial_align", "solve", "transfer_trajectory", "ScanParams",
+    "VirtualFrame", "image_slice", "radius_report", "reconstruct", "run_scan",
     "PipelineConfig", "load_config", "run_pipeline", "sweep",
 ]

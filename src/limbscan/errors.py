@@ -58,14 +58,6 @@ class OutOfBindingReach(LimbscanError):
     """A point is farther than the binding reach from every graph node."""
 
 
-class DimensionMismatch(LimbscanError):
-    pass
-
-
-class EmptyMask(LimbscanError):
-    """A binary mask has no foreground pixels (lost target)."""
-
-
 class VesselLost(LimbscanError):
     """A virtual frame contains no vessel cross-section."""
 

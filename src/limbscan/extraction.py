@@ -160,7 +160,8 @@ def extract_segment(img: DepthImage, joint_a: tuple[int, int], joint_b: tuple[in
 
 
 def _fill_pixels(img: DepthImage, seeds: list[SeedSearchResult]) -> np.ndarray:
-    """Pixels strictly between the left and right edge of every seed line."""
+    """Arm pixels strictly between the left and right edge of every seed
+    line; a line slanted to the pixel grid can round onto the table."""
     start = np.repeat(np.array([s.seed for s in seeds], dtype=float).reshape(-1, 2), 2, axis=0)
     vec = np.array([e for s in seeds for e in (s.edge_left, s.edge_right)],
                    dtype=float).reshape(-1, 2) - start
@@ -171,7 +172,8 @@ def _fill_pixels(img: DepthImage, seeds: list[SeedSearchResult]) -> np.ndarray:
     # t = 0 .. n - 1 along each line excludes the edge pixel itself
     t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
     p = np.repeat(start, n, axis=0) + t[:, None] * np.repeat(vec / n[:, None], n, axis=0)
-    return np.unique(np.rint(p).astype(int), axis=0)
+    px = np.unique(np.rint(p).astype(int), axis=0)
+    return px[img.depth[px[:, 0], px[:, 1]] < img.table_depth - TABLE_MARGIN]
 
 
 def extract_arm(img: DepthImage, joints: JointPixels,

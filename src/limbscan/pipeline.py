@@ -297,7 +297,6 @@ def _run_stages(cfg: PipelineConfig, out: Path,
     """The stages of run_pipeline, each artifact write submitted to writer;
     returns once every write is done, raising the first failed one."""
     timings: dict[str, float] = {}
-    completed: list[str] = []
     pending = []
 
     def write(fn, *args):
@@ -317,7 +316,6 @@ def _run_stages(cfg: PipelineConfig, out: Path,
         except LimbscanError as exc:
             raise StageError(name, exc) from exc
         timings[name] = time.perf_counter() - t0
-        completed.append(name)
 
     with stage("scene"):
         template, atlas, posed = build_scene(cfg)
@@ -372,7 +370,7 @@ def _run_stages(cfg: PipelineConfig, out: Path,
             radius_global_error=radii.global_error,
             correction_count=len(scan_result.corrections),
             vessel_lost_count=scan_result.vessel_lost_count,
-            stages_completed=list(completed) + ["report"],
+            stages_completed=list(STAGES),
         )
 
     t0 = time.perf_counter()

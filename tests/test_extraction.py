@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from limbscan.errors import (IndexOutOfRange, InvalidParams, NoEdgeFound,
                              SeedOffArm)
-from limbscan.extraction import (ExtractionParams, JointPixels, SeedSearchResult,
-                                 depth_feature, extract_arm, extract_segment)
+from limbscan.extraction import (TABLE_MARGIN, ExtractionParams, JointPixels,
+                                 SeedSearchResult, depth_feature, extract_arm,
+                                 extract_segment)
 from limbscan.geometry import RigidTransform
 from limbscan.scene import (ArticulatedPose, DepthImage, articulate, default_camera,
                             joint_pixels, render_depth)
@@ -142,6 +143,22 @@ class TestExtractArm:
                 assert cur.half_width_left <= prev.half_width_left + slack + 1e-9
                 assert cur.half_width_right <= prev.half_width_right + slack + 1e-9
 
+    @pytest.mark.parametrize("yaw", [5.0, 15.0, 30.0, 60.0])
+    def test_no_table_pixels_in_yawed_arm(self, template, yaw):
+        # seed lines slanted to the pixel grid round onto the table next to
+        # an edge: 2 to 29 such pixels at these yaws unless they are dropped
+        c, s = np.cos(np.radians(yaw)), np.sin(np.radians(yaw))
+        rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        posed = articulate(template, ArticulatedPose(
+            140.0, global_pose=RigidTransform(rz, np.zeros(3))))
+        cam, w, h = default_camera(posed)
+        img = render_depth(posed, cam, w, h, 1.0)
+        jp = joint_pixels(img, posed)
+        seg = extract_arm(img, JointPixels(jp["wrist"], jp["elbow"], jp["shoulder"]))
+        for px in (seg.forearm_pixels, seg.upperarm_pixels):
+            assert len(px) > 2000
+            assert np.all(img.depth[px[:, 0], px[:, 1]] < img.table_depth - TABLE_MARGIN)
+
 
 # ------------------------------------------------------------ reference march
 # The one-pixel-per-iteration search that the array march in extraction.py
@@ -189,7 +206,7 @@ def _loop_segment(img, joint_a, joint_b, params):
     return results
 
 
-def _loop_fill(seeds):
+def _loop_fill(img, seeds):
     rows, cols = [], []
     for s in seeds:
         seed = np.asarray(s.seed, dtype=float)
@@ -202,8 +219,10 @@ def _loop_fill(seeds):
             step = vec / n
             for t in range(n):
                 p = seed + t * step
-                rows.append(int(round(p[0])))
-                cols.append(int(round(p[1])))
+                r, c = int(round(p[0])), int(round(p[1]))
+                if img.depth[r, c] < img.table_depth - 1.0:
+                    rows.append(r)
+                    cols.append(c)
     if not rows:
         return np.empty((0, 2), dtype=int)
     return np.unique(np.stack([rows, cols], axis=1), axis=0)
@@ -212,7 +231,7 @@ def _loop_fill(seeds):
 def _loop_extract(img, joints, params):
     fore_seeds = _loop_segment(img, joints.wrist, joints.elbow, params)
     upper_seeds = _loop_segment(img, joints.elbow, joints.shoulder, params)
-    fore_px, upper_px = _loop_fill(fore_seeds), _loop_fill(upper_seeds)
+    fore_px, upper_px = _loop_fill(img, fore_seeds), _loop_fill(img, upper_seeds)
     if len(fore_px) and len(upper_px):
         fore_set = set(map(tuple, fore_px))
         upper_px = upper_px[np.array([tuple(p) not in fore_set for p in upper_px], dtype=bool)]

@@ -19,7 +19,6 @@ from limbscan import pipeline, pointio
 from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from limbscan.errors import ConfigError, InvalidParams, StageError
 from limbscan.extraction import ExtractionParams
-from limbscan.flowseg import predict_mask
 from limbscan.geometry import PointCloud3
 from limbscan.pipeline import (_SECTIONS, STAGES, PipelineConfig, PlanConfig,
                                RegistrationConfig, SceneConfig, build_scene,
@@ -279,6 +278,17 @@ class TestRunPipeline:
         assert report.vessel_lost_count == 0
         h = report.registration_history
         assert all(b <= a + 1e-12 for a, b in zip(h, h[1:]))
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_noisy_depth_meets_criteria_bounds(self, tmp_path, sigma):
+        # the bounds of acceptance criteria 1 (trajectory) and 2 (radius)
+        cfg = config_from_dict({"output_dir": str(tmp_path), "seed": 0,
+                                "scene": {"elbow_angle": 140.0, "noise_sigma": sigma}})
+        report = run_pipeline(cfg)
+        assert report.trajectory_rms <= 2.0
+        assert report.vessel_lost_count == 0
+        assert report.radius_global_error <= 0.06
+        assert max(s[3] for s in report.radius_segments) <= 0.13
 
     def test_report_json_matches_report(self, pipeline_run):
         out, report = pipeline_run
@@ -698,11 +708,8 @@ class TestCli:
     lambda d: smooth_centerline(np.zeros((10, 3)), 4),
     lambda d: pointio.read_ply(d / "bad.ply"),
     lambda d: pointio.read_depth_pgm(d / "bad.pgm"),
-    lambda d: predict_mask(np.full((3, 3), 2), np.zeros((2, 3, 3))),
-    lambda d: predict_mask(np.zeros((3, 3), dtype=np.uint8), np.full((2, 3, 3), np.nan)),
 ], ids=["build_graph-radius", "ScanTrajectory-length", "ScanTrajectory-order",
-        "smooth_centerline-window", "read_ply", "read_depth_pgm", "predict_mask-binary",
-        "predict_mask-flow"])
+        "smooth_centerline-window", "read_ply", "read_depth_pgm"])
 def test_bad_input_is_a_limbscan_error(tmp_path, make):
     """Bad input raises the package's error type, so a stage or the CLI
     reports it instead of a traceback."""
@@ -726,6 +733,15 @@ def test_readme_config_example_loads(tmp_path):
             assert {k: cfg[key][k] for k in value} == value
         else:
             assert cfg[key] == value
+
+
+def test_readme_layout_lists_every_module():
+    """README's Library layout table has one row per module of the package."""
+    root = Path(__file__).parents[1]
+    section = (root / "README.md").read_text().split("\n## Library layout\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `limbscan\.(\w+)` \|", section, flags=re.M)
+    modules = {p.stem for p in (root / "src" / "limbscan").glob("*.py")} - {"__init__"}
+    assert sorted(rows) == sorted(modules)
 
 
 _JUNK = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
