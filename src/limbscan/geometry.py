@@ -1,4 +1,4 @@
-"""Core geometry: rigid transforms, point clouds, PCA boxes, k-NN, normals.
+"""Core geometry: rigid transforms, point clouds, PCA boxes, k-NN, estimate_normals at given points.
 
 Conventions: points are float64 arrays of shape (3,) or (n, 3), units are mm.
 """
@@ -70,10 +70,9 @@ class RigidTransform:
 
 @dataclass
 class PointCloud3:
-    """Ordered 3D point set with optional per-point unit normals."""
+    """Ordered 3D point set."""
 
     points: np.ndarray
-    normals: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -82,14 +81,6 @@ class PointCloud3:
         if not np.all(np.isfinite(p)):
             raise InvalidParams("non-finite points")
         self.points = p
-        if self.normals is not None:
-            n = np.atleast_2d(np.asarray(self.normals, dtype=float))
-            if n.shape != p.shape:
-                raise InvalidParams("normals shape must match points")
-            norms = np.linalg.norm(n, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise InvalidParams("normals must be unit length")
-            self.normals = n
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -176,19 +167,19 @@ def knn(query: np.ndarray, points: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     return idx, d[idx]
 
 
-def estimate_normals(cloud: PointCloud3, k: int, up_hint: np.ndarray) -> PointCloud3:
-    """Per-point normals from k-NN covariance, oriented toward up_hint."""
+def estimate_normals(points: np.ndarray, at: np.ndarray, k: int,
+                     up_hint: np.ndarray) -> np.ndarray:
+    """Unit normals at points[at], each from the covariance of its k nearest
+    points in the cloud, oriented toward up_hint. Returns (len(at), 3)."""
     if k < 3:
         raise InvalidParams("k must be >= 3")
-    p = cloud.points
-    n = p.shape[0]
-    if n < k:
+    p = np.asarray(points, dtype=float)
+    if p.shape[0] < k:
         raise InvalidParams("cloud smaller than neighborhood")
     up = np.asarray(up_hint, dtype=float).reshape(3)
     up = up / np.linalg.norm(up)
-    tree = cKDTree(p)
-    _, nbr = tree.query(p, k=k)
-    neigh = p[nbr]                       # (n, k, 3)
+    _, nbr = cKDTree(p).query(p[at], k=k)
+    neigh = p[nbr]                       # (len(at), k, 3)
     centered = neigh - neigh.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
     evals, evecs = np.linalg.eigh(cov)
@@ -198,4 +189,4 @@ def estimate_normals(cloud: PointCloud3, k: int, up_hint: np.ndarray) -> PointCl
     flip = (normals @ up) < 0
     normals[flip] *= -1.0
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud3(p.copy(), normals)
+    return normals

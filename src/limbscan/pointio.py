@@ -13,8 +13,6 @@ DEPTH_SCALE = 10.0
 
 
 def write_ply(path, cloud: PointCloud3) -> None:
-    p = cloud.points
-    has_normals = cloud.normals is not None
     lines = [
         "ply",
         "format ascii 1.0",
@@ -22,20 +20,17 @@ def write_ply(path, cloud: PointCloud3) -> None:
         "property float x",
         "property float y",
         "property float z",
+        "end_header",
     ]
-    if has_normals:
-        lines += ["property float nx", "property float ny", "property float nz"]
-    lines.append("end_header")
-    data = np.hstack([p, cloud.normals]) if has_normals else p
     # the repr of the nested list is every value's float repr, ", " between
     # values and "], [" between rows
-    body = repr(data.tolist())[2:-2].replace("], [", "\n").replace(", ", " ")
+    body = repr(cloud.points.tolist())[2:-2].replace("], [", "\n").replace(", ", " ")
     Path(path).write_text("\n".join(lines) + "\n" + body + "\n")
 
 
 def read_ply(path) -> PointCloud3:
-    """Read an ASCII PLY cloud: the x, y, z (and nx, ny, nz) properties of
-    its vertex element."""
+    """Read an ASCII PLY cloud: the x, y, z properties of its vertex element.
+    Other properties, and other elements, are read past."""
     text = Path(path).read_text(errors="replace").splitlines()
     if not text or text[0].strip() != "ply":
         raise InvalidParams(f"{path}: not a PLY file")
@@ -72,11 +67,7 @@ def read_ply(path) -> PointCloud3:
     if any(len(row) != len(props) for row in rows):
         raise InvalidParams(f"{path}: a vertex row does not hold {len(props)} values")
     data = np.array(rows, dtype=float).reshape(n_vertex, len(props))
-    pts = data[:, [cols["x"], cols["y"], cols["z"]]]
-    normals = None
-    if {"nx", "ny", "nz"} <= cols.keys():
-        normals = data[:, [cols["nx"], cols["ny"], cols["nz"]]]
-    return PointCloud3(pts, normals)
+    return PointCloud3(data[:, [cols["x"], cols["y"], cols["z"]]])
 
 
 def write_points_csv(path, points: np.ndarray, header: str | None = "x,y,z") -> None:

@@ -289,8 +289,7 @@ def _geodesic_pairs(graph: sp.csr_matrix, radius: float):
     return np.asarray(node_vertices), vert[order], node[order], dist[order]
 
 
-def build_graph(points: np.ndarray, radius: float,
-                binding_k: int = BINDING_K) -> DeformationGraph:
+def build_graph(points: np.ndarray, radius: float) -> DeformationGraph:
     """Geodesic first-fit node sampling plus vertex bindings.
 
     Geodesic distances run over a k-NN proximity graph; disconnected
@@ -315,17 +314,17 @@ def build_graph(points: np.ndarray, radius: float,
     np.fill_diagonal(adj, False)
     neighbors = [np.flatnonzero(row).tolist() for row in adj]
 
-    # each vertex's binding_k + 1 nearest nodes, ascending, placed by each
+    # each vertex's BINDING_K + 1 nearest nodes, ascending, placed by each
     # pair's rank among its vertex's pairs
     rank = np.arange(len(vert)) - np.searchsorted(vert, vert)
-    kept = rank <= binding_k
-    near_d = np.full((n, binding_k + 1), np.inf)
-    near_i = np.full((n, binding_k + 1), -1)
+    kept = rank <= BINDING_K
+    near_d = np.full((n, BINDING_K + 1), np.inf)
+    near_i = np.full((n, BINDING_K + 1), -1)
     near_d[vert[kept], rank[kept]] = dist[kept]
     near_i[vert[kept], rank[kept]] = node[kept]
 
     # every vertex is a node or within radius of one, so each row finds one
-    bind_idx, bind_w = _bindings(near_d, near_i, np.isfinite(near_d[:, :min(binding_k, m)]))
+    bind_idx, bind_w = _bindings(near_d, near_i, np.isfinite(near_d[:, :min(BINDING_K, m)]))
     return DeformationGraph(p[node_arr], np.tile(np.eye(3), (m, 1, 1)), np.zeros((m, 3)),
                             neighbors, radius, bind_idx, bind_w)
 
@@ -687,18 +686,15 @@ def attach_probe_poses(traj: ScanTrajectory, target: PointCloud3,
     perpendicular to the scan direction.
     """
     pts = traj.surface_points
-    if target.normals is not None:
-        tgt = target
-    else:
-        k = min(NORMAL_K, len(target))
-        tgt = estimate_normals(target, k=max(k, 3), up_hint=up)
-    tree = cKDTree(tgt.points)
-    dist, nearest = tree.query(pts)
+    k = max(min(NORMAL_K, len(target)), 3)
+    if len(target) < k:
+        raise InvalidParams("cloud smaller than neighborhood")
+    dist, nearest = cKDTree(target.points).query(pts)
     # an overflowing distance comes back as inf with the out-of-range index n
     if not np.all(np.isfinite(dist)):
         raise InvalidParams("a trajectory point is too far from the target surface "
                             "for a finite distance")
-    z_axes = -tgt.normals[nearest]
+    z_axes = -estimate_normals(target.points, nearest, k=k, up_hint=up)
 
     n = len(pts)
     tangents = np.gradient(pts, axis=0) if n > 1 else np.array([[1.0, 0.0, 0.0]])

@@ -48,7 +48,6 @@ class ArmTemplate:
     length_upperarm: float
     vertical_b: float   # constant vertical semi-axis, keeps the joints collinear
     vessel_depth: float
-    seed: int
 
     @property
     def elbow_axial(self) -> float:
@@ -189,7 +188,6 @@ def make_template(seed: int = 0,
         length_upperarm=length_upperarm,
         vertical_b=VERTICAL_B,
         vessel_depth=VESSEL_DEPTH,
-        seed=seed,
         _top_mask=top,
     )
 

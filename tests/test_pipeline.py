@@ -510,6 +510,21 @@ class TestCli:
         assert count == 0 or str(bad) in err
         assert not (tmp_path / "g.json").exists()
 
+    def test_register_reads_past_normals(self, tmp_path):
+        pts = np.random.default_rng(1).uniform(0.0, 50.0, (200, 3))
+        plain, with_normals = tmp_path / "plain.ply", tmp_path / "normals.ply"
+        pointio.write_ply(plain, PointCloud3(pts))
+        rows = np.hstack([pts, np.tile([0.0, 0.0, 1.0], (200, 1))])
+        with_normals.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 200\n"
+            + "".join(f"property float {name}\n" for name in ("x", "y", "z", "nx", "ny", "nz"))
+            + "end_header\n" + "".join(" ".join(map(repr, r)) + "\n" for r in rows.tolist()))
+        graphs = []
+        for forearm in (plain, with_normals):
+            assert main(self._register_argv(tmp_path, forearm)) == EXIT_OK
+            graphs.append((tmp_path / "g.json").read_bytes())
+        assert graphs[0] == graphs[1]
+
     @pytest.mark.parametrize("joints", ["1,2;3,4,5;6,7,8", "1,2,3;4,5,6;7,8,9,10",
                                         "1,2,3;4,5,6;7,8,nan", "1,2,3;4,5,6"])
     def test_register_bad_joints_exits_2(self, tmp_path, capsys, joints):

@@ -16,16 +16,18 @@ class TestPly:
         write_ply(path, cloud)
         back = read_ply(path)
         np.testing.assert_array_equal(back.points, cloud.points)
-        assert back.normals is None
 
-    def test_roundtrip_with_normals(self, tmp_path, rng):
-        n = rng.normal(size=(20, 3))
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        cloud = PointCloud3(rng.uniform(-5.0, 5.0, (20, 3)), n)
+    @pytest.mark.parametrize("names", ["x y z nx ny nz", "nx x ny y nz z",
+                                       "red z y x intensity"])
+    def test_extra_vertex_properties_read_past(self, tmp_path, rng, names):
+        data = rng.uniform(-5.0, 5.0, (20, len(names.split())))
         path = tmp_path / "c.ply"
-        write_ply(path, cloud)
-        back = read_ply(path)
-        np.testing.assert_array_equal(back.normals, cloud.normals)
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 20\n"
+                        + "".join(f"property float {name}\n" for name in names.split())
+                        + "end_header\n"
+                        + "".join(" ".join(map(repr, row)) + "\n" for row in data.tolist()))
+        cols = [names.split().index(c) for c in "xyz"]
+        np.testing.assert_array_equal(read_ply(path).points, data[:, cols])
 
     def test_header_is_ascii_ply(self, tmp_path):
         path = tmp_path / "c.ply"
@@ -44,40 +46,30 @@ class TestPly:
     @staticmethod
     def _per_value_join(cloud):
         """The file as written by one float repr per value, joined row by row."""
-        names = "x y z" + (" nx ny nz" if cloud.normals is not None else "")
         header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
-                  *(f"property float {name}" for name in names.split()), "end_header"]
-        data = cloud.points if cloud.normals is None else np.hstack([cloud.points,
-                                                                     cloud.normals])
-        body = "\n".join(" ".join(repr(float(v)) for v in row) for row in data)
+                  *(f"property float {name}" for name in "xyz"), "end_header"]
+        body = "\n".join(" ".join(repr(float(v)) for v in row) for row in cloud.points)
         return "\n".join(header) + "\n" + body + "\n"
 
     def test_bytes_match_per_value_join(self, tmp_path, rng):
-        n = rng.normal(size=(40, 3))
         special = np.array([[np.nan, np.inf, -np.inf], [-0.0, 1e-300, -1e-300],
                             [5e-324, 1.7976931348623157e308, 0.1 + 0.2]])
         clouds = [PointCloud3(rng.uniform(-1e3, 1e3, (200, 3))),
-                  PointCloud3(rng.normal(size=(40, 3)), n / np.linalg.norm(n, axis=1,
-                                                                          keepdims=True)),
+                  PointCloud3(rng.normal(size=(40, 3))),
                   PointCloud3(np.array([[1.0, -2.5, 3e-7]])),
                   PointCloud3(np.zeros((0, 3))),
-                  PointCloud3(np.zeros((0, 3)), np.zeros((0, 3))),
-                  PointCloud3(np.zeros((3, 3)), np.eye(3))]
+                  PointCloud3(np.zeros((3, 3)))]
         # PointCloud3 rejects non-finite points, so put them in place afterwards
         clouds[-1].points = special
-        clouds[-1].normals = special[::-1].copy()
         for k, cloud in enumerate(clouds):
             path = tmp_path / f"c{k}.ply"
             write_ply(path, cloud)
             assert path.read_bytes() == self._per_value_join(cloud).encode()
 
     def test_empty_cloud_roundtrip(self, tmp_path):
-        for normals in (None, np.zeros((0, 3))):
-            path = tmp_path / "empty.ply"
-            write_ply(path, PointCloud3(np.zeros((0, 3)), normals))
-            back = read_ply(path)
-            assert back.points.shape == (0, 3)
-            assert (back.normals is None) == (normals is None)
+        path = tmp_path / "empty.ply"
+        write_ply(path, PointCloud3(np.zeros((0, 3))))
+        assert read_ply(path).points.shape == (0, 3)
 
     @pytest.mark.parametrize("header, body, message", [
         ("element vertex 3", "1 2 3\n", "declares 3 vertices, body has 1"),

@@ -1,5 +1,6 @@
 """Non-rigid registration: alignment, deformation graph, energy, solver."""
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from scipy.sparse.csgraph import dijkstra, reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
 from limbscan import registration
-from limbscan.errors import DegenerateSegment, InvalidParams, OutOfBindingReach
+from limbscan.errors import (DegenerateConfiguration, DegenerateSegment, InvalidParams,
+                             OutOfBindingReach)
 from limbscan.geometry import PointCloud3, RigidTransform
+from limbscan.pipeline import PlanConfig, plan_scan
 from limbscan.registration import (ArmObservation, DeformationGraph,
                                    SolveParams, _affines, _BandedNormalEquations,
                                    _pack, _ResidualMap, _rigidity_jacobians,
-                                   _unpack, build_graph, energy, initial_align,
-                                   solve, transfer_trajectory, welsch)
+                                   _unpack, attach_probe_poses, build_graph, energy,
+                                   initial_align, solve, transfer_trajectory, welsch)
+from limbscan.scene import ArticulatedPose, hinge_points
 from limbscan.trajectory import ScanTrajectory
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -58,6 +62,12 @@ def _reference_weights(cd, found, d_max):
     flat = w.sum(axis=1) <= 0
     w[flat] = found[flat]
     return w / w.sum(axis=1, keepdims=True)
+
+
+def _build_graph_k(points, radius, binding_k):
+    """`build_graph` with each vertex bound to up to binding_k nodes."""
+    with mock.patch.object(registration, "BINDING_K", binding_k):
+        return build_graph(points, radius)
 
 
 def _reference_build_graph(points, radius, binding_k=registration.BINDING_K):
@@ -224,7 +234,7 @@ class TestBuildGraph:
     @pytest.mark.parametrize("points, radius, binding_k",
                              [pytest.param(*case, id=name) for name, *case in _graph_cases()])
     def test_matches_per_node_merge(self, points, radius, binding_k):
-        _assert_graph_equal(build_graph(points, radius, binding_k),
+        _assert_graph_equal(_build_graph_k(points, radius, binding_k),
                             _reference_build_graph(points, radius, binding_k))
 
     def test_matches_per_node_merge_on_aligned_atlas(self, atlas, scene_cache):
@@ -242,7 +252,7 @@ class TestBuildGraph:
     def test_every_vertex_binds_and_nodes_bind_to_themselves(self, cells, radius,
                                                               binding_k):
         pts = np.array(cells, dtype=float)
-        g = build_graph(pts, radius, binding_k)
+        g = _build_graph_k(pts, radius, binding_k)
         assert np.all(g.bind_idx[:, 0] >= 0) and np.all(np.isfinite(g.bind_w))
         np.testing.assert_allclose(g.bind_w.sum(axis=1), 1.0, atol=1e-12)
         own = [int(np.flatnonzero((pts == q).all(axis=1))[0]) for q in g.node_positions]
@@ -441,7 +451,6 @@ def _solver_calls(monkeypatch, reused_step=None):
 
 
 def _bending_patch(template):
-    from limbscan.scene import hinge_points
     shell, axial, _ = template.top_shell()
     keep = (axial > 180.0) & (axial < 320.0)  # patch across the elbow
     pts = shell.points[keep]
@@ -452,7 +461,7 @@ class TestResidualMap:
     @pytest.mark.parametrize("binding_k", range(1, 8))
     def test_matches_deform_and_edge_formula(self, rng, binding_k):
         pts = rng.uniform(0.0, 60.0, (300, 3)) * np.array([1.0, 0.4, 0.1])
-        g = build_graph(pts, radius=8.0, binding_k=binding_k)
+        g = _build_graph_k(pts, 8.0, binding_k)
         # bind two rows to one node by hand, so every K > 1 has -1 slots
         for v in (0, 1):
             g.bind_idx[v, 1:] = -1
@@ -905,9 +914,7 @@ class TestTransferTrajectory:
         pts = np.zeros((12, 3))
         pts[:, 0] = np.arange(12.0)
         surf_xy = rng.uniform(-2.0, 14.0, (500, 2))
-        surface = PointCloud3(
-            np.column_stack([surf_xy, np.ones(500)]),
-            np.tile([0.0, 0.0, 1.0], (500, 1)))
+        surface = PointCloud3(np.column_stack([surf_xy, np.ones(500)]))
         g = build_graph(pts, radius=4.0)
         traj = ScanTrajectory(pts, np.arange(12))
         moved = transfer_trajectory(traj, g, surface, UP)
@@ -918,8 +925,7 @@ class TestTransferTrajectory:
         pts = np.zeros((12, 3))
         pts[:, 0] = np.arange(12.0)
         surface = PointCloud3(
-            np.column_stack([rng.uniform(-2.0, 14.0, (500, 2)), np.ones(500)]),
-            np.tile([0.0, 0.0, 1.0], (500, 1)))
+            np.column_stack([rng.uniform(-2.0, 14.0, (500, 2)), np.ones(500)]))
         g = build_graph(pts, radius=4.0)
         moved = transfer_trajectory(ScanTrajectory(pts, np.arange(12)), g,
                                     surface, UP)
@@ -930,3 +936,52 @@ class TestTransferTrajectory:
             assert R[:, 2] @ UP < 0  # probe z into the surface
             # probe x follows the scan direction (+x here)
             assert R[0, 0] > 0.9
+
+
+def _whole_cloud_normals(p, k, up):
+    """Every point's k-NN PCA normal, oriented toward up: the normals
+    attach_probe_poses once estimated over the whole target cloud."""
+    _, nbr = cKDTree(p).query(p, k=k)
+    neigh = p[nbr]
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / k
+    normals = np.linalg.eigh(cov)[1][:, :, 0]
+    normals[(normals @ up) < 0] *= -1.0
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return normals
+
+
+class TestAttachProbePoses:
+    @pytest.mark.parametrize("part", ["extracted-forearm", "top-shell"])
+    def test_z_axes_match_whole_cloud_normals(self, template, atlas, scene_cache, part):
+        posed, _, seg = scene_cache(140.0)
+        target = seg.forearm if part == "extracted-forearm" else posed.top_shell()[0]
+        plan = plan_scan(atlas, PlanConfig()).surface_points
+        pts = hinge_points(plan, plan[:, 0], template.elbow, 140.0,
+                           ArticulatedPose(140.0).blend_halfwidth)
+        traj = attach_probe_poses(ScanTrajectory(pts, np.arange(len(pts))), target, UP)
+
+        k = min(registration.NORMAL_K, len(target))
+        nearest = cKDTree(target.points).query(pts)[1]
+        ref = -_whole_cloud_normals(target.points, k, UP)[nearest]
+        expected = np.array([z / np.linalg.norm(z) for z in ref])
+        np.testing.assert_array_equal(np.array([p.rotation[:, 2] for p in traj.poses]),
+                                      expected)
+
+    def test_degenerate_strand_matters_only_under_a_station(self, rng):
+        plane = np.column_stack([rng.uniform(-2.0, 14.0, (500, 2)), np.ones(500)])
+        strand = np.column_stack([np.arange(30.0), np.full(30, 200.0), np.ones(30)])
+        target = PointCloud3(np.vstack([plane, strand]))
+        pts = np.column_stack([np.arange(12.0), np.zeros(12), np.ones(12)])
+        traj = attach_probe_poses(ScanTrajectory(pts, np.arange(12)), target, UP)
+        assert all(p.rotation[2, 2] == pytest.approx(-1.0) for p in traj.poses)
+        under = ScanTrajectory(pts + [0.0, 200.0, 0.0], np.arange(12))
+        with pytest.raises(DegenerateConfiguration, match="rank-deficient"):
+            attach_probe_poses(under, target, UP)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_too_small_target_named_before_distance(self, n):
+        pts = np.column_stack([np.arange(5.0), np.zeros(5), np.zeros(5)])
+        with pytest.raises(InvalidParams, match="cloud smaller than neighborhood"):
+            attach_probe_poses(ScanTrajectory(pts, np.arange(5)),
+                               PointCloud3(np.eye(3)[:n]), UP)
