@@ -195,11 +195,11 @@ def _cmd_scan(args) -> int:
     try:
         radii = summarize_scan(result.frames, posed)
     except TooFewFrames as exc:
-        raise TooFewFrames(
-            f"{exc}: trajectory {args.traj} misses the vessel of the scene posed at "
-            f"{cfg.scene.elbow_angle:g} deg (an atlas plan from `limbscan plan` lies on "
-            "it only at 180 deg); scan the transferred_trajectory.csv that "
-            "`limbscan pipeline` writes for this angle") from exc
+        hint = "" if cfg.scene.elbow_angle == 180.0 else (
+            " (an atlas plan from `limbscan plan` lies on it only at 180 deg); scan the "
+            "transferred_trajectory.csv that `limbscan pipeline` writes for this angle")
+        raise TooFewFrames(f"{exc}: trajectory {args.traj} misses the vessel of the scene "
+                           f"posed at {cfg.scene.elbow_angle:g} deg{hint}") from exc
     report = {
         "sub_segments": [list(s) for s in radii.sub_segments],
         "global_mean_radius": radii.global_mean,

@@ -343,27 +343,6 @@ def _edges(graph: DeformationGraph) -> tuple[np.ndarray, np.ndarray]:
     return ei, ej
 
 
-# per-node unknowns are A.ravel() then t; _GROUP[a] lists (A[a, :], t[a]),
-# the four unknowns that alignment and edge rows touch in coordinate a
-_GROUP = np.array([[0, 1, 2, 9], [3, 4, 5, 10], [6, 7, 8, 11]])
-
-
-def _columns(x: np.ndarray) -> np.ndarray:
-    """Z(x), (4m, 3): column a of node n's 4 x 3 block holds the unknowns
-    _GROUP[a] of node n, (A[a, 0], A[a, 1], A[a, 2], t[a])."""
-    y = x.reshape(-1, 12)
-    return np.concatenate([_affines(x).transpose(0, 2, 1), y[:, None, 9:]],
-                          axis=1).reshape(-1, 3)
-
-
-def _uncolumns(z: np.ndarray) -> np.ndarray:
-    """The packed unknowns (see _pack) of z in Z's (4m, 3) layout; the
-    inverse of _columns."""
-    z = z.reshape(-1, 4, 3)
-    return np.concatenate([z[:, :3].transpose(0, 2, 1).reshape(-1, 9), z[:, 3]],
-                          axis=1).ravel()
-
-
 class _ResidualMap:
     """The residuals of one solve as functions of the packed unknowns x
     (see _pack).
@@ -371,8 +350,9 @@ class _ResidualMap:
     Deformed correspondences and edge residuals are affine in x, and the
     bindings, the correspondence subset and the edges never change within a
     solve, so they are one fixed sparse map: stacked, they are
-    U @ Z(x) + c (see _columns). Each coordinate of a residual has the same
-    coefficients, so U has one row per residual and four columns per node:
+    U @ x.reshape(-1, 3) + c. Each coordinate of a residual has the same
+    coefficients, so U has one row per residual and four columns per node,
+    one per row of the node's [A^T; t] block in x:
     at a slot node, the binding weight times (vertex - node) and the weight
     for an alignment row, (g_j - g_i, 1) at node i and (0, -1) at node j for
     edge (i, j). Only the per-node rigidity blocks are nonlinear.
@@ -410,7 +390,7 @@ class _ResidualMap:
         r_det (m,)) at x: an edge's predicted minus actual neighbour
         position, A^T A - I and det(A) - 1. The alignment residual is the
         deformed correspondences minus their targets."""
-        mapped = self.matrix @ _columns(x) + self.offset
+        mapped = self.matrix @ x.reshape(-1, 3) + self.offset
         A = _affines(x)
         ata = np.einsum("nij,nik->njk", A, A)
         return (mapped[:self.q], mapped[self.q:],
@@ -457,6 +437,11 @@ def _rigidity_jacobians(affines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                    - a[:, 1:4, 2:5] * a[:, 2:5, 1:4]).reshape(m, 9)
 
 
+# where x keeps a node's unknowns in the band's (A.ravel(), t) order,
+# as offsets into the node's 12 entries
+_BAND_ORDER = np.array([0, 3, 6, 1, 4, 7, 2, 5, 8, 9, 10, 11])
+
+
 class _BandedNormalEquations:
     """Gauss-Newton normal equations of one solve, H = J^T J, in lower
     banded storage under a reverse Cuthill-McKee order of H's 12 x 12
@@ -466,9 +451,10 @@ class _BandedNormalEquations:
     each times the square root of the row's weight: the Welsch IRLS weight
     exp(-|r|^2 / c^2) for alignment (frozen per step, so the step descends
     the robust energy), alpha1 for edges. That part of H is U^T diag(w) U
-    in each coordinate a, at the unknowns _GROUP[a] of each node; the
-    per-node rigidity blocks come from A. The order comes from the nodes
-    that share a residual, plus each node with itself.
+    in each coordinate a: its entry (j, k) couples the unknowns 3j + a and
+    3k + a of x. The per-node rigidity blocks come from A. The order comes
+    from the nodes that share a residual, plus each node with itself; the
+    band holds each node's unknowns in (A.ravel(), t) order.
 
     H is factored by banded Cholesky on the first step of a solve, and
     later steps reuse that factor across outer iterations: each solves
@@ -493,11 +479,12 @@ class _BandedNormalEquations:
         adj = (slots.T @ slots + sp.identity(m)).tocsr()
         adj.sum_duplicates()
         order = reverse_cuthill_mckee(adj, symmetric_mode=True)
-        self.perm = (12 * order[:, None] + np.arange(12)).ravel()
+        self.perm = (12 * order[:, None] + _BAND_ORDER).ravel()
         self.pos = np.empty(n, dtype=int)
         self.pos[self.perm] = np.arange(n)
-        # a residual at nodes i and j couples every unknown of _GROUP[0] at
-        # i with every one at j, the farthest apart being A[0, 0] and t[0]: 9
+        # a residual at nodes i and j couples (A[a, :], t[a]) at i with the
+        # same four unknowns at j, the farthest apart in the band being
+        # A[0, 0] and t[0]: 9
         rank = self.pos[::12] // 12
         adj = adj.tocoo()
         self.bandwidth = 12 * int(np.max(rank[adj.row] - rank[adj.col])) + 9
@@ -514,11 +501,13 @@ class _BandedNormalEquations:
         weight = np.concatenate([np.exp(-np.sum(r_ali ** 2, axis=1) / params.welsch_c ** 2),
                                  np.full(len(r_reg), params.alpha1)])
         res = np.concatenate([r_ali, r_reg])
-        grad = _uncolumns(self.matrix_t @ (weight[:, None] * res))
+        grad = (self.matrix_t @ (weight[:, None] * res)).ravel()
 
         j_rot, j_det = _rigidity_jacobians(affines)
-        grad.reshape(m, 12)[:, :9] += params.alpha2 * (
-            np.einsum("nri,nr->ni", j_rot, r_rot) + j_det * r_det[:, None])
+        # over A.ravel(), so transposed into x's A^T rows
+        grad.reshape(m, 4, 3)[:, :3] += params.alpha2 * (
+            np.einsum("nri,nr->ni", j_rot, r_rot)
+            + j_det * r_det[:, None]).reshape(m, 3, 3).transpose(0, 2, 1)
 
         if fresh:
             self.factor = None  # free the old factor before the new band exists
@@ -538,12 +527,10 @@ class _BandedNormalEquations:
             # band entry (d, c) sits at c * (bw + 1) + d of a Fortran-ordered
             # (bw + 1, n) array, the layout LAPACK factors in place
             flat = np.zeros(self.n * (self.bandwidth + 1))
-            j_node, j_col = np.divmod(h.row, 4)
-            k_node, k_col = np.divmod(h.col, 4)
-            for group in _GROUP:
-                # entry (j, k) of U^T W U is H's entry (k, j) in each group
-                r = self.pos[12 * k_node + group[k_col]]
-                c = self.pos[12 * j_node + group[j_col]]
+            for a in range(3):
+                # entry (j, k) of U^T W U is H's entry (3k + a, 3j + a)
+                r = self.pos[3 * h.col + a]
+                c = self.pos[3 * h.row + a]
                 lower = r >= c
                 flat[c[lower] * (self.bandwidth + 1) + (r - c)[lower]] = h.data[lower]
             band = flat.reshape(self.n, self.bandwidth + 1).T
@@ -567,17 +554,21 @@ class _BandedNormalEquations:
 
 
 def _pack(graph: DeformationGraph) -> np.ndarray:
-    return np.hstack([graph.affines.reshape(-1, 9), graph.translations]).ravel()
+    """The solve's unknowns x: x.reshape(m, 4, 3)[n] is node n's A^T
+    stacked on its t, the layout U multiplies."""
+    return np.concatenate([graph.affines.transpose(0, 2, 1), graph.translations[:, None]],
+                          axis=1).ravel()
 
 
 def _affines(x: np.ndarray) -> np.ndarray:
-    """The (m, 3, 3) affines of packed unknowns, as a view."""
-    return x.reshape(-1, 12)[:, :9].reshape(-1, 3, 3)
+    """The (m, 3, 3) affines of x, as a C-ordered copy: einsum sums a
+    transposed view in another order."""
+    return x.reshape(-1, 4, 3)[:, :3].transpose(0, 2, 1).copy()
 
 
 def _unpack(graph: DeformationGraph, x: np.ndarray) -> None:
-    graph.affines = _affines(x).copy()
-    graph.translations = x.reshape(-1, 12)[:, 9:].copy()
+    graph.affines = _affines(x)
+    graph.translations = x.reshape(-1, 4, 3)[:, 3].copy()
 
 
 def solve(graph: DeformationGraph, vertices: np.ndarray, target: np.ndarray,

@@ -44,7 +44,12 @@ class VirtualFrame:
     centroid: tuple[float, float] | None = field(init=False)
 
     def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
+        mask = np.asarray(self.mask)
+        # the cast to uint8 wraps 256 and truncates 0.5 and NaN to 0, so a
+        # mask of another type is checked before it
+        if mask.dtype != np.uint8 and not np.all((mask == 0) | (mask == 1)):
+            raise InvalidParams("mask values must be binary")
+        self.mask = mask.astype(np.uint8, copy=False)
         if self.mask.shape != (self.height_px, self.width_px):
             raise InvalidParams("mask dims must match width/height")
         if not self.pitch > 0:

@@ -29,6 +29,8 @@ class ScanTrajectory:
             raise InvalidParams("indices length must match points")
         if np.any(np.diff(self.centerline_indices) < 0):
             raise InvalidParams("centerline indices must be non-decreasing")
+        if self.poses is not None and len(self.poses) != len(self.surface_points):
+            raise InvalidParams(f"{len(self.poses)} poses for {len(self.surface_points)} points")
 
     def __len__(self) -> int:
         return len(self.surface_points)

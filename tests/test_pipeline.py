@@ -19,7 +19,7 @@ from limbscan import pipeline, pointio
 from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from limbscan.errors import ConfigError, InvalidParams, StageError
 from limbscan.extraction import ExtractionParams
-from limbscan.geometry import PointCloud3
+from limbscan.geometry import PointCloud3, RigidTransform
 from limbscan.pipeline import (_SECTIONS, STAGES, PipelineConfig, PlanConfig,
                                RegistrationConfig, SceneConfig, build_scene,
                                config_from_dict, config_to_dict, load_config,
@@ -688,6 +688,23 @@ class TestCli:
         assert "transferred_trajectory.csv" in err and "limbscan pipeline" in err
         assert not (tmp_path / "scan.json").exists()
 
+    def test_scan_off_vessel_at_180_gives_no_plan_hint(self, tmp_path, capsys):
+        # at 180 deg the atlas plan is already the one to scan, so the error
+        # names the miss without pointing elsewhere
+        assert main(["plan", "--out", str(tmp_path)]) == EXIT_OK
+        stations = np.loadtxt(tmp_path / "atlas_trajectory.csv", delimiter=",", skiprows=1)
+        off = stations[35] + np.array([0.0, 30.0, 0.0])  # 30 mm beside the vessel
+        traj = tmp_path / "off.csv"
+        traj.write_text(",".join(repr(float(v)) for v in off) + "\n")
+        capsys.readouterr()
+        assert main(["scan", "--angle", "180", "--traj", str(traj),
+                     "--out-frames", str(tmp_path / "frames"),
+                     "--report", str(tmp_path / "scan.json")]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err == (f"error: need >= 2 non-empty frames, got 0: trajectory {traj} "
+                       "misses the vessel of the scene posed at 180 deg\n")
+        assert not (tmp_path / "scan.json").exists()
+
     def test_register_command(self, tmp_path, atlas, template):
         posed = articulate(template, ArticulatedPose(150.0))
         args = []
@@ -720,11 +737,12 @@ class TestCli:
     lambda d: build_graph(np.zeros((4, 3)), radius=0.0),
     lambda d: ScanTrajectory(np.zeros((3, 3)), [0, 1]),
     lambda d: ScanTrajectory(np.zeros((3, 3)), [0, 2, 1]),
+    lambda d: ScanTrajectory(np.zeros((3, 3)), [0, 1, 2], [RigidTransform(np.eye(3), np.zeros(3))]),
     lambda d: smooth_centerline(np.zeros((10, 3)), 4),
     lambda d: pointio.read_ply(d / "bad.ply"),
     lambda d: pointio.read_depth_pgm(d / "bad.pgm"),
 ], ids=["build_graph-radius", "ScanTrajectory-length", "ScanTrajectory-order",
-        "smooth_centerline-window", "read_ply", "read_depth_pgm"])
+        "ScanTrajectory-poses", "smooth_centerline-window", "read_ply", "read_depth_pgm"])
 def test_bad_input_is_a_limbscan_error(tmp_path, make):
     """Bad input raises the package's error type, so a stage or the CLI
     reports it instead of a traceback."""

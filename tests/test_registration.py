@@ -482,11 +482,15 @@ class TestResidualMap:
         np.testing.assert_allclose(r_reg, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             r_rot, [(A.T @ A - np.eye(3)).ravel() for A in g.affines], rtol=0, atol=1e-12)
+        # bit for bit as over C-ordered affines: einsum over a transposed view
+        # of x sums in another order, which moves the solve's energy by an ulp
+        ata = np.einsum("nij,nik->njk", g.affines, g.affines)
+        assert np.array_equal(r_rot, (ata - np.eye(3)).reshape(-1, 9))
         np.testing.assert_allclose(r_det, np.linalg.det(g.affines) - 1.0, rtol=0, atol=1e-12)
 
     def test_expanded_map_is_its_jacobian(self, rng):
         # the map is affine in x, so a unit complex step reads each column
-        # of its Jacobian exactly
+        # of its Jacobian exactly; the reference lists them in packed order
         g, pts, _ = _perturbed_graph(rng, n=200)
         residual_map = _ResidualMap(g, pts, np.arange(0, 200, 3))
         x = _pack(g)
@@ -496,7 +500,8 @@ class TestResidualMap:
             xc[c] += 1j
             deformed, r_reg, *_ = residual_map(xc)
             jac[:, c] = np.concatenate([deformed, r_reg]).imag.ravel()
-        assert np.array_equal(_expanded(residual_map.matrix).toarray(), jac)
+        assert np.array_equal(_expanded(residual_map.matrix).toarray(),
+                              jac[:, _x_index(g.n_nodes)])
 
     def test_rejects_vertex_count_other_than_bound(self, rng):
         g, pts, target = _perturbed_graph(rng)
@@ -555,14 +560,26 @@ def _einsum_jacobians(affines):
     return j_rot, j_det
 
 
+# per node, (A[a, :], t[a]): the packed-order unknowns that coordinate a of
+# an alignment or edge row touches, A.ravel() being 0..8 and t 9..11
+_PACKED_GROUP = np.array([[0, 1, 2, 9], [3, 4, 5, 10], [6, 7, 8, 11]])
+
+
+def _x_index(m):
+    """Where x keeps each unknown of packed order, (A.ravel(), t) per node:
+    x.reshape(m, 4, 3)[n] is [A^T; t], so A[a, k] sits at 12n + 3k + a."""
+    a, k = np.divmod(np.arange(9), 3)
+    return (12 * np.arange(m)[:, None] + np.r_[3 * k + a, 9, 10, 11]).ravel()
+
+
 def _expanded(u):
     """The 3R x 12m map M over the packed unknowns that U stands for: row
-    3r + a holds U's row r at the unknowns _GROUP[a] of each node, so
-    M @ x is (U @ Z(x)).ravel()."""
+    3r + a holds U's row r at the unknowns _PACKED_GROUP[a] of each node, so
+    M @ x[_x_index(m)] is (U @ x.reshape(-1, 3)).ravel()."""
     coo = u.tocoo()
     node, col = np.divmod(coo.col, 4)
     rows = 3 * coo.row[:, None] + np.arange(3)
-    cols = 12 * node[:, None] + registration._GROUP.T[col]
+    cols = 12 * node[:, None] + _PACKED_GROUP.T[col]
     return sp.csr_matrix((np.repeat(coo.data, 3), (rows.ravel(), cols.ravel())),
                          shape=(3 * u.shape[0], 3 * u.shape[1]))
 
@@ -587,13 +604,15 @@ def _pattern_order(matrix):
 
 def _reference_band(matrix, normal, weight, h_rot):
     """Undamped H in lower band storage as M^T diag(w) M plus each node's
-    rigidity block padded to 12 x 12, summed as sparse matrices."""
+    rigidity block padded to 12 x 12, summed as sparse matrices in packed
+    order, each entry placed at the band position of its unknowns."""
     m = len(h_rot)
     h_rot = np.pad(h_rot, ((0, 0), (0, 3), (0, 3)))
     h = (matrix.T @ sp.diags(np.repeat(weight, 3)) @ matrix
          + sp.bsr_matrix((h_rot, np.arange(m), np.arange(m + 1)),
                          shape=(normal.n, normal.n))).tocoo()
-    r, c = normal.pos[h.row], normal.pos[h.col]
+    pos = normal.pos[_x_index(m)]
+    r, c = pos[h.row], pos[h.col]
     lower = r >= c
     band = np.zeros((normal.bandwidth + 1, normal.n))
     band[(r - c)[lower], c[lower]] = h.data[lower]
@@ -608,7 +627,8 @@ def _weights(blocks, params):
 
 def _einsum_step(normal, blocks, affines, params, fresh):
     """_BandedNormalEquations.step with the einsum Jacobians and the
-    gradient and H through the 3R x 12m map M."""
+    gradient and H through the 3R x 12m map M, in packed order; the step
+    comes back in x's layout."""
     r_ali, r_reg, r_rot, r_det = blocks
     m = len(affines)
     matrix = _expanded(normal.matrix)
@@ -623,8 +643,10 @@ def _einsum_step(normal, blocks, affines, params, fresh):
         band = _reference_band(matrix, normal, weight, h_rot)
         band[0] += registration.LEVENBERG * max(band[0].max(), 1.0)
         normal.factor = cholesky_banded(band, lower=True)
+    index = _x_index(m)
+    perm = np.argsort(normal.pos[index])  # the band's packed-order unknowns
     delta = np.empty(normal.n)
-    delta[normal.perm] = cho_solve_banded((normal.factor, True), -grad[normal.perm])
+    delta[index[perm]] = cho_solve_banded((normal.factor, True), -grad[perm])
     return delta
 
 
@@ -667,20 +689,24 @@ class TestFourColumnForm:
         g, verts, corr, targets = case
         residual_map = _ResidualMap(g, verts, corr)
         u, x = residual_map.matrix, _pack(g)
+        index = _x_index(g.n_nodes)
+        packed = np.hstack([g.affines.reshape(-1, 9), g.translations]).ravel()
+        assert np.array_equal(x[index], packed)
         matrix = _expanded(u)
         assert u.nnz * 3 == matrix.nnz
-        assert np.array_equal((u @ registration._columns(x)).ravel(), matrix @ x)
+        deformed, r_reg, *_ = residual_map(x)
+        assert np.array_equal(np.concatenate([deformed, r_reg]).ravel(),
+                              matrix @ packed + residual_map.offset.ravel())
 
         params = SolveParams()
         blocks = _blocks(residual_map, x, targets)
         weight = _weights(blocks, params)
         v = weight[:, None] * np.concatenate(blocks[:2])
         normal = _BandedNormalEquations(residual_map)
-        assert np.array_equal(registration._uncolumns(normal.matrix_t @ v),
-                              matrix.T @ v.ravel())
+        assert np.array_equal((normal.matrix_t @ v).ravel()[index], matrix.T @ v.ravel())
 
         perm, bandwidth = _pattern_order(matrix)
-        assert np.array_equal(normal.perm, perm)
+        assert np.array_equal(normal.perm, index[perm])
         assert normal.bandwidth == bandwidth
 
         bands = []
@@ -721,7 +747,7 @@ class TestStepKernels:
         x = rng.normal(size=(60, 12)).ravel()
         x[:12] = np.r_[np.eye(3).ravel(), 0.0, 0.0, 0.0]  # the identity node
         x[12:24] = np.round(x[12:24], 1)
-        affines = _affines(x)  # a strided view, as in solve
+        affines = _affines(x)  # a C-ordered copy, as in solve
         j_rot, j_det = _rigidity_jacobians(affines)
         want_rot, want_det = _einsum_jacobians(affines)
         assert np.array_equal(j_rot, want_rot)

@@ -92,9 +92,14 @@ class TestFrameMeasurement:
         assert f.centroid == (float(cols.mean()), float(rows.mean()))
 
     @settings(max_examples=100, deadline=None)
-    @given(mask=_masks(), value=st.sampled_from([2, 255]), data=st.data())
-    def test_non_binary_value_rejected(self, mask, value, data):
+    @given(mask=_masks(), case=st.sampled_from([
+        (2, np.uint8), (255, np.uint8), (256, np.int64), (-1, np.int64),
+        (256, np.float64), (0.5, np.float64), (np.nan, np.float64)]), data=st.data())
+    def test_non_binary_value_rejected(self, mask, case, data):
+        # a cast to uint8 would turn 256, 0.5 and NaN into 0
+        value, dtype = case
         h, w = mask.shape
+        mask = mask.astype(dtype)
         mask[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] = value
         with pytest.raises(InvalidParams, match="binary"):
             VirtualFrame(_down_pose(), w, h, 0.1, mask)
