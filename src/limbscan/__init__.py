@@ -5,7 +5,7 @@ trajectory planning, non-rigid registration via embedded deformation graphs,
 and a closed-loop scan simulation.
 """
 from .errors import LimbscanError
-from .geometry import PointCloud3, RigidTransform, fit_rigid, knn, pca_obb
+from .geometry import PointCloud3, RigidTransform, pca_obb
 from .scene import ArmTemplate, ArticulatedPose, articulate, make_template
 from .extraction import ExtractionParams, JointPixels, extract_arm
 from .trajectory import ScanTrajectory, project_trajectory, smooth_centerline
@@ -19,8 +19,8 @@ from .pipeline import PipelineConfig, load_config, run_pipeline, sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "LimbscanError", "PointCloud3", "RigidTransform", "fit_rigid", "knn",
-    "pca_obb", "ArmTemplate", "ArticulatedPose", "articulate", "make_template",
+    "LimbscanError", "PointCloud3", "RigidTransform", "pca_obb",
+    "ArmTemplate", "ArticulatedPose", "articulate", "make_template",
     "ExtractionParams", "JointPixels", "extract_arm", "ScanTrajectory",
     "project_trajectory", "smooth_centerline", "ArmObservation",
     "DeformationGraph", "SolveParams", "build_graph", "energy",

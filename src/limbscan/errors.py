@@ -14,10 +14,6 @@ class DegenerateConfiguration(LimbscanError):
     """Input geometry has insufficient rank for the requested fit."""
 
 
-class EmptyCloud(LimbscanError):
-    pass
-
-
 class InvalidParams(LimbscanError, ValueError):
     """An input such as an array, a file or its metadata is malformed or out of range."""
 

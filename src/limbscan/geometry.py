@@ -1,4 +1,4 @@
-"""Core geometry: rigid transforms, point clouds, PCA boxes, k-NN, estimate_normals at given points.
+"""Core geometry: rigid transforms, point clouds, PCA boxes, estimate_normals at given points.
 
 Conventions: points are float64 arrays of shape (3,) or (n, 3), units are mm.
 """
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateConfiguration, EmptyCloud, InvalidParams
+from .errors import DegenerateConfiguration, InvalidParams
 
 
 @dataclass(frozen=True)
@@ -54,19 +54,6 @@ class RigidTransform:
         p = np.asarray(points, dtype=float)
         return p @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Return self ∘ other (other applied first)."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
-
-    def rotation_angle(self) -> float:
-        """Rotation magnitude in radians."""
-        c = (np.trace(self.rotation) - 1.0) / 2.0
-        return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
 
 @dataclass
 class PointCloud3:
@@ -105,28 +92,6 @@ class ObbScale:
         self.factors = et / es
 
 
-def fit_rigid(source_pts: np.ndarray, target_pts: np.ndarray) -> RigidTransform:
-    """Least-squares rigid transform from index-aligned correspondences.
-
-    Closed-form SVD solution with determinant correction, so a reflection is
-    never returned even for adversarial noise.
-    """
-    src = np.atleast_2d(np.asarray(source_pts, dtype=float))
-    tgt = np.atleast_2d(np.asarray(target_pts, dtype=float))
-    if src.shape != tgt.shape or src.shape[0] < 3:
-        raise DegenerateConfiguration("need >= 3 index-aligned point pairs")
-    cs = src.mean(axis=0)
-    ct = tgt.mean(axis=0)
-    H = (src - cs).T @ (tgt - ct)
-    U, S, Vt = np.linalg.svd(H)
-    # collinear sources leave the rotation about the line unconstrained
-    if S[1] <= 1e-12 * max(S[0], 1.0):
-        raise DegenerateConfiguration("source points are collinear")
-    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))])
-    R = Vt.T @ D @ U.T
-    return RigidTransform(R, ct - R @ cs)
-
-
 def pca_obb(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal axes (columns, by descending eigenvalue) and projection extents."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
@@ -143,28 +108,6 @@ def pca_obb(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     proj = centered @ axes
     extents = proj.max(axis=0) - proj.min(axis=0)
     return axes, extents
-
-
-def knn(query: np.ndarray, points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of the k nearest cloud points, ascending.
-
-    Ties are broken by lower index: every point within the k-th smallest
-    distance is a candidate, and the candidates are sorted by (distance,
-    index).
-    """
-    q = np.asarray(query, dtype=float).reshape(3)
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    n = p.shape[0]
-    if n == 0:
-        raise EmptyCloud("knn on empty cloud")
-    if not (1 <= k <= n):
-        raise InvalidParams(f"k={k} out of range for cloud of {n}")
-    d = np.linalg.norm(p - q, axis=1)
-    if np.isnan(d).any():
-        raise InvalidParams("non-finite query or points")
-    cand = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
-    idx = cand[np.lexsort((cand, d[cand]))[:k]]
-    return idx, d[idx]
 
 
 def estimate_normals(points: np.ndarray, at: np.ndarray, k: int,

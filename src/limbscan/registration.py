@@ -88,27 +88,15 @@ class DeformationGraph:
         return _bindings(d, idx, found)
 
     def to_dict(self) -> dict:
+        """The graph without its bindings: they index the source vertices,
+        which the dict does not hold."""
         return {
             "sampling_radius": self.sampling_radius,
             "positions": self.node_positions.tolist(),
             "affines": self.affines.tolist(),
             "translations": self.translations.tolist(),
             "neighbors": [list(map(int, nb)) for nb in self.neighbors],
-            "bind_idx": self.bind_idx.tolist(),
-            "bind_w": self.bind_w.tolist(),
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "DeformationGraph":
-        return DeformationGraph(
-            node_positions=np.asarray(data["positions"], dtype=float),
-            affines=np.asarray(data["affines"], dtype=float),
-            translations=np.asarray(data["translations"], dtype=float),
-            neighbors=[list(nb) for nb in data["neighbors"]],
-            sampling_radius=float(data["sampling_radius"]),
-            bind_idx=np.asarray(data["bind_idx"], dtype=int),
-            bind_w=np.asarray(data["bind_w"], dtype=float),
-        )
 
 
 @dataclass

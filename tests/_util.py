@@ -9,6 +9,9 @@ DOWN_ROTATION = np.array([[1.0, 0.0, 0.0],
                           [0.0, -1.0, 0.0],
                           [0.0, 0.0, -1.0]])
 
+# what graph.json holds: the graph, without the source vertices' bindings
+GRAPH_KEYS = ("affines", "neighbors", "positions", "sampling_radius", "translations")
+
 
 def straight_trajectory(arm, x0=100.0, x1=170.0, step=1.0):
     """Waypoints on the skin top of a neutral arm, probe pushing straight down."""

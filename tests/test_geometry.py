@@ -1,13 +1,11 @@
-"""Geometry core: rigid transforms, rigid fitting, PCA boxes, k-NN, normals."""
+"""Geometry core: rigid transforms, PCA boxes, normals."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from limbscan.errors import DegenerateConfiguration, EmptyCloud, InvalidParams
+from limbscan.errors import DegenerateConfiguration, InvalidParams
 from limbscan.geometry import (ObbScale, PointCloud3, RigidTransform,
-                               estimate_normals, fit_rigid, knn, pca_obb)
+                               estimate_normals, pca_obb)
 
 
 def _random_rigid(rng):
@@ -19,23 +17,6 @@ class TestRigidTransform:
     def test_identity_is_noop(self, rng):
         p = rng.normal(size=(20, 3))
         assert np.array_equal(RigidTransform.identity().apply(p), p)
-
-    def test_compose_matches_sequential_apply(self, rng):
-        a, b = _random_rigid(rng), _random_rigid(rng)
-        p = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(a.compose(b).apply(p), a.apply(b.apply(p)),
-                                   atol=1e-10)
-
-    def test_inverse_roundtrip(self, rng):
-        t = _random_rigid(rng)
-        p = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(t.inverse().apply(t.apply(p)), p, atol=1e-9)
-
-    def test_rotation_angle(self):
-        theta = 0.3
-        c, s = np.cos(theta), np.sin(theta)
-        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        assert RigidTransform(R, np.zeros(3)).rotation_angle() == pytest.approx(theta)
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
@@ -88,89 +69,6 @@ class TestObbScale:
     def test_rejects_zero_extent(self):
         with pytest.raises(ValueError):
             ObbScale(np.eye(3), [0.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-
-
-class TestFitRigid:
-    def test_exact_recovery(self, rng):
-        for _ in range(20):
-            truth = _random_rigid(rng)
-            src = rng.uniform(-50.0, 50.0, (30, 3))
-            est = fit_rigid(src, truth.apply(src))
-            assert est.compose(truth.inverse()).rotation_angle() < 1e-6
-            assert np.linalg.norm(est.translation - truth.translation) < 1e-8
-
-    def test_noisy_recovery(self, rng):
-        truth = _random_rigid(rng)
-        src = rng.uniform(-50.0, 50.0, (200, 3))
-        tgt = truth.apply(src) + rng.normal(0.0, 0.01, (200, 3))
-        est = fit_rigid(src, tgt)
-        assert est.compose(truth.inverse()).rotation_angle() < 0.01
-
-    def test_never_returns_reflection(self, rng):
-        src = rng.uniform(-1.0, 1.0, (10, 3))
-        tgt = src * np.array([1.0, 1.0, -1.0])  # reflected correspondence
-        est = fit_rigid(src, tgt)
-        assert np.linalg.det(est.rotation) == pytest.approx(1.0)
-
-    def test_rejects_collinear(self):
-        src = np.outer(np.arange(5.0), [1.0, 2.0, 3.0])
-        with pytest.raises(DegenerateConfiguration):
-            fit_rigid(src, src)
-
-    def test_rejects_too_few(self):
-        with pytest.raises(DegenerateConfiguration):
-            fit_rigid(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def _knn_oracle(query, points, k):
-    d = np.linalg.norm(points - query, axis=1)
-    idx = np.lexsort((np.arange(len(points)), d))[:k]
-    return idx, d[idx]
-
-
-class TestKnn:
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(5, 300), k=st.integers(1, 5), seed=st.integers(0, 10**6))
-    def test_matches_exhaustive(self, n, k, seed):
-        r = np.random.default_rng(seed)
-        pts = r.uniform(-10.0, 10.0, (n, 3))
-        q = r.uniform(-10.0, 10.0, 3)
-        idx, d = knn(q, pts, min(k, n))
-        oidx, od = _knn_oracle(q, pts, min(k, n))
-        np.testing.assert_array_equal(idx, oidx)
-        np.testing.assert_allclose(d, od, atol=1e-12)
-
-    def test_tie_break_by_lower_index(self):
-        pts = np.zeros((10, 3))
-        pts[:, 0] = [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
-        idx, _ = knn(np.array([1.5, 0.0, 0.0]), pts, 4)
-        np.testing.assert_array_equal(idx, [1, 2, 3, 4])
-
-    @pytest.mark.parametrize("layout", [np.repeat, np.tile], ids=["grouped", "interleaved"])
-    def test_ties_across_the_k_boundary(self, layout):
-        """Ten points at each x = 0..9, so most k cut a class of tied
-        points; the lower indices of the cut class are kept."""
-        pts = np.zeros((100, 3))
-        pts[:, 0] = layout(np.arange(10.0), 10)
-        for k in range(1, 101):
-            idx, d = knn(np.zeros(3), pts, k)
-            oidx, od = _knn_oracle(np.zeros(3), pts, k)
-            np.testing.assert_array_equal(idx, oidx)
-            np.testing.assert_array_equal(d, od)
-
-    def test_line_query(self):
-        pts = np.zeros((10, 3))
-        pts[:, 0] = np.arange(10.0)
-        idx, _ = knn(np.array([4.4, 0.0, 0.0]), pts, 2)
-        assert set(idx) == {4, 5}
-
-    def test_empty_cloud(self):
-        with pytest.raises(EmptyCloud):
-            knn(np.zeros(3), np.empty((0, 3)), 1)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            knn(np.zeros(3), np.zeros((3, 3)), 4)
 
 
 class TestPcaObb:
@@ -238,9 +136,8 @@ class TestEstimateNormals:
     lambda: RigidTransform(np.eye(3) * 2.0, np.zeros(3)),
     lambda: PointCloud3(np.zeros((4, 2))),
     lambda: ObbScale(np.eye(3), [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
-    lambda: knn(np.zeros(3), np.zeros((3, 3)), 4),
     lambda: estimate_normals(np.eye(3), [0], k=2, up_hint=[0.0, 0.0, 1.0]),
-], ids=["RigidTransform", "PointCloud3", "ObbScale", "knn", "estimate_normals"])
+], ids=["RigidTransform", "PointCloud3", "ObbScale", "estimate_normals"])
 def test_bad_input_is_a_limbscan_error(make):
     """Bad geometry input raises the package's error type, so a pipeline
     stage reports it as that stage's failure."""

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from _util import GRAPH_KEYS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +24,8 @@ from limbscan.geometry import PointCloud3, RigidTransform
 from limbscan.pipeline import (_SECTIONS, STAGES, PipelineConfig, PlanConfig,
                                RegistrationConfig, SceneConfig, build_scene,
                                config_from_dict, config_to_dict, load_config,
-                               SWEEP_FIELDS, run_pipeline, sweep, write_graph)
-from limbscan.registration import DeformationGraph, SolveParams, build_graph
+                               SWEEP_FIELDS, run_pipeline, sweep)
+from limbscan.registration import SolveParams, build_graph
 from limbscan.scan import ScanParams
 from limbscan.scene import ArticulatedPose, articulate
 from limbscan.trajectory import ScanTrajectory, smooth_centerline
@@ -249,7 +250,7 @@ class TestRunPipeline:
                                            "register", "transfer", "scan",
                                            "report"]
 
-    def test_artifacts_written(self, pipeline_run, tmp_path):
+    def test_artifacts_written(self, pipeline_run):
         out, _ = pipeline_run
         for name in ("atlas_surface.ply", "scene_surface.ply",
                      "scene_centerline.csv", "depth.pgm",
@@ -263,9 +264,10 @@ class TestRunPipeline:
         atlas = build_scene(config_from_dict({}))[1]
         assert np.array_equal(pointio.read_ply(out / "atlas_surface.ply").points,
                               atlas.surface.points)
-        graph = DeformationGraph.from_dict(json.loads((out / "graph.json").read_text()))
-        write_graph(tmp_path / "graph.json", graph)
-        assert (tmp_path / "graph.json").read_bytes() == (out / "graph.json").read_bytes()
+        text = (out / "graph.json").read_text()
+        graph = json.loads(text)
+        assert json.dumps(graph, sort_keys=True) + "\n" == text
+        assert sorted(graph) == sorted(GRAPH_KEYS)
         timings = json.loads((out / "timings.json").read_text())
         assert sorted(timings) == sorted([*STAGES, "write"])
         assert multiprocessing.active_children() == []
@@ -705,6 +707,23 @@ class TestCli:
                        "misses the vessel of the scene posed at 180 deg\n")
         assert not (tmp_path / "scan.json").exists()
 
+    def test_scan_one_station_on_vessel_names_frame_count(self, tmp_path, capsys):
+        # a lone station on the vessel images it once: the trajectory is too
+        # short, not off the vessel
+        assert main(["plan", "--out", str(tmp_path)]) == EXIT_OK
+        stations = np.loadtxt(tmp_path / "atlas_trajectory.csv", delimiter=",", skiprows=1)
+        traj = tmp_path / "one.csv"
+        traj.write_text(",".join(repr(float(v)) for v in stations[35]) + "\n")
+        capsys.readouterr()
+        assert main(["scan", "--angle", "180", "--traj", str(traj),
+                     "--out-frames", str(tmp_path / "frames"),
+                     "--report", str(tmp_path / "scan.json")]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err == (f"error: need >= 2 non-empty frames, got 1: trajectory {traj} "
+                       "images the vessel of the scene posed at 180 deg in only 1 frame; "
+                       "a radius report needs at least 2\n")
+        assert not (tmp_path / "scan.json").exists()
+
     def test_register_command(self, tmp_path, atlas, template):
         posed = articulate(template, ArticulatedPose(150.0))
         args = []
@@ -722,9 +741,10 @@ class TestCli:
         assert main(["register", *args, "--radius", "30",
                      "--out-graph", str(graph_path),
                      "--out-history", str(history_path)]) == EXIT_OK
-        graph = DeformationGraph.from_dict(json.loads(graph_path.read_text()))
-        assert graph.n_nodes > 1
-        assert graph.sampling_radius == 30.0
+        graph = json.loads(graph_path.read_text())
+        assert sorted(graph) == sorted(GRAPH_KEYS)
+        assert len(graph["positions"]) > 1
+        assert graph["sampling_radius"] == 30.0
         lines = history_path.read_text().splitlines()
         assert lines[0] == "step,energy"
         steps = [int(line.split(",")[0]) for line in lines[1:]]
