@@ -22,48 +22,85 @@ from .scene import ArmTemplate
 from .trajectory import ScanTrajectory
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class VirtualFrame:
     """One simulated ultrasound cross-section, measured once when built: its
     world-frame image axes, foreground area in pixels, and (column, row)
     foreground centroid, None for an empty mask.
 
-    The centroid is the exact integer first moment of the columns (rows)
-    over the area: the same integer sum, under 2^53, and the same single
-    rounding division as the mean of the foreground pixels' indices, so the
-    same bits, without building those index arrays.
+    `VirtualFrame(probe_pose, width_px, height_px, pitch, mask)` takes the
+    full (height, width) 0/1 mask. The frame stores only a 0/1 uint8 window
+    and the (row, column) origin of its first pixel in the image; every
+    pixel outside it is 0. `mask` builds the full image on each read and
+    the frame never keeps it, so an edit to it cannot reach the frame.
+
+    The centroid is the exact integer first moment of the columns (rows),
+    the window's column (row) sums times their image indices, over the
+    area: the same integer sum, under 2^53, and the same single rounding
+    division as the mean of the foreground pixels' indices, so the same
+    bits, without building those index arrays.
     """
 
     probe_pose: RigidTransform
     width_px: int
     height_px: int
     pitch: float
-    mask: np.ndarray
-    axes: np.ndarray = field(init=False, repr=False)
-    area: int = field(init=False)
-    centroid: tuple[float, float] | None = field(init=False)
+    window: np.ndarray = field(repr=False)
+    origin: tuple[int, int]
+    axes: np.ndarray = field(repr=False)
+    area: int
+    centroid: tuple[float, float] | None
 
-    def __post_init__(self):
-        mask = np.asarray(self.mask)
+    def __init__(self, probe_pose: RigidTransform, width_px: int, height_px: int,
+                 pitch: float, mask: np.ndarray):
+        mask = np.asarray(mask)
         # the cast to uint8 wraps 256 and truncates 0.5 and NaN to 0, so a
         # mask of another type is checked before it
         if mask.dtype != np.uint8 and not np.all((mask == 0) | (mask == 1)):
             raise InvalidParams("mask values must be binary")
-        self.mask = mask.astype(np.uint8, copy=False)
-        if self.mask.shape != (self.height_px, self.width_px):
+        if mask.shape != (height_px, width_px):
             raise InvalidParams("mask dims must match width/height")
-        if not self.pitch > 0:
-            raise InvalidParams("pitch must be positive")
-        if (self.mask > 1).any():
+        if not 0 < pitch < math.inf:
+            raise InvalidParams(f"pitch must be finite and positive, got {pitch}")
+        # an own copy: the caller's array would move under the measurement
+        window = mask.astype(np.uint8)
+        if (window > 1).any():
             raise InvalidParams("mask values must be binary")
-        self.axes = image_axes(self.probe_pose)
-        self.area = int(np.count_nonzero(self.mask))
-        self.centroid = None
-        if self.area:
+        self._measure(probe_pose, width_px, height_px, pitch, window, (0, 0),
+                      image_axes(probe_pose))
+
+    @classmethod
+    def _of_window(cls, probe_pose: RigidTransform, width_px: int, height_px: int,
+                   pitch: float, window: np.ndarray, origin: tuple[int, int],
+                   axes: np.ndarray) -> "VirtualFrame":
+        """A frame from a 0/1 uint8 window that fits the image at origin, and
+        the pose's image axes, unchecked: image_slice builds them so."""
+        frame = object.__new__(cls)
+        frame._measure(probe_pose, width_px, height_px, pitch, window, origin, axes)
+        return frame
+
+    def _measure(self, probe_pose, width_px, height_px, pitch, window, origin, axes):
+        area = int(np.count_nonzero(window))
+        centroid = None
+        if area:
+            (r0, c0), (h, w) = origin, window.shape
             # a column (row) sum is at most the height (width): no uint32 overflow
-            col_moment = self.mask.sum(axis=0, dtype=np.uint32) @ np.arange(self.width_px)
-            row_moment = self.mask.sum(axis=1, dtype=np.uint32) @ np.arange(self.height_px)
-            self.centroid = (int(col_moment) / self.area, int(row_moment) / self.area)
+            col_moment = window.sum(axis=0, dtype=np.uint32) @ np.arange(c0, c0 + w)
+            row_moment = window.sum(axis=1, dtype=np.uint32) @ np.arange(r0, r0 + h)
+            centroid = (int(col_moment) / area, int(row_moment) / area)
+        for name, value in (("probe_pose", probe_pose), ("width_px", width_px),
+                            ("height_px", height_px), ("pitch", pitch),
+                            ("window", window), ("origin", origin), ("axes", axes),
+                            ("area", area), ("centroid", centroid)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The full (height, width) 0/1 uint8 image, built anew on each read."""
+        mask = np.zeros((self.height_px, self.width_px), dtype=np.uint8)
+        (r0, c0), (h, w) = self.origin, self.window.shape
+        mask[r0:r0 + h, c0:c0 + w] = self.window
+        return mask
 
 
 @dataclass
@@ -173,7 +210,6 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
     if sampler is None:
         sampler = VesselSampler(scene.centerline.points, scene.vessel_radius)
     ax = image_axes(probe_pose)
-    mask = np.zeros((height_px, width_px), dtype=np.uint8)
     # r plus a guard: one pixel, and the slack of axes that are orthonormal
     # only to RigidTransform's 1e-6
     reach = sampler.radius + pitch + 1e-5 * (sampler.radius + (width_px + height_px) * pitch)
@@ -182,7 +218,8 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
     # compress: the same rows as a boolean index, several times faster
     pts = np.compress(off_plane <= reach, sampler.points, axis=0)
     if len(pts) == 0:
-        return VirtualFrame(probe_pose, width_px, height_px, pitch, mask)
+        return VirtualFrame._of_window(probe_pose, width_px, height_px, pitch,
+                                       np.zeros((0, 0), dtype=np.uint8), (0, 0), ax)
     near = (pts - t) @ ax   # lateral, off-plane, depth
     c0, c1 = _pixel_span(near[:, 0] / pitch + width_px / 2.0, reach / pitch, width_px)
     r0, r1 = _pixel_span(near[:, 2] / pitch - 0.5, reach / pitch, height_px)
@@ -198,8 +235,9 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
     maybe = ~inside & (box_sq <= (sampler.radius + 1e-6) ** 2)
     if maybe.any():
         inside[maybe] = sampler.inside(grid[maybe])
-    mask[r0:r1, c0:c1] = inside
-    return VirtualFrame(probe_pose, width_px, height_px, pitch, mask)
+    # a bool array's bytes are 0/1: the uint8 view is the window as is
+    return VirtualFrame._of_window(probe_pose, width_px, height_px, pitch,
+                                   inside.view(np.uint8), (r0, c0), ax)
 
 
 def _pixel_span(u: np.ndarray, reach: float, n: int) -> tuple[int, int]:

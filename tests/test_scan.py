@@ -1,5 +1,6 @@
 """Virtual scan loop: imaging, centering servo, reconstruction, radius report."""
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from limbscan import pipeline, pointio
 from limbscan.errors import InvalidParams, TooFewFrames, VesselLost
 from limbscan.geometry import PointCloud3, RigidTransform
+from limbscan.pipeline import config_from_dict, run_pipeline
 from limbscan.scan import (ReconstructedVessel, ScanParams, VesselSampler,
                            VirtualFrame, centering_step, image_axes,
                            image_slice, radius_report, reconstruct, run_scan)
@@ -42,6 +45,22 @@ class TestFrames:
             VirtualFrame(_down_pose(), 4, 4, 0.1, np.full((4, 4), 2))
         f = VirtualFrame(_down_pose(), 4, 4, 0.1, np.zeros((4, 4)))
         assert f.area == 0 and f.centroid is None
+
+    @pytest.mark.parametrize("pitch", [0.0, -0.1, float("inf"), float("nan")])
+    def test_virtual_frame_bad_pitch_rejected(self, pitch):
+        with pytest.raises(InvalidParams, match="pitch"):
+            VirtualFrame(_down_pose(), 4, 4, pitch, np.zeros((4, 4)))
+
+    def test_frame_is_frozen(self):
+        mask = np.zeros((4, 4), dtype=np.uint8)
+        f = VirtualFrame(_down_pose(), 4, 4, 0.1, mask)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.area = 1
+        # neither the mask read from the frame nor the caller's array is
+        # what the frame measured
+        f.mask[0, 0] = 1
+        mask[1, 1] = 1
+        assert f.area == 0 and f.centroid is None and not f.mask.any()
 
     def test_measured_once_matches_mask(self, rng):
         pose = _down_pose(x=3.0)
@@ -186,14 +205,16 @@ def _tilted(deg):
 
 def _full_grid_mask(sampler, pose, width_px, height_px, pitch):
     """Every pixel of the image through a k-d tree of the sampler's points of
-    its own: inside when its nearest sample is within the radius."""
+    its own: inside when its nearest sample is within the radius. A pixel
+    with no sample within twice the radius gets an infinite distance."""
     ax = image_axes(pose)
     lat = (np.arange(width_px) - width_px / 2.0) * pitch
     dep = (np.arange(height_px) + 0.5) * pitch
     grid = (pose.translation[None, None, :]
             + dep[:, None, None] * ax[:, 2]
             + lat[None, :, None] * ax[:, 0])
-    d, _ = cKDTree(sampler.points).query(grid.reshape(-1, 3))
+    d, _ = cKDTree(sampler.points).query(grid.reshape(-1, 3),
+                                         distance_upper_bound=2.0 * sampler.radius)
     return (d <= sampler.radius).reshape(height_px, width_px).astype(np.uint8)
 
 
@@ -221,7 +242,26 @@ WINDOW_POSES = {
     "off-arm": (DOWN_ROTATION, [120.0, 50.0, 32.0], 256, 160, 0.1),
     "beyond-endpoint": (DOWN_ROTATION, [3.0, 0.0, 32.0], 256, 160, 0.1),
     "2x2-pitch-1": (DOWN_ROTATION, [120.0, 0.0, 29.5], 2, 2, 1.0),
+    "clipped-top": (DOWN_ROTATION, [120.0, 0.0, 28.5], 256, 160, 0.1),
+    "clipped-bottom": (DOWN_ROTATION, [120.0, 0.0, 32.0], 256, 45, 0.1),
+    "1-wide": (DOWN_ROTATION, [120.0, 0.0, 32.0], 1, 160, 0.1),
+    "1-high": (DOWN_ROTATION, [120.0, 0.0, 28.05], 256, 1, 0.1),
 }
+
+# the image border each clipped window meets: (axis, first or last index)
+CLIPPED_AT = {"clipped-left": (1, -1), "clipped-right": (1, 0),
+              "clipped-top": (0, 0), "clipped-bottom": (0, -1)}
+
+
+def _assert_full_image(frame, want):
+    """The frame's mask, area and centroid equal those of the full image want."""
+    got = frame.mask
+    assert got.dtype == want.dtype == np.uint8 and np.array_equal(got, want)
+    assert frame.area == int(want.sum()) and type(frame.area) is int
+    if frame.area == 0:
+        assert frame.centroid is None
+    else:
+        assert frame.centroid == _index_centroid(want)
 
 
 class TestImageSliceWindow:
@@ -230,16 +270,19 @@ class TestImageSliceWindow:
         rotation, t, w, h, pitch = WINDOW_POSES[name]
         pose = RigidTransform(rotation, np.array(t))
         sampler = VesselSampler(atlas.centerline.points, atlas.vessel_radius)
-        got = image_slice(atlas, pose, w, h, pitch, sampler).mask
+        frame = image_slice(atlas, pose, w, h, pitch, sampler)
         want = _full_grid_mask(sampler, pose, w, h, pitch)
-        assert np.array_equal(got, want)
-        assert got.dtype == want.dtype == np.uint8
+        _assert_full_image(frame, want)
         if name in ("off-arm", "beyond-endpoint"):
             assert not want.any()
         else:
             assert want.any() and not want.all()
-        if name.startswith("clipped"):
-            assert want[:, 0].any() or want[:, -1].any()
+        if name in CLIPPED_AT:
+            axis, edge = CLIPPED_AT[name]
+            assert np.take(want, edge, axis=axis).any()
+            start = frame.origin[axis]
+            end = start + frame.window.shape[axis]
+            assert start == 0 if edge == 0 else end == want.shape[axis]
 
     def test_elbow_plane_crossing_twice(self, template):
         """At 100 deg the blended elbow folds the vessel, so the plane
@@ -297,6 +340,66 @@ class TestImageSliceWindow:
             assert np.array_equal(got, _full_grid_mask(sampler, pose, 96, 64, 0.25))
             hits += got.any()
         assert hits >= 6
+
+
+class TestWindowedFrame:
+    """A frame of image_slice holds only its window; its mask, area and
+    centroid are those of the full image."""
+
+    def test_servo_frames_equal_full_image(self, atlas):
+        params = ScanParams(lateral_bias=3.0)
+        result = run_scan(atlas, straight_trajectory(atlas), params)
+        assert result.corrections
+        sampler = VesselSampler(atlas.centerline.points, atlas.vessel_radius,
+                                params.resample_step)
+        for f in result.frames:
+            _assert_full_image(f, _full_grid_mask(sampler, f.probe_pose, f.width_px,
+                                                  f.height_px, f.pitch))
+
+    def test_pipeline_frames_equal_full_image(self, tmp_path, monkeypatch):
+        """Every frame of run_pipeline's scan at 140 deg, and the PGM that the
+        writer process wrote from the frame it was sent."""
+        scans = []
+
+        def keep(scene, trajectory, params):
+            scans.append((scene, params, run_scan(scene, trajectory, params)))
+            return scans[-1][2]
+
+        monkeypatch.setattr(pipeline, "run_scan", keep)
+        cfg = config_from_dict({"scene": {"elbow_angle": 140.0}})
+        run_pipeline(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+        (posed, params, result), = scans
+        sampler = VesselSampler(posed.centerline.points, posed.vessel_radius,
+                                params.resample_step)
+        for i, f in enumerate(result.frames):
+            want = _full_grid_mask(sampler, f.probe_pose, f.width_px, f.height_px, f.pitch)
+            _assert_full_image(f, want)
+            pointio.write_mask_pgm(tmp_path / "want.pgm", want)
+            written = tmp_path / "frames" / f"frame_{i:04d}.pgm"
+            assert written.read_bytes() == (tmp_path / "want.pgm").read_bytes()
+
+    @pytest.mark.parametrize("name", ["clipped-top", "1-high", "beyond-endpoint"])
+    def test_pickle_round_trip(self, atlas, name):
+        rotation, t, w, h, pitch = WINDOW_POSES[name]
+        frame = image_slice(atlas, RigidTransform(rotation, np.array(t)), w, h, pitch)
+        again = pickle.loads(pickle.dumps(frame))
+        assert again.mask.tobytes() == frame.mask.tobytes()
+        assert (again.area, again.centroid) == (frame.area, frame.centroid)
+
+    def test_frame_stores_only_its_window(self, atlas):
+        frame = image_slice(atlas, straight_trajectory(atlas).poses[0], 256, 160, 0.1)
+        assert frame.area > 0
+        held = [v for v in vars(frame).values() if isinstance(v, np.ndarray)]
+        # each array counted by the one that owns its memory
+        assert sum((a if a.base is None else a.base).nbytes for a in held) < 256 * 160
+        assert len(pickle.dumps(frame)) < 256 * 160
+        attrs = dict(vars(frame))
+        first, second = frame.mask, frame.mask
+        assert np.array_equal(first, second) and first is not second
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, frame.window)
+        assert vars(frame).keys() == attrs.keys()
+        assert all(vars(frame)[k] is v for k, v in attrs.items())
 
 
 class TestCenteringStep:
