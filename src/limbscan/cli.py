@@ -196,13 +196,10 @@ def _cmd_scan(args) -> int:
         radii = summarize_scan(result.frames, posed)
     except TooFewFrames as exc:
         hint = "" if cfg.scene.elbow_angle == 180.0 else (
-            " (an atlas plan from `limbscan plan` lies on it only at 180 deg); scan the "
-            "transferred_trajectory.csv that `limbscan pipeline` writes for this angle")
-        vessel = f"the vessel of the scene posed at {cfg.scene.elbow_angle:g} deg"
-        imaged = sum(f.centroid is not None for f in result.frames)
-        cause = f"misses {vessel}" if imaged == 0 else (
-            f"images {vessel} in only {imaged} frame; a radius report needs at least 2")
-        raise TooFewFrames(f"{exc}: trajectory {args.traj} {cause}{hint}") from exc
+            " (an atlas plan from `limbscan plan` lies on the vessel only at 180 deg); scan "
+            "the transferred_trajectory.csv that `limbscan pipeline` writes for this angle")
+        raise TooFewFrames(f"{exc}: trajectory {args.traj}, scene posed at "
+                           f"{cfg.scene.elbow_angle:g} deg{hint}") from exc
     report = {
         "sub_segments": [list(s) for s in radii.sub_segments],
         "global_mean_radius": radii.global_mean,

@@ -12,7 +12,8 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateConfiguration, InvalidParams
 
 
-@dataclass(frozen=True)
+# eq=False: identity equality, as a generated __eq__ cannot compare array fields
+@dataclass(frozen=True, eq=False)
 class RigidTransform:
     """Rotation + translation mapping points from one frame to another."""
 
@@ -55,7 +56,8 @@ class RigidTransform:
         return p @ self.rotation.T + self.translation
 
 
-@dataclass
+# eq=False: identity equality, as a generated __eq__ cannot compare array fields
+@dataclass(eq=False)
 class PointCloud3:
     """Ordered 3D point set."""
 

@@ -1,18 +1,16 @@
 """End-to-end pipeline: scene -> render -> extract -> plan -> register ->
 transfer -> scan -> report, plus the parameter sweep.
 
-All stage artifacts are written under the configured output directory, by a
-writer process while the stages compute. The main report (report.json)
-contains only deterministic quantities so repeated runs with the same seed are
-byte-identical; wall-clock stage timings go to a separate timings.json.
+Each stage writes its artifacts under the configured output directory as it
+makes them. The main report (report.json) contains only deterministic
+quantities so repeated runs with the same seed are byte-identical; wall-clock
+stage timings go to a separate timings.json.
 """
 from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -265,51 +263,20 @@ def write_graph(path: Path, graph: DeformationGraph) -> None:
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
-    """Execute every stage, writing artifacts under cfg.output_dir.
-
-    One writer process writes the artifacts while the stages compute, so a
-    stage's time excludes writing; timings.json's "write" is the time spent
-    waiting for the writer after the last stage.
+    """Execute every stage, each writing its artifacts under cfg.output_dir,
+    so a stage's time in timings.json includes its writes.
 
     Raises StageError with the failing stage's name; artifacts produced by
-    earlier stages stay on disk. A failed write raises its own OSError at the
-    start of the first stage after the write ended, or else before
-    report.json and timings.json are written.
+    earlier stages stay on disk. A failed write raises its own OSError in
+    the stage that made the artifact, so no later stage runs and neither
+    report.json nor timings.json is written.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # fork starts the writer in about 12 ms with limbscan already imported;
-    # forkserver and spawn re-import it in the worker, and forkserver re-runs
-    # an unguarded __main__ script, which ends in BrokenProcessPool. A thread
-    # would not overlap: repr of a float list, most of a write, holds the GIL.
-    with ProcessPoolExecutor(max_workers=1,
-                             mp_context=multiprocessing.get_context("fork")) as writer:
-        report, timings = _run_stages(cfg, out, writer)
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-    (out / "timings.json").write_text(
-        json.dumps(timings, sort_keys=True, indent=2) + "\n")
-    return report
-
-
-def _run_stages(cfg: PipelineConfig, out: Path,
-                writer: ProcessPoolExecutor) -> tuple[RunReport, dict]:
-    """The stages of run_pipeline, each artifact write submitted to writer;
-    returns once every write is done, raising the first failed one."""
     timings: dict[str, float] = {}
-    pending = []
-
-    def write(fn, *args):
-        # the executor pickles args after submit returns, so a submitted
-        # object must not change afterwards; no stage changes one
-        pending.append(writer.submit(fn, *args))
 
     @contextmanager
     def stage(name):
-        # a write that has already failed stops the run before this stage
-        for future in pending:
-            if future.done():
-                future.result()
         t0 = time.perf_counter()
         try:
             yield
@@ -319,41 +286,41 @@ def _run_stages(cfg: PipelineConfig, out: Path,
 
     with stage("scene"):
         template, atlas, posed = build_scene(cfg)
-        write(pointio.write_ply, out / "atlas_surface.ply", atlas.surface)
-        write(pointio.write_ply, out / "scene_surface.ply", posed.surface)
-        write(pointio.write_points_csv, out / "scene_centerline.csv", posed.centerline.points)
+        pointio.write_ply(out / "atlas_surface.ply", atlas.surface)
+        pointio.write_ply(out / "scene_surface.ply", posed.surface)
+        pointio.write_points_csv(out / "scene_centerline.csv", posed.centerline.points)
 
     with stage("render"):
         img = render_scene(posed, cfg.scene, cfg.seed)
-        write(pointio.write_depth_pgm, out / "depth.pgm", img.depth)
+        pointio.write_depth_pgm(out / "depth.pgm", img.depth)
 
     with stage("extract"):
         jp = joint_pixels(img, posed)
         seg = extract_arm(img, JointPixels(jp["wrist"], jp["elbow"], jp["shoulder"]),
                           cfg.extraction)
-        write(pointio.write_ply, out / "extracted_forearm.ply", seg.forearm)
-        write(pointio.write_ply, out / "extracted_upperarm.ply", seg.upperarm)
+        pointio.write_ply(out / "extracted_forearm.ply", seg.forearm)
+        pointio.write_ply(out / "extracted_upperarm.ply", seg.upperarm)
 
     with stage("plan"):
         plan = plan_scan(atlas, cfg.plan)
-        write(pointio.write_points_csv, out / "atlas_trajectory.csv", plan.surface_points)
+        pointio.write_points_csv(out / "atlas_trajectory.csv", plan.surface_points)
 
     with stage("register"):
         target = ArmObservation(seg.forearm, seg.upperarm,
                                 posed.wrist, posed.elbow, posed.shoulder)
         maps, graph, history = register_atlas(_observation_from_atlas(atlas), target,
                                               cfg.registration)
-        write(write_graph, out / "graph.json", graph)
+        write_graph(out / "graph.json", graph)
 
     with stage("transfer"):
         transferred = transfer_plan(plan, atlas, maps, graph, target.forearm)
-        write(pointio.write_points_csv, out / "transferred_trajectory.csv",
-              transferred.surface_points)
+        pointio.write_points_csv(out / "transferred_trajectory.csv",
+                                 transferred.surface_points)
 
     with stage("scan"):
         scan_result = run_scan(posed, transferred, cfg.scan)
-        write(write_frames, out / "frames", scan_result.frames)
-        write(write_poses, out / "executed_poses.csv", scan_result.executed_poses)
+        write_frames(out / "frames", scan_result.frames)
+        write_poses(out / "executed_poses.csv", scan_result.executed_poses)
 
     with stage("report"):
         radii = summarize_scan(scan_result.frames, posed)
@@ -373,11 +340,11 @@ def _run_stages(cfg: PipelineConfig, out: Path,
             stages_completed=list(STAGES),
         )
 
-    t0 = time.perf_counter()
-    for future in pending:
-        future.result()
-    timings["write"] = time.perf_counter() - t0
-    return report, timings
+    (out / "report.json").write_text(
+        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    (out / "timings.json").write_text(
+        json.dumps(timings, sort_keys=True, indent=2) + "\n")
+    return report
 
 
 def sweep(base: PipelineConfig, angles=(120.0, 140.0, 160.0), seeds=(0,),

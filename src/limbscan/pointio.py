@@ -1,4 +1,5 @@
-"""File I/O: ASCII PLY clouds, CSV point lists, PGM depth/mask images."""
+"""File I/O: PLY clouds (written binary, read ASCII or binary), CSV point
+lists, PGM depth/mask images."""
 from __future__ import annotations
 
 from pathlib import Path
@@ -13,61 +14,88 @@ DEPTH_SCALE = 10.0
 
 
 def write_ply(path, cloud: PointCloud3) -> None:
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "end_header",
-    ]
-    # the repr of the nested list is every value's float repr, ", " between
-    # values and "], [" between rows
-    body = repr(cloud.points.tolist())[2:-2].replace("], [", "\n").replace(", ", " ")
-    Path(path).write_text("\n".join(lines) + "\n" + body + "\n")
+    """Binary little-endian PLY: x, y, z as doubles, so the file holds the
+    cloud's values exactly."""
+    header = ("ply\nformat binary_little_endian 1.0\n"
+              f"element vertex {len(cloud)}\n"
+              "property double x\nproperty double y\nproperty double z\nend_header\n")
+    with open(path, "wb") as f:
+        f.write(header.encode("ascii"))
+        f.write(cloud.points.astype("<f8").tobytes())
+
+
+# PLY scalar property types, under both their old and their sized names
+_PLY_TYPES = {"char": "i1", "uchar": "u1", "short": "i2", "ushort": "u2",
+              "int": "i4", "uint": "u4", "float": "f4", "double": "f8",
+              "int8": "i1", "uint8": "u1", "int16": "i2", "uint16": "u2",
+              "int32": "i4", "uint32": "u4", "float32": "f4", "float64": "f8"}
 
 
 def read_ply(path) -> PointCloud3:
-    """Read an ASCII PLY cloud: the x, y, z properties of its vertex element.
-    Other properties, and other elements, are read past."""
-    text = Path(path).read_text(errors="replace").splitlines()
-    if not text or text[0].strip() != "ply":
-        raise InvalidParams(f"{path}: not a PLY file")
-    n_vertex = 0
-    in_vertex = False
-    props: list[str] = []
-    i = 1
-    while i < len(text):
-        line = text[i].strip()
-        i += 1
-        if line.startswith("element"):
-            in_vertex = line.startswith("element vertex")
-            if in_vertex:
-                count = line.split()[-1]
-                if not count.isdecimal():
-                    raise InvalidParams(f"{path}: bad vertex count in {line!r}")
-                n_vertex = int(count)
-        elif line.startswith("format") and line != "format ascii 1.0":
-            raise InvalidParams(f"{path}: only ASCII PLY is supported, got {line!r}")
-        elif line.startswith("property") and in_vertex:
-            props.append(line.split()[-1])
-        elif line == "end_header":
+    """Read an ASCII or binary little-endian PLY cloud: the x, y, z
+    properties of its vertex element, which must come first. Other vertex
+    properties, and other elements, are read past."""
+    raw = Path(path).read_bytes()
+    lines, pos = [], 0
+    while (end := raw.find(b"\n", pos)) >= 0:
+        lines.append(raw[pos:end].decode("ascii", errors="replace").strip())
+        pos = end + 1
+        if lines[0] != "ply" or lines[-1] == "end_header":
             break
-    cols = {name: k for k, name in enumerate(props)}
+    if not lines or lines[0] != "ply":
+        raise InvalidParams(f"{path}: not a PLY file")
+    if lines[-1] != "end_header":
+        raise InvalidParams(f"{path}: PLY header has no end_header line")
+    fmt, n_vertex, elements = None, 0, 0
+    props: list[str] = []   # the vertex properties' types
+    cols: dict[str, int] = {}
+    for line in lines[1:-1]:
+        words = line.split()
+        if line.startswith("format"):
+            fmt = line
+        elif line.startswith("element"):
+            elements += 1
+            if elements > 1:
+                continue
+            # the body is read from its start, so the vertex element leads
+            if not line.startswith("element vertex"):
+                raise InvalidParams(f"{path}: the vertex element must come first, got {line!r}")
+            if not words[-1].isdecimal():
+                raise InvalidParams(f"{path}: bad vertex count in {line!r}")
+            n_vertex = int(words[-1])
+        elif line.startswith("property") and elements == 1:
+            if len(words) != 3 or words[1] not in _PLY_TYPES:
+                raise InvalidParams(f"{path}: only scalar vertex properties are "
+                                    f"supported, got {line!r}")
+            props.append(words[1])
+            cols[words[2]] = len(props) - 1
+    if fmt not in ("format ascii 1.0", "format binary_little_endian 1.0"):
+        raise InvalidParams(f"{path}: only ASCII and binary little-endian PLY are "
+                            f"supported, got {fmt!r}")
     if not {"x", "y", "z"} <= cols.keys():
         raise InvalidParams(f"{path}: vertex element lacks an x, y or z property")
-    body = text[i:i + n_vertex]
-    if len(body) < n_vertex:
-        raise InvalidParams(f"{path}: header declares {n_vertex} vertices, body has {len(body)}")
-    try:
-        rows = [[float(v) for v in line.split()] for line in body]
-    except ValueError as exc:
-        raise InvalidParams(f"{path}: bad vertex row: {exc}") from exc
-    if any(len(row) != len(props) for row in rows):
-        raise InvalidParams(f"{path}: a vertex row does not hold {len(props)} values")
-    data = np.array(rows, dtype=float).reshape(n_vertex, len(props))
-    return PointCloud3(data[:, [cols["x"], cols["y"], cols["z"]]])
+    if fmt == "format ascii 1.0":
+        body = raw[pos:].decode(errors="replace").splitlines()[:n_vertex]
+        if len(body) < n_vertex:
+            raise InvalidParams(f"{path}: header declares {n_vertex} vertices, "
+                                f"body has {len(body)}")
+        try:
+            rows = [[float(v) for v in line.split()] for line in body]
+        except ValueError as exc:
+            raise InvalidParams(f"{path}: bad vertex row: {exc}") from exc
+        if any(len(row) != len(props) for row in rows):
+            raise InvalidParams(f"{path}: a vertex row does not hold {len(props)} values")
+        table = np.array(rows, dtype=float).reshape(n_vertex, len(props)).T
+    else:
+        record = np.dtype([(f"p{k}", "<" + _PLY_TYPES[kind]) for k, kind in enumerate(props)])
+        have = (len(raw) - pos) // record.itemsize
+        if have < n_vertex:
+            raise InvalidParams(f"{path}: header declares {n_vertex} vertices, body has {have}")
+        data = np.frombuffer(raw, dtype=record, count=n_vertex, offset=pos)
+        table = [data[f"p{k}"] for k in range(len(props))]
+    # column-major, the layout read_ply has always returned: the rounding of
+    # a registration run on the cloud depends on it
+    return PointCloud3(np.array([table[cols[c]] for c in "xyz"], dtype=float).T)
 
 
 def write_points_csv(path, points: np.ndarray, header: str | None = "x,y,z") -> None:

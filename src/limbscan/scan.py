@@ -22,7 +22,8 @@ from .scene import ArmTemplate
 from .trajectory import ScanTrajectory
 
 
-@dataclass(frozen=True, init=False)
+# eq=False: identity equality, as a generated __eq__ cannot compare array fields
+@dataclass(frozen=True, init=False, eq=False)
 class VirtualFrame:
     """One simulated ultrasound cross-section, measured once when built: its
     world-frame image axes, foreground area in pixels, and (column, row)
@@ -334,8 +335,10 @@ def reconstruct(frames: list) -> ReconstructedVessel:
                        + (v_x - f.width_px / 2.0) * f.pitch * f.axes[:, 0]
                        + (v_y + 0.5) * f.pitch * f.axes[:, 2])
         radii.append(f.pitch * np.sqrt(f.area / np.pi))
-    if len(centers) < 2:
-        raise TooFewFrames(f"need >= 2 non-empty frames, got {len(centers)}")
+    if not centers:
+        raise TooFewFrames("no frame imaged the vessel")
+    if len(centers) == 1:
+        raise TooFewFrames("only 1 frame imaged the vessel; a radius report needs at least 2")
     return ReconstructedVessel(PointCloud3(np.asarray(centers)), np.asarray(radii))
 
 

@@ -6,6 +6,7 @@ from scipy.spatial.transform import Rotation
 from limbscan.errors import DegenerateConfiguration, InvalidParams
 from limbscan.geometry import (ObbScale, PointCloud3, RigidTransform,
                                estimate_normals, pca_obb)
+from limbscan.scan import VirtualFrame
 
 
 def _random_rigid(rng):
@@ -143,3 +144,16 @@ def test_bad_input_is_a_limbscan_error(make):
     stage reports it as that stage's failure."""
     with pytest.raises(InvalidParams):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RigidTransform(np.eye(3), np.zeros(3)),
+    lambda: PointCloud3(np.zeros((4, 3))),
+    lambda: VirtualFrame(RigidTransform.identity(), 4, 4, 0.1, np.zeros((4, 4))),
+], ids=["RigidTransform", "PointCloud3", "VirtualFrame"])
+def test_equality_is_identity(make):
+    """Two distinct objects of equal fields compare unequal without raising:
+    their array fields have no single truth value."""
+    a, b = make(), make()
+    assert a == a
+    assert (a == b) is False

@@ -1,4 +1,5 @@
-"""File formats: ASCII PLY, CSV point lists, 16-bit depth PGM, 8-bit mask PGM."""
+"""File formats: PLY (written binary, read ASCII or binary), CSV point lists,
+16-bit depth PGM, 8-bit mask PGM."""
 import numpy as np
 import pytest
 
@@ -29,34 +30,21 @@ class TestPly:
         cols = [names.split().index(c) for c in "xyz"]
         np.testing.assert_array_equal(read_ply(path).points, data[:, cols])
 
-    def test_header_is_ascii_ply(self, tmp_path):
+    _HEADER = ("ply\nformat binary_little_endian 1.0\nelement vertex {n}\n"
+               "property double x\nproperty double y\nproperty double z\nend_header\n")
+
+    def test_header_is_binary_ply(self, tmp_path):
         path = tmp_path / "c.ply"
         write_ply(path, PointCloud3(np.zeros((2, 3))))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "ply"
-        assert lines[1] == "format ascii 1.0"
-        assert "element vertex 2" in lines
+        raw = path.read_bytes()
+        header = self._HEADER.format(n=2).encode()
+        assert raw.startswith(header)
+        assert len(raw) == len(header) + 2 * 3 * 8
 
-    def test_rejects_non_ply(self, tmp_path):
-        path = tmp_path / "bad.ply"
-        path.write_text("OFF\n")
-        with pytest.raises(ValueError):
-            read_ply(path)
-
-    @staticmethod
-    def _per_value_join(cloud):
-        """The file as written by one float repr per value, joined row by row."""
-        header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
-                  *(f"property float {name}" for name in "xyz"), "end_header"]
-        body = "\n".join(" ".join(repr(float(v)) for v in row) for row in cloud.points)
-        return "\n".join(header) + "\n" + body + "\n"
-
-    def test_bytes_match_per_value_join(self, tmp_path, rng):
+    def test_body_is_little_endian_doubles(self, tmp_path, rng):
         special = np.array([[np.nan, np.inf, -np.inf], [-0.0, 1e-300, -1e-300],
                             [5e-324, 1.7976931348623157e308, 0.1 + 0.2]])
         clouds = [PointCloud3(rng.uniform(-1e3, 1e3, (200, 3))),
-                  PointCloud3(rng.normal(size=(40, 3))),
-                  PointCloud3(np.array([[1.0, -2.5, 3e-7]])),
                   PointCloud3(np.zeros((0, 3))),
                   PointCloud3(np.zeros((3, 3)))]
         # PointCloud3 rejects non-finite points, so put them in place afterwards
@@ -64,7 +52,75 @@ class TestPly:
         for k, cloud in enumerate(clouds):
             path = tmp_path / f"c{k}.ply"
             write_ply(path, cloud)
-            assert path.read_bytes() == self._per_value_join(cloud).encode()
+            assert path.read_bytes() == (self._HEADER.format(n=len(cloud)).encode()
+                                         + cloud.points.astype("<f8").tobytes())
+
+    @pytest.mark.parametrize("points", [
+        np.zeros((0, 3)), np.array([[-0.0, 5e-324, 1.7976931348623157e308]])],
+        ids=["empty", "extremes"])
+    def test_binary_roundtrip_is_bit_equal(self, tmp_path, points):
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud3(points))
+        back = read_ply(path).points
+        assert back.dtype == np.float64 and back.shape == points.shape
+        assert back.tobytes() == points.tobytes()
+
+    @pytest.mark.parametrize("kind", ["float", "double"])
+    @pytest.mark.parametrize("names", ["x y z nx ny nz", "nx x ny y nz z"])
+    def test_binary_extra_vertex_properties_read_past(self, tmp_path, rng, kind, names):
+        # x, y, z stay doubles; the normals take the other type
+        data = rng.uniform(-5.0, 5.0, (20, 6))
+        fields = names.split()
+        types = ["double" if name in "xyz" else kind for name in fields]
+        record = np.dtype([(name, "<f8" if t == "double" else "<f4")
+                           for name, t in zip(fields, types)])
+        rows = np.zeros(20, dtype=record)
+        for k, name in enumerate(fields):
+            rows[name] = data[:, k]
+        path = tmp_path / "c.ply"
+        path.write_bytes(("ply\nformat binary_little_endian 1.0\nelement vertex 20\n"
+                          + "".join(f"property {t} {name}\n" for t, name in zip(types, fields))
+                          + "end_header\n").encode() + rows.tobytes())
+        cols = [fields.index(c) for c in "xyz"]
+        np.testing.assert_array_equal(read_ply(path).points, data[:, cols])
+
+    def test_binary_float_coordinates_widen(self, tmp_path):
+        pts = np.array([[0.1, -2.5, 3e7]], dtype="<f4")
+        path = tmp_path / "c.ply"
+        path.write_bytes(("ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+                          "property float x\nproperty float y\nproperty float z\n"
+                          "end_header\n").encode() + pts.tobytes())
+        np.testing.assert_array_equal(read_ply(path).points, pts.astype(float))
+
+    _XYZ = "property double x\nproperty double y\nproperty double z\n"
+
+    @pytest.mark.parametrize("header, body, message", [
+        (f"format binary_big_endian 1.0\nelement vertex 1\n{_XYZ}end_header\n", bytes(24),
+         "only ASCII and binary little"),
+        (f"format binary_little_endian 1.0\nelement vertex 1\n{_XYZ}"
+         "property list uchar int idx\nend_header\n", bytes(25), "only scalar vertex properties"),
+        ("format binary_little_endian 1.0\nelement vertex 1\nproperty double x\n"
+         "property double y\nproperty quad z\nend_header\n", bytes(24),
+         "only scalar vertex properties"),
+        (f"format binary_little_endian 1.0\nelement vertex 3\n{_XYZ}end_header\n", bytes(71),
+         "declares 3 vertices, body has 2"),
+        (f"format binary_little_endian 1.0\nelement face 0\nelement vertex 1\n{_XYZ}"
+         "end_header\n", bytes(24), "vertex element must come first"),
+        (f"format binary_little_endian 1.0\nelement vertex 1\n{_XYZ}", b"", "no end_header"),
+    ], ids=["big-endian", "list-property", "unknown-type", "short-body", "face-first",
+            "no-end-header"])
+    def test_bad_binary_names_file(self, tmp_path, header, body, message):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(b"ply\n" + header.encode() + body)
+        with pytest.raises(InvalidParams, match=message) as info:
+            read_ply(path)
+        assert str(info.value).startswith(str(path))
+
+    def test_rejects_non_ply(self, tmp_path):
+        path = tmp_path / "bad.ply"
+        path.write_text("OFF\n")
+        with pytest.raises(ValueError):
+            read_ply(path)
 
     def test_empty_cloud_roundtrip(self, tmp_path):
         path = tmp_path / "empty.ply"
@@ -85,11 +141,11 @@ class TestPly:
             read_ply(path)
         assert str(info.value).startswith(str(path))
 
-    def test_rejects_binary_and_missing_coordinates(self, tmp_path):
+    def test_rejects_unknown_format_and_missing_coordinates(self, tmp_path):
         path = tmp_path / "bad.ply"
-        path.write_text("ply\nformat binary_little_endian 1.0\nelement vertex 0\n"
-                        "end_header\n")
-        with pytest.raises(InvalidParams, match="only ASCII PLY"):
+        path.write_text("ply\nformat ascii 2.0\nelement vertex 0\nproperty float x\n"
+                        "property float y\nproperty float z\nend_header\n")
+        with pytest.raises(InvalidParams, match="only ASCII and binary little-endian"):
             read_ply(path)
         path.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
                         "property float y\nend_header\n1 2\n")

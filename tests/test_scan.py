@@ -358,7 +358,7 @@ class TestWindowedFrame:
 
     def test_pipeline_frames_equal_full_image(self, tmp_path, monkeypatch):
         """Every frame of run_pipeline's scan at 140 deg, and the PGM that the
-        writer process wrote from the frame it was sent."""
+        scan stage wrote from it."""
         scans = []
 
         def keep(scene, trajectory, params):
@@ -516,8 +516,12 @@ class TestReconstruct:
 
     def test_too_few_frames(self):
         empty = VirtualFrame(_down_pose(), 4, 4, 0.1, np.zeros((4, 4)))
-        with pytest.raises(TooFewFrames):
+        one = VirtualFrame(_down_pose(), 4, 4, 0.1, np.eye(4))
+        with pytest.raises(TooFewFrames, match="^no frame imaged the vessel$"):
             reconstruct([empty, empty])
+        with pytest.raises(TooFewFrames, match="^only 1 frame imaged the vessel; a radius "
+                                               "report needs at least 2$"):
+            reconstruct([empty, one])
 
 
 class TestRadiusReport:
