@@ -1,7 +1,14 @@
 """Shared test helpers."""
+import hashlib
+import json
+import math
+from pathlib import Path
+
 import numpy as np
+import scipy
 
 from limbscan.geometry import RigidTransform
+from limbscan.pipeline import config_from_dict, run_pipeline
 from limbscan.trajectory import ScanTrajectory
 
 # probe facing straight down with its long axis across the arm (along -y)
@@ -12,6 +19,11 @@ DOWN_ROTATION = np.array([[1.0, 0.0, 0.0],
 # what graph.json holds: the graph, without the source vertices' bindings
 GRAPH_KEYS = ("affines", "neighbors", "positions", "sampling_radius", "translations")
 
+# the golden run: seed-0 pipelines at these elbow angles, recorded under GOLDEN
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ANGLES = (120.0, 140.0, 160.0)
+GOLDEN_HASHED = ("graph.json", "transferred_trajectory.csv", "executed_poses.csv")
+
 
 def straight_trajectory(arm, x0=100.0, x1=170.0, step=1.0):
     """Waypoints on the skin top of a neutral arm, probe pushing straight down."""
@@ -20,3 +32,32 @@ def straight_trajectory(arm, x0=100.0, x1=170.0, step=1.0):
     pts = np.column_stack([xs, np.zeros_like(xs), np.full_like(xs, top_z)])
     poses = [RigidTransform(DOWN_ROTATION, p) for p in pts]
     return ScanTrajectory(pts, np.arange(len(pts)), poses)
+
+
+def assert_agree(a, b, rel_tol, path="report"):
+    """Floats agree to rel_tol relative; every other value, and every list
+    length and key set, is equal."""
+    if isinstance(a, float) or isinstance(b, float):
+        assert math.isclose(a, b, rel_tol=rel_tol), f"{path}: {a!r} != {b!r}"
+    elif isinstance(a, (list, dict)):
+        assert type(a) is type(b) and len(a) == len(b), f"{path}: lengths differ"
+        keys = a.keys() if isinstance(a, dict) else range(len(a))
+        for k in keys:
+            assert not isinstance(b, dict) or k in b, f"{path}: no key {k!r}"
+            assert_agree(a[k], b[k], rel_tol, f"{path}[{k!r}]")
+    else:
+        assert a == b, f"{path}: {a!r} != {b!r}"
+
+
+def library_versions() -> dict:
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def run_golden_cell(angle: float, out: Path) -> tuple[dict, dict]:
+    """One seed-0 pipeline at the elbow angle, written under out: its report
+    and the sha256 of its GOLDEN_HASHED files and frames, by relative path."""
+    run_pipeline(config_from_dict({"output_dir": str(out), "scene": {"elbow_angle": angle}}))
+    paths = [out / name for name in GOLDEN_HASHED] + sorted((out / "frames").glob("*.pgm"))
+    hashes = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in paths}
+    return json.loads((out / "report.json").read_text()), hashes

@@ -6,7 +6,6 @@ test log regardless of verbosity settings.
 """
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _util import straight_trajectory
+from _util import assert_agree, straight_trajectory
 from scipy.spatial import cKDTree
 
 import limbscan
@@ -270,19 +269,6 @@ def test_criterion_9_plan_fidelity(registration_runs, capsys):
                f"{ANGLES} deg: {pipeline_corrections} (<= 3)")
 
 
-def _assert_agree(a, b, path="report"):
-    """Floats agree to 1e-12 relative; every other value is equal."""
-    if isinstance(a, float) or isinstance(b, float):
-        assert math.isclose(a, b, rel_tol=1e-12), f"{path}: {a!r} != {b!r}"
-    elif isinstance(a, (list, dict)):
-        assert type(a) is type(b) and len(a) == len(b), path
-        keys = a.keys() if isinstance(a, dict) else range(len(a))
-        for k in keys:
-            _assert_agree(a[k], b[k], f"{path}[{k!r}]")
-    else:
-        assert a == b, f"{path}: {a!r} != {b!r}"
-
-
 def test_report_agrees_across_blas_threads(tmp_path):
     """The BLAS thread count changes the order of floating-point sums, so
     report.json is byte-identical only for one thread count; across counts
@@ -293,9 +279,7 @@ def test_report_agrees_across_blas_threads(tmp_path):
                             "MKL_NUM_THREADS": threads,
                             "PYTHONPATH": str(Path(limbscan.__file__).parents[1])}
         work = tmp_path / f"threads{threads}"
-        work.mkdir()
-        # the same relative output directory, which report.json records
         subprocess.run([sys.executable, "-m", "limbscan.cli", "pipeline", "--angle", "140",
-                        "--out", "out"], cwd=work, env=env, check=True, capture_output=True)
-        reports.append(json.loads((work / "out" / "report.json").read_text()))
-    _assert_agree(*reports)
+                        "--out", str(work)], env=env, check=True, capture_output=True)
+        reports.append(json.loads((work / "report.json").read_text()))
+    assert_agree(*reports, rel_tol=1e-12)
