@@ -47,7 +47,7 @@ def _cmd_scene(args) -> int:
     cfg = _load_cfg(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, atlas, posed = build_scene(cfg)
+    atlas, posed = build_scene(cfg)
     pointio.write_ply(out / "atlas_surface.ply", atlas.surface)
     pointio.write_ply(out / "scene_surface.ply", posed.surface)
     pointio.write_points_csv(out / "atlas_centerline.csv", atlas.centerline.points)
@@ -63,7 +63,7 @@ def _cmd_render(args) -> int:
     cfg = _load_cfg(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, _, posed = build_scene(cfg)
+    _, posed = build_scene(cfg)
     img = render_scene(posed, cfg.scene, cfg.seed)
     pointio.write_depth_pgm(out / "depth.pgm", img.depth)
     meta = {"pitch": img.pitch, "table_depth": img.table_depth,
@@ -138,7 +138,7 @@ def _cmd_plan(args) -> int:
     cfg = _load_cfg(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, atlas, _ = build_scene(cfg)
+    atlas, _ = build_scene(cfg)
     traj = plan_scan(atlas, cfg.plan)
     pointio.write_points_csv(out / "atlas_trajectory.csv", traj.surface_points)
     print(f"trajectory with {len(traj)} points written to {out}")
@@ -181,7 +181,7 @@ def _cmd_scan(args) -> int:
         raise InvalidParams(f"{args.traj}: a trajectory row needs finite x,y,z as its "
                             f"last 3 values")
     pts = pts[:, -3:]
-    _, _, posed = build_scene(cfg)
+    _, posed = build_scene(cfg)
     # probe orientations: z into the skin via the nearest scene surface normal
     shell, _, _ = posed.top_shell()
     try:

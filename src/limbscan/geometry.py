@@ -4,7 +4,7 @@ Conventions: points are float64 arrays of shape (3,) or (n, 3), units are mm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -64,7 +64,9 @@ class PointCloud3:
     points: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.points, dtype=float))
+        # C order: the rounding of the products taken over a cloud, and so a
+        # registration's result, would otherwise depend on its memory layout
+        p = np.atleast_2d(np.ascontiguousarray(self.points, dtype=float))
         if p.shape[1] != 3:
             raise InvalidParams("points must be (n, 3)")
         if not np.all(np.isfinite(p)):
@@ -73,25 +75,6 @@ class PointCloud3:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass
-class ObbScale:
-    """Principal axes plus source/target extents and their per-axis ratios."""
-
-    axes: np.ndarray            # columns are the principal directions
-    extents_source: np.ndarray
-    extents_target: np.ndarray
-    factors: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        es = np.asarray(self.extents_source, dtype=float).reshape(3)
-        et = np.asarray(self.extents_target, dtype=float).reshape(3)
-        if np.any(es <= 0) or np.any(et <= 0):
-            raise InvalidParams("extents must be strictly positive")
-        self.extents_source = es
-        self.extents_target = et
-        self.factors = et / es
 
 
 def pca_obb(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,7 @@ from .registration import (ArmObservation, DeformationGraph, SolveParams,
 from .scan import (RadiusReport, ScanParams, radius_report, reconstruct,
                    run_scan)
 from .scene import (UP, ArmTemplate, ArticulatedPose, DepthImage, articulate,
-                    default_camera, hinge_points, joint_pixels, make_template,
-                    render_depth)
+                    default_camera, joint_pixels, make_template, render_depth)
 from .trajectory import ScanTrajectory, project_trajectory, smooth_centerline
 
 STAGES = ("scene", "render", "extract", "plan", "register", "transfer",
@@ -55,6 +54,10 @@ class SceneConfig:
 
     def __post_init__(self):
         check_fields(type(self), vars(self), "scene.")
+
+    def pose(self) -> ArticulatedPose:
+        """The scene's pose of the arm template."""
+        return ArticulatedPose(self.elbow_angle, blend_halfwidth=self.blend_halfwidth)
 
 
 @dataclass(frozen=True)
@@ -165,15 +168,12 @@ class RunReport:
 # The extract stage is extraction.extract_arm and the scan stage
 # scan.run_scan, called directly.
 
-def build_scene(cfg: PipelineConfig) -> tuple[ArmTemplate, ArmTemplate, ArmTemplate]:
-    """The arm template, its neutral pose (the atlas) and the posed scene."""
+def build_scene(cfg: PipelineConfig) -> tuple[ArmTemplate, ArmTemplate]:
+    """The arm template's neutral pose (the atlas) and its posed scene."""
     template = make_template(seed=cfg.seed,
                              length_forearm=cfg.scene.length_forearm,
                              length_upperarm=cfg.scene.length_upperarm)
-    atlas = articulate(template, ArticulatedPose(180.0))
-    posed = articulate(template, ArticulatedPose(
-        cfg.scene.elbow_angle, blend_halfwidth=cfg.scene.blend_halfwidth))
-    return template, atlas, posed
+    return articulate(template, ArticulatedPose(180.0)), articulate(template, cfg.scene.pose())
 
 
 def render_scene(posed: ArmTemplate, scene: SceneConfig, seed: int) -> DepthImage:
@@ -285,7 +285,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         timings[name] = time.perf_counter() - t0
 
     with stage("scene"):
-        template, atlas, posed = build_scene(cfg)
+        atlas, posed = build_scene(cfg)
         pointio.write_ply(out / "atlas_surface.ply", atlas.surface)
         pointio.write_ply(out / "scene_surface.ply", posed.surface)
         pointio.write_points_csv(out / "scene_centerline.csv", posed.centerline.points)
@@ -324,9 +324,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
     with stage("report"):
         radii = summarize_scan(scan_result.frames, posed)
-        # ground truth: the planned atlas points carried through the true hinge
-        truth = hinge_points(plan.surface_points, plan.surface_points[:, 0], template.elbow,
-                             cfg.scene.elbow_angle, cfg.scene.blend_halfwidth)
+        # ground truth: the planned atlas points carried through the scene's pose;
+        # the atlas's elbow is the template's, as the 180 deg hinge leaves it in place
+        truth = cfg.scene.pose().apply(plan.surface_points, plan.surface_points[:, 0],
+                                       atlas.elbow)
         diff = transferred.surface_points - truth
         report = RunReport(
             # without output_dir: the same config gives the same bytes in any directory

@@ -93,9 +93,7 @@ def read_ply(path) -> PointCloud3:
             raise InvalidParams(f"{path}: header declares {n_vertex} vertices, body has {have}")
         data = np.frombuffer(raw, dtype=record, count=n_vertex, offset=pos)
         table = [data[f"p{k}"] for k in range(len(props))]
-    # column-major, the layout read_ply has always returned: the rounding of
-    # a registration run on the cloud depends on it
-    return PointCloud3(np.array([table[cols[c]] for c in "xyz"], dtype=float).T)
+    return PointCloud3(np.stack([table[cols[c]] for c in "xyz"], axis=1))
 
 
 def write_points_csv(path, points: np.ndarray, header: str | None = "x,y,z") -> None:

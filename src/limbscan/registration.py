@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (DegenerateSegment, InvalidParams, NonFiniteEnergy,
                      OutOfBindingReach, bounded, check_fields)
-from .geometry import ObbScale, PointCloud3, RigidTransform, estimate_normals, pca_obb
+from .geometry import PointCloud3, RigidTransform, estimate_normals, pca_obb
 from .trajectory import ScanTrajectory
 
 BINDING_K = 4      # graph nodes each vertex or trajectory point is bound to
@@ -143,12 +143,13 @@ def _segment_transform(cloud_s: np.ndarray, a_s: np.ndarray, b_s: np.ndarray,
         raise DegenerateSegment("segment joints coincide")
     axes_s, ext_s = pca_obb(cloud_s)
     _, ext_t = pca_obb(cloud_t)
-    scale = ObbScale(axes_s, ext_s, ext_t)
+    # pca_obb's rank check keeps every extent positive
+    factors = ext_t / ext_s
     centroid_s = cloud_s.mean(axis=0)
 
     def scale_map(p):
         rel = (np.atleast_2d(p) - centroid_s) @ axes_s
-        return centroid_s + (rel * scale.factors) @ axes_s.T
+        return centroid_s + (rel * factors) @ axes_s.T
 
     s_scaled = scale_map(cloud_s)
     a_sc = scale_map(a_s)[0]
@@ -169,19 +170,20 @@ def _segment_transform(cloud_s: np.ndarray, a_s: np.ndarray, b_s: np.ndarray,
     mid_s = (a_sc + b_sc) / 2.0
     mid_t = (a_t + b_t) / 2.0
     rigid = RigidTransform(rotation, mid_t - rotation @ mid_s)
-    return rigid.apply(s_scaled), rigid, scale, scale_map
+    return rigid.apply(s_scaled), rigid, factors, scale_map
 
 
 def initial_align(source: ArmObservation, target: ArmObservation,
                   up: np.ndarray = np.array([0.0, 0.0, 1.0])):
     """Per-segment joint overlay + PCA scaling of the source onto the target.
 
-    Returns (aligned source observation, transforms dict, scales dict,
-    point_maps dict) where point_maps carry the full scale+rigid map for each
-    segment so co-located geometry (trajectories) can follow its segment.
+    Returns (aligned source observation, transforms dict, scales dict of
+    per-principal-axis target/source extent ratios, point_maps dict) where
+    point_maps carry the full scale+rigid map for each segment so co-located
+    geometry (trajectories) can follow its segment.
     """
     transforms: dict[str, RigidTransform] = {}
-    scales: dict[str, ObbScale] = {}
+    scales: dict[str, np.ndarray] = {}
     maps = {}
     aligned = {}
     spec = {

@@ -33,14 +33,13 @@ class ArmTemplate:
 
     surface_axial / centerline_axial keep each point's template-frame axial
     coordinate so articulation and ground-truth labeling stay exact after the
-    cloud has been posed.
+    cloud has been posed. The joints are centerline points: its first row,
+    the row nearest the elbow's axial coordinate and its last row, so they
+    are posed with it.
     """
 
     surface: PointCloud3
     centerline: PointCloud3
-    wrist: np.ndarray
-    elbow: np.ndarray
-    shoulder: np.ndarray
     vessel_radius: float
     surface_axial: np.ndarray
     centerline_axial: np.ndarray
@@ -52,6 +51,20 @@ class ArmTemplate:
     @property
     def elbow_axial(self) -> float:
         return self.length_forearm
+
+    # copies, so that writing into a joint leaves the centerline as it is
+    @property
+    def wrist(self) -> np.ndarray:
+        return self.centerline.points[0].copy()
+
+    @property
+    def elbow(self) -> np.ndarray:
+        row = int(np.argmin(np.abs(self.centerline_axial - self.elbow_axial)))
+        return self.centerline.points[row].copy()
+
+    @property
+    def shoulder(self) -> np.ndarray:
+        return self.centerline.points[-1].copy()
 
     def top_shell(self) -> tuple[PointCloud3, np.ndarray, np.ndarray]:
         """Surface subset above the cross-section center line (camera-visible side).
@@ -77,6 +90,12 @@ class ArticulatedPose:
 
     def __post_init__(self):
         check_fields(type(self), vars(self))
+
+    def apply(self, points: np.ndarray, axial: np.ndarray, elbow: np.ndarray) -> np.ndarray:
+        """Carry template-frame points, with their axial coordinates, into the
+        posed scene: the hinge about elbow, then global_pose."""
+        return self.global_pose.apply(
+            hinge_points(points, axial, elbow, self.elbow_angle, self.blend_halfwidth))
 
 
 @dataclass
@@ -173,14 +192,9 @@ def make_template(seed: int = 0,
         [s_center, np.zeros_like(s_center), np.full_like(s_center, 2.0 * b - VESSEL_DEPTH)],
         axis=1)
 
-    wrist = centerline[0].copy()
-    elbow = centerline[int(np.argmin(np.abs(s_center - length_forearm)))].copy()
-    shoulder = centerline[-1].copy()
-
     return ArmTemplate(
         surface=PointCloud3(pts),
         centerline=PointCloud3(centerline),
-        wrist=wrist, elbow=elbow, shoulder=shoulder,
         vessel_radius=VESSEL_RADIUS,
         surface_axial=axial,
         centerline_axial=s_center,
@@ -221,23 +235,11 @@ def articulate(template: ArmTemplate, pose: ArticulatedPose) -> ArmTemplate:
     the blend, so posing a posed template would double-apply the hinge.
     """
     elbow = template.elbow
-    h = pose.blend_halfwidth
-    ang = pose.elbow_angle
-
-    surf = hinge_points(template.surface.points, template.surface_axial, elbow, ang, h)
-    cl = hinge_points(template.centerline.points, template.centerline_axial, elbow, ang, h)
-    ca = template.centerline_axial
-    joint_axial = np.array([ca[0], ca[int(np.argmin(np.abs(ca - template.elbow_axial)))], ca[-1]])
-    joints = hinge_points(
-        np.stack([template.wrist, template.elbow, template.shoulder]),
-        joint_axial, elbow, ang, h)
-
-    g = pose.global_pose
     return replace(
         template,
-        surface=PointCloud3(g.apply(surf)),
-        centerline=PointCloud3(g.apply(cl)),
-        wrist=g.apply(joints[0]), elbow=g.apply(joints[1]), shoulder=g.apply(joints[2]),
+        surface=PointCloud3(pose.apply(template.surface.points, template.surface_axial, elbow)),
+        centerline=PointCloud3(pose.apply(template.centerline.points,
+                                          template.centerline_axial, elbow)),
     )
 
 

@@ -28,7 +28,7 @@ from limbscan.registration import (ArmObservation, SolveParams, attach_probe_pos
                                    build_graph, solve)
 from limbscan.scan import (ScanParams, VirtualFrame, centering_step,
                            radius_report, reconstruct, run_scan)
-from limbscan.scene import UP, hinge_points, joint_pixels
+from limbscan.scene import UP, joint_pixels
 
 ANGLES = (120.0, 140.0, 160.0)
 SEEDS = (0, 1, 2, 3, 4)
@@ -46,7 +46,7 @@ def _registration_run(angle, seed):
     keeps the transferred plan and the posed scene for the scan stage."""
     t0 = time.perf_counter()
     cfg = config_from_dict({"seed": seed, "scene": {"elbow_angle": angle}})
-    template, atlas, posed = build_scene(cfg)
+    atlas, posed = build_scene(cfg)
     img = render_scene(posed, cfg.scene, cfg.seed)
     jp = joint_pixels(img, posed)
     seg = extract_arm(img, JointPixels(jp["wrist"], jp["elbow"], jp["shoulder"]),
@@ -66,8 +66,8 @@ def _registration_run(angle, seed):
     median_dist = float(np.median(d))
 
     moved = transfer_plan(traj, atlas, maps, graph, target.forearm)
-    truth = hinge_points(traj.surface_points, traj.surface_points[:, 0],
-                         template.elbow, angle, cfg.scene.blend_halfwidth)
+    truth = cfg.scene.pose().apply(traj.surface_points, traj.surface_points[:, 0],
+                                   atlas.elbow)
     diff = moved.surface_points - truth
     rms = float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
     return {"angle": angle, "seed": seed, "median_dist": median_dist,
@@ -249,7 +249,7 @@ def test_criterion_9_plan_fidelity(registration_runs, capsys):
     atlas_corrections = []
     for seed in SEEDS:
         cfg = config_from_dict({"seed": seed})
-        _, atlas, _ = build_scene(cfg)
+        atlas, _ = build_scene(cfg)
         shell, _, _ = atlas.top_shell()
         traj = attach_probe_poses(plan_scan(atlas, cfg.plan), shell, UP)
         offset, tilt = _plan_geometry(traj, atlas.centerline)

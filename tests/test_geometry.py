@@ -4,8 +4,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from limbscan.errors import DegenerateConfiguration, InvalidParams
-from limbscan.geometry import (ObbScale, PointCloud3, RigidTransform,
-                               estimate_normals, pca_obb)
+from limbscan.geometry import PointCloud3, RigidTransform, estimate_normals, pca_obb
 from limbscan.scan import VirtualFrame
 
 
@@ -61,15 +60,11 @@ class TestPointCloud3:
         with pytest.raises(ValueError):
             PointCloud3(np.zeros((4, 2)))
 
-
-class TestObbScale:
-    def test_factors(self):
-        s = ObbScale(np.eye(3), [2.0, 4.0, 8.0], [1.0, 4.0, 16.0])
-        np.testing.assert_allclose(s.factors, [0.5, 1.0, 2.0])
-
-    def test_rejects_zero_extent(self):
-        with pytest.raises(ValueError):
-            ObbScale(np.eye(3), [0.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    def test_stores_c_order(self, rng):
+        pts = np.asfortranarray(rng.normal(size=(7, 3)))
+        c = PointCloud3(pts)
+        assert c.points.flags.c_contiguous
+        np.testing.assert_array_equal(c.points, pts)
 
 
 class TestPcaObb:
@@ -136,9 +131,8 @@ class TestEstimateNormals:
 @pytest.mark.parametrize("make", [
     lambda: RigidTransform(np.eye(3) * 2.0, np.zeros(3)),
     lambda: PointCloud3(np.zeros((4, 2))),
-    lambda: ObbScale(np.eye(3), [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
     lambda: estimate_normals(np.eye(3), [0], k=2, up_hint=[0.0, 0.0, 1.0]),
-], ids=["RigidTransform", "PointCloud3", "ObbScale", "estimate_normals"])
+], ids=["RigidTransform", "PointCloud3", "estimate_normals"])
 def test_bad_input_is_a_limbscan_error(make):
     """Bad geometry input raises the package's error type, so a pipeline
     stage reports it as that stage's failure."""

@@ -252,7 +252,7 @@ class TestRunPipeline:
             assert (out / name).exists(), name
         assert len(list((out / "frames").glob("frame_*.pgm"))) > 0
         # the atlas cloud reads back exactly
-        atlas = build_scene(config_from_dict({}))[1]
+        atlas, _ = build_scene(config_from_dict({}))
         assert np.array_equal(pointio.read_ply(out / "atlas_surface.ply").points,
                               atlas.surface.points)
         text = (out / "graph.json").read_text()

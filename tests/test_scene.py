@@ -9,6 +9,12 @@ from limbscan.scene import (WIDTH_KNOTS, ArticulatedPose, DepthImage, articulate
                             make_template, render_depth)
 
 
+def _yaw_and_shift() -> RigidTransform:
+    c, s = np.cos(0.4), np.sin(0.4)
+    return RigidTransform(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
+                          np.array([12.5, -7.25, 3.0]))
+
+
 class TestMakeTemplate:
     def test_deterministic(self):
         a = make_template(seed=3)
@@ -99,6 +105,39 @@ class TestArticulation:
         out = hinge_points(template.elbow[None, :], np.array([template.elbow_axial]),
                            template.elbow, 120.0, 30.0)
         np.testing.assert_allclose(out[0], template.elbow, atol=1e-12)
+
+    def test_pose_apply_is_hinge_then_global_pose(self, template):
+        pts = template.surface.points[::37]
+        axial = template.surface_axial[::37]
+        hinged = hinge_points(pts, axial, template.elbow, 130.0, 30.0)
+        np.testing.assert_array_equal(
+            ArticulatedPose(130.0).apply(pts, axial, template.elbow), hinged)
+        g = _yaw_and_shift()
+        np.testing.assert_array_equal(
+            ArticulatedPose(130.0, global_pose=g).apply(pts, axial, template.elbow),
+            g.apply(hinged))
+
+    @pytest.mark.parametrize("angle", [100.0, 120.0, 140.0, 160.0, 180.0])
+    @pytest.mark.parametrize("moved", [False, True], ids=["in-place", "yawed"])
+    def test_joints_are_posed_centerline_rows(self, template, angle, moved):
+        g = _yaw_and_shift() if moved else RigidTransform.identity()
+        pose = ArticulatedPose(angle, global_pose=g)
+        posed = articulate(template, pose)
+        ca = template.centerline_axial
+        rows = [0, int(np.argmin(np.abs(ca - template.elbow_axial))), -1]
+        joints = np.stack([posed.wrist, posed.elbow, posed.shoulder])
+        np.testing.assert_array_equal(joints, posed.centerline.points[rows])
+        # the same as posing the template's joints on their own
+        template_joints = np.stack([template.wrist, template.elbow, template.shoulder])
+        np.testing.assert_array_equal(
+            joints, pose.apply(template_joints, ca[rows], template.elbow))
+
+    def test_joint_is_a_copy(self):
+        template = make_template()
+        before = template.centerline.points.copy()
+        template.elbow[:] = 0.0
+        template.wrist[:] = 0.0
+        np.testing.assert_array_equal(template.centerline.points, before)
 
     def test_global_pose_applied(self, template, rng):
         g = RigidTransform(np.eye(3), np.array([5.0, -3.0, 2.0]))
