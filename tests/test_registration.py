@@ -823,8 +823,8 @@ def test_registration_ignores_memory_layout(atlas, scene_cache):
     140 deg scene's extracted clouds, every 8th point, at a 30 mm radius."""
     posed, _, seg = scene_cache(140.0)
     src = _observation(atlas)
-    runs = []
-    for order in "CF":
+
+    def registered(order):
         def cloud(c):
             return PointCloud3(np.array(c.points[::8], order=order))
         source = ArmObservation(cloud(src.forearm), cloud(src.upperarm),
@@ -832,8 +832,9 @@ def test_registration_ignores_memory_layout(atlas, scene_cache):
         target = ArmObservation(cloud(seg.forearm), cloud(seg.upperarm),
                                 posed.wrist, posed.elbow, posed.shoulder)
         _, graph, history = register_atlas(source, target, RegistrationConfig(radius=30.0))
-        runs.append((graph.to_dict(), history))
-    assert runs[0] == runs[1]
+        return graph.to_dict(), history
+
+    assert registered("C") == registered("F")
 
 
 class TestSolve:
