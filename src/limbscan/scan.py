@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -81,12 +82,13 @@ class VirtualFrame:
         return frame
 
     def _measure(self, probe_pose, width_px, height_px, pitch, window, origin, axes):
-        area = int(np.count_nonzero(window))
+        (r0, c0), (h, w) = origin, window.shape
+        # a column (row) sum is at most the height (width): no uint32 overflow
+        col_sums = window.sum(axis=0, dtype=np.uint32)
+        area = int(col_sums.sum())
         centroid = None
         if area:
-            (r0, c0), (h, w) = origin, window.shape
-            # a column (row) sum is at most the height (width): no uint32 overflow
-            col_moment = window.sum(axis=0, dtype=np.uint32) @ np.arange(c0, c0 + w)
+            col_moment = col_sums @ np.arange(c0, c0 + w)
             row_moment = window.sum(axis=1, dtype=np.uint32) @ np.arange(r0, r0 + h)
             centroid = (int(col_moment) / area, int(row_moment) / area)
         for name, value in (("probe_pose", probe_pose), ("width_px", width_px),
@@ -162,8 +164,22 @@ def image_axes(probe_pose: RigidTransform) -> np.ndarray:
                      [x2, z0 * x1 - z1 * x0, z2]])
 
 
+_EYE = np.eye(3)
+
+
 class VesselSampler:
-    """Densely resampled vessel polyline with a nearest-point index."""
+    """Densely resampled vessel polyline, with what `image_slice` needs to
+    find the samples near an image plane without projecting them all.
+
+    The samples are cut into chunks of CHUNK consecutive ones. Each chunk
+    keeps its head, its first sample, and its extent, the largest distance
+    of its samples from the head, computed once here: no sample of a chunk
+    lies farther than extent·|n| from its head along a direction n. The
+    k-d tree over the samples that `inside` queries is built on its first
+    call, so a sampler whose frames never query it never builds it.
+    """
+
+    CHUNK = 32
 
     def __init__(self, centerline: np.ndarray, radius: float, step: float = 0.05):
         pts = np.atleast_2d(np.asarray(centerline, dtype=float))
@@ -172,11 +188,44 @@ class VesselSampler:
         dense_s = np.arange(0.0, s[-1] + step / 2, step)
         self.points = np.stack([np.interp(dense_s, s, pts[:, d]) for d in range(3)], axis=1)
         self.radius = float(radius)
-        self.tree = cKDTree(self.points)
+        starts = np.arange(0, len(self.points), self.CHUNK)
+        self._heads = self.points[starts]
+        from_head = self.points - np.repeat(self._heads, self.CHUNK, axis=0)[:len(self.points)]
+        self._extent = np.maximum.reduceat(np.linalg.norm(from_head, axis=1), starts)
+        # the projections' rounding scales with the samples' size
+        self._scale = float(np.linalg.norm(self.points, axis=1).max())
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        return cKDTree(self.points)
 
     def inside(self, query: np.ndarray) -> np.ndarray:
         d, _ = self.tree.query(query, distance_upper_bound=self.radius * 1.5 + 1.0)
         return d <= self.radius
+
+    def near_plane(self, origin: np.ndarray, normal: np.ndarray,
+                   reach: float) -> tuple[np.ndarray, np.ndarray | None]:
+        """The samples whose off-plane distance |p·n - origin·n| is at most
+        reach, in sample order, and the one of them nearest the plane (None
+        when there are none).
+
+        Only the chunk heads are projected first. A chunk whose head is more
+        than reach + extent·|n| off the plane holds no sample within reach;
+        the samples from the first chunk that is not so far to the last are
+        then tested one by one. A relative 1e-9 on reach and the samples'
+        size keeps the chunk test conservative under the projections'
+        rounding.
+        """
+        tn = origin @ normal
+        slack = self._extent * math.sqrt(normal @ normal) + 1e-9 * (reach + self._scale)
+        hit = (np.abs(self._heads @ normal - tn) <= reach + slack).nonzero()[0]
+        if len(hit) == 0:
+            return self.points[:0], None
+        span = self.points[hit[0] * self.CHUNK:(hit[-1] + 1) * self.CHUNK]
+        off_plane = np.abs(span @ normal - tn)
+        # compress: the same rows as a boolean index, several times faster
+        near = np.compress(off_plane <= reach, span, axis=0)
+        return near, (span[off_plane.argmin()] if len(near) else None)
 
 
 def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
@@ -187,17 +236,26 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
     Only the pixel window the vessel can reach is tested. A pixel within r of
     a sample p needs p within r of the image plane and itself within r of
     p's in-plane projection, laterally and in depth. So the window is the box
-    around the projections of the samples near the plane, grown by r plus a
-    guard; every other pixel is 0.
+    around the projections of the samples near the plane
+    (`VesselSampler.near_plane`), grown by r plus a guard; every other pixel
+    is 0.
 
     Each window pixel gets the full-grid answer, `sampler.inside`, but most
     are decided without the tree. A pixel within r of p0, the near sample
     closest to the plane, is inside: its distance is the tree's own formula
-    ((dx² + dy²) + dz², then sqrt) and the tree's minimum is no larger. A
-    pixel more than r from the bounding box of the near samples is outside,
-    as every other sample lies more than reach > r from the plane; the
-    1e-6 mm margin dwarfs the float error of the box distance. Only the
-    pixels between the two go to the tree.
+    ((dx² + dy²) + dz², then sqrt) and the tree's minimum is no larger.
+    Every other sample lies more than reach > r from the plane, so a pixel
+    that is inside is within r of a near sample p, and then within `bound`
+    of the near samples' lateral × depth box in the image plane. With A
+    the frame's axes, e = max|AᵀA - I| and v the pixel less p,
+    |v| >= |Aᵀv| / ‖A‖, and ‖A‖ <= 1 + 2e. Aᵀv is the pixel's in-plane
+    coordinates (lateral, 0, depth) less p's `near` coordinates, plus
+    AᵀA - I times the former: the in-plane coordinates are off by at most
+    e(w + h)·pitch in each entry. So the pixel lies within
+    bound = (r + 1e-6)(1 + 2e) + 2e(w + h)·pitch of p's (lateral, depth),
+    the 1e-6 mm dwarfing the float error of these distances. Only the
+    pixels that p0 leaves outside and that lie within bound of the box go
+    to the tree.
     """
     if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                for v in (width_px, height_px)):
@@ -215,37 +273,44 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
     # only to RigidTransform's 1e-6
     reach = sampler.radius + pitch + 1e-5 * (sampler.radius + (width_px + height_px) * pitch)
     t = probe_pose.translation
-    off_plane = np.abs(sampler.points @ ax[:, 1] - t @ ax[:, 1])
-    # compress: the same rows as a boolean index, several times faster
-    pts = np.compress(off_plane <= reach, sampler.points, axis=0)
-    if len(pts) == 0:
+    pts, p0 = sampler.near_plane(t, ax[:, 1], reach)
+    if p0 is None:
         return VirtualFrame._of_window(probe_pose, width_px, height_px, pitch,
                                        np.zeros((0, 0), dtype=np.uint8), (0, 0), ax)
     near = (pts - t) @ ax   # lateral, off-plane, depth
-    c0, c1 = _pixel_span(near[:, 0] / pitch + width_px / 2.0, reach / pitch, width_px)
-    r0, r1 = _pixel_span(near[:, 2] / pitch - 0.5, reach / pitch, height_px)
-    lat = (np.arange(width_px) - width_px / 2.0) * pitch
-    dep = (np.arange(height_px) + 0.5) * pitch
-    grid = (t[None, None, :]
-            + dep[r0:r1, None, None] * ax[:, 2]
-            + lat[None, c0:c1, None] * ax[:, 0])
-    d0 = grid - sampler.points[np.argmin(off_plane)]
-    inside = np.sqrt((d0[..., 0] ** 2 + d0[..., 1] ** 2) + d0[..., 2] ** 2) <= sampler.radius
-    gap = np.maximum(np.maximum(pts.min(axis=0) - grid, grid - pts.max(axis=0)), 0.0)
-    box_sq = (gap[..., 0] ** 2 + gap[..., 1] ** 2) + gap[..., 2] ** 2
-    maybe = ~inside & (box_sq <= (sampler.radius + 1e-6) ** 2)
+    (lat_lo, _, dep_lo), (lat_hi, _, dep_hi) = (near.min(axis=0).tolist(),
+                                                near.max(axis=0).tolist())
+    c0, c1 = _pixel_span(lat_lo / pitch + width_px / 2.0, lat_hi / pitch + width_px / 2.0,
+                         reach / pitch, width_px)
+    r0, r1 = _pixel_span(dep_lo / pitch - 0.5, dep_hi / pitch - 0.5, reach / pitch, height_px)
+    lat = (np.arange(c0, c1) - width_px / 2.0) * pitch
+    dep = (np.arange(r0, r1) + 0.5) * pitch
+    # the pixels' world points t + depth·z_img + lateral·x_img, summed in
+    # that order, stored component-major: grid[k] is coordinate k
+    grid = ((t + dep[:, None] * ax[:, 2]).T[:, :, None]
+            + (lat[:, None] * ax[:, 0]).T[:, None, :])
+    e = np.abs(ax.T @ ax - _EYE).max()
+    bound = (sampler.radius + 1e-6) * (1 + 2 * e) + 2 * e * (width_px + height_px) * pitch
+    # at an extreme pitch a square overflows to inf, still farther than r
+    with np.errstate(over="ignore"):
+        sq = np.square(grid - p0[:, None, None])
+        inside = np.sqrt((sq[0] + sq[1]) + sq[2]) <= sampler.radius
+        # each coordinate less its nearest point of the box's side, squared
+        gap_lat = np.square(lat - np.minimum(np.maximum(lat, lat_lo), lat_hi))
+        gap_dep = np.square(dep - np.minimum(np.maximum(dep, dep_lo), dep_hi))
+        maybe = ~inside & (gap_dep[:, None] + gap_lat[None, :] <= np.square(bound))
     if maybe.any():
-        inside[maybe] = sampler.inside(grid[maybe])
+        inside[maybe] = sampler.inside(grid[:, maybe].T)
     # a bool array's bytes are 0/1: the uint8 view is the window as is
     return VirtualFrame._of_window(probe_pose, width_px, height_px, pitch,
                                    inside.view(np.uint8), (r0, c0), ax)
 
 
-def _pixel_span(u: np.ndarray, reach: float, n: int) -> tuple[int, int]:
-    """Half-open index range [lo, hi) of the pixels within reach of any of
-    the fractional pixel coordinates u, clipped to [0, n)."""
-    lo = math.floor(u.min() - reach)
-    hi = math.ceil(u.max() + reach) + 1
+def _pixel_span(u_min: float, u_max: float, reach: float, n: int) -> tuple[int, int]:
+    """Half-open index range [lo, hi) of the pixels within reach of any
+    fractional pixel coordinate in [u_min, u_max], clipped to [0, n)."""
+    lo = math.floor(u_min - reach)
+    hi = math.ceil(u_max + reach) + 1
     return min(max(lo, 0), n), min(max(hi, 0), n)
 
 

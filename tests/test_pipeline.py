@@ -3,7 +3,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from _util import GRAPH_KEYS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import limbscan
 from limbscan import pipeline, pointio
 from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from limbscan.errors import ConfigError, InvalidParams, StageError
@@ -612,6 +616,21 @@ class TestCli:
         assert err.startswith("error: stage 'render' failed") and err.count("\n") == 1
         assert "scene.noise_sigma" in err
         assert not (tmp_path / "o" / "depth.pgm").exists()
+
+    def test_extreme_pitch_exits_3_without_warnings(self, tmp_path):
+        """A pitch inside (0, inf) so large that image_slice's squares
+        overflow to inf: no frame sees the vessel and the report stage fails,
+        with one error line and no RuntimeWarning on stderr. The console
+        script runs in its own process, as warnings inside pytest are caught
+        and never reach stderr."""
+        p = tmp_path / "c.yaml"
+        p.write_text("scan: {pitch: 1.0e+300}\n")
+        env = os.environ | {"PYTHONPATH": str(Path(limbscan.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "limbscan.cli", "pipeline", "--config",
+                              str(p), "--angle", "140", "--out", str(tmp_path / "o")],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == EXIT_STAGE
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
 
     def test_missing_input_exits_3(self, tmp_path):
         assert main(["extract", "--depth", str(tmp_path / "no.pgm"),

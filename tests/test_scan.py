@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from limbscan import pipeline, pointio
+from limbscan import pipeline, pointio, scan
 from limbscan.errors import InvalidParams, TooFewFrames, VesselLost
 from limbscan.geometry import PointCloud3, RigidTransform
 from limbscan.pipeline import config_from_dict, run_pipeline
@@ -146,6 +146,77 @@ class TestVesselSampler:
         # only distances right at the boundary may disagree (resampling grain)
         boundary = np.abs(np.hypot(q[:, 1], q[:, 2]) - 1.2) < 0.02
         np.testing.assert_array_equal(got[~boundary], truth[~boundary])
+
+    def test_tree_built_on_first_inside_call(self):
+        line = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+        sampler = VesselSampler(line, radius=1.0)
+        assert "tree" not in vars(sampler)
+        got = sampler.inside(np.array([[5.0, 0.5, 0.0], [5.0, 2.0, 0.0]]))
+        assert got.tolist() == [True, False]
+        tree = sampler.tree
+        sampler.inside(np.zeros((1, 3)))
+        assert sampler.tree is tree
+
+    @staticmethod
+    def _assert_near_plane(sampler, origin, normal, reach):
+        """Check that near_plane returns, in sample order, every sample whose
+        off-plane distance is at most reach - 1e-9, none beyond reach + 1e-9,
+        and the sample nearest the plane. Return how many runs of
+        consecutive sample indices it returned."""
+        off = np.abs(sampler.points @ normal - origin @ normal)
+        near, p0 = sampler.near_plane(origin, normal, reach)
+        index = {tuple(p): i for i, p in enumerate(sampler.points.tolist())}
+        got = np.array([index[tuple(p)] for p in near.tolist()], dtype=int)
+        assert np.all(np.diff(got) > 0)
+        assert set(np.flatnonzero(off <= reach - 1e-9)) <= set(got.tolist())
+        assert np.all(off[got] <= reach + 1e-9)
+        if len(got) == 0:
+            assert p0 is None
+            return 0
+        assert off[index[tuple(p0.tolist())]] == off.min()
+        return 1 + int(np.count_nonzero(np.diff(got) > 1))
+
+    def test_near_plane_crossed_once(self, atlas):
+        sampler = VesselSampler(atlas.centerline.points, atlas.vessel_radius)
+        # the atlas vessel runs along x: a plane across it, and one along it
+        for normal, origin in (([1.0, 0.0, 0.0], [120.0, 0.0, 0.0]),
+                               ([0.6, 0.8, 0.0], [300.0, 1.0, 28.0])):
+            assert self._assert_near_plane(sampler, np.array(origin), np.array(normal),
+                                           1.3) == 1
+
+    def test_near_plane_crossed_twice(self, template):
+        """At 100 deg the blended elbow folds the vessel, so the plane
+        x = 245.5 cuts it twice, the two cuts apart beyond a reach of 0.6 mm."""
+        posed = articulate(template, ArticulatedPose(100.0))
+        sampler = VesselSampler(posed.centerline.points, posed.vessel_radius)
+        assert self._assert_near_plane(sampler, np.array([245.5, 0.0, 60.0]),
+                                       np.array([1.0, 0.0, 0.0]), 0.6) == 2
+
+    def test_near_plane_never_crossed(self, atlas):
+        sampler = VesselSampler(atlas.centerline.points, atlas.vessel_radius)
+        # beyond the vessel's end, and parallel to it 10 mm to the side
+        for normal, origin in (([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                               ([0.0, 1.0, 0.0], [120.0, 10.0, 28.0])):
+            assert self._assert_near_plane(sampler, np.array(origin), np.array(normal),
+                                           2.0) == 0
+
+    def test_near_plane_random_planes(self, template, rng):
+        """Planes of random normal (not quite unit), reach and offset from a
+        random sample, the offset near the reach so that samples and chunk
+        heads sit at the edge."""
+        for angle in (100.0, 140.0, 180.0):
+            posed = articulate(template, ArticulatedPose(angle))
+            sampler = VesselSampler(posed.centerline.points, posed.vessel_radius,
+                                    rng.choice([0.05, 0.1, 0.5]))
+            runs = []
+            for _ in range(60):
+                normal = rng.normal(size=3)
+                normal *= (1.0 + rng.uniform(-2e-6, 2e-6)) / np.linalg.norm(normal)
+                reach = rng.uniform(0.05, 4.0)
+                p = sampler.points[rng.integers(len(sampler.points))]
+                origin = p + rng.uniform(-1.2, 1.2) * reach * normal
+                runs.append(self._assert_near_plane(sampler, origin, normal, reach))
+            assert sum(r > 0 for r in runs) >= 50
 
 
 class TestImageSlice:
@@ -327,19 +398,72 @@ class TestImageSliceWindow:
         image_slice(atlas, RigidTransform(rotation, np.array(t)), w, h, pitch, sampler)
         assert sum(tree_queries) > 0
 
-    def test_random_poses_equal_full_grid(self, atlas, rng):
-        sampler = VesselSampler(atlas.centerline.points, atlas.vessel_radius)
+    def test_servo_scan_never_queries_the_tree(self, atlas, monkeypatch):
+        """A whole biased scan along the straight path decides every pixel
+        without the tree, and never builds it."""
+        samplers = _counted_samplers(monkeypatch)
+        result = run_scan(atlas, straight_trajectory(atlas), ScanParams(lateral_bias=3.0))
+        assert result.corrections and len(samplers) == 1
+        (sampler, tree_queries), = samplers
+        assert tree_queries == [] and "tree" not in vars(sampler)
+
+    def test_random_poses_equal_full_grid(self, template, rng):
+        """Poses at random points of the vessel at 100, 140 and 180 deg, with
+        random image sizes and pitches, and rotations perturbed as far as
+        RigidTransform's 1e-6 orthonormality tolerance lets them, so the
+        frame's axes are not quite orthonormal."""
+        for angle in (100.0, 140.0, 180.0):
+            posed = articulate(template, ArticulatedPose(angle))
+            self._random_poses_equal_full_grid(posed, rng)
+
+    @staticmethod
+    def _random_poses_equal_full_grid(posed, rng):
+        sampler = VesselSampler(posed.centerline.points, posed.vessel_radius)
         hits = 0
-        for _ in range(12):
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            q *= np.sign(np.linalg.det(q))
-            t = np.array([rng.uniform(0.0, 530.0), rng.uniform(-6.0, 6.0),
-                          rng.uniform(22.0, 34.0)])
-            pose = RigidTransform(q, t - 5.0 * image_axes(RigidTransform(q, t))[:, 2])
-            got = image_slice(atlas, pose, 96, 64, 0.25, sampler).mask
-            assert np.array_equal(got, _full_grid_mask(sampler, pose, 96, 64, 0.25))
+        for _ in range(40):
+            w, h = (int(n) for n in rng.integers(2, 121, size=2))
+            pitch = float(rng.choice([0.05, 0.1, 0.25]))
+            rotation = _perturbed_rotation(rng)
+            ax = image_axes(RigidTransform(rotation, np.zeros(3)))
+            # the image point (lateral u, depth v) at a random sample, the
+            # plane moved off it by up to twice the radius
+            c = sampler.points[rng.integers(len(sampler.points))]
+            u, v = rng.uniform(-0.6, 0.6) * w * pitch, rng.uniform(-0.1, 1.1) * h * pitch
+            off = rng.uniform(-2.0, 2.0) * sampler.radius
+            pose = RigidTransform(rotation, c - u * ax[:, 0] - v * ax[:, 2] + off * ax[:, 1])
+            got = image_slice(posed, pose, w, h, pitch, sampler).mask
+            assert np.array_equal(got, _full_grid_mask(sampler, pose, w, h, pitch))
             hits += got.any()
-        assert hits >= 6
+        assert hits >= 10
+
+
+def _perturbed_rotation(rng):
+    """A random rotation plus noise, scaled until RigidTransform just accepts
+    it: max|RᵀR - I| and |det R - 1| within 1e-6, and the first of them
+    above 5e-7."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.linalg.det(q))
+    noise = rng.normal(size=(3, 3))
+    for scale in 1e-6 * 0.8 ** np.arange(20):
+        r = q + scale * noise
+        if (0.5e-6 < np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-6
+                and abs(np.linalg.det(r) - 1.0) <= 1e-6):
+            return r
+    raise AssertionError("no perturbation within the tolerance")
+
+
+def _counted_samplers(monkeypatch):
+    """Make limbscan.scan build each VesselSampler counted: returns the list
+    that gets each sampler built and its `_count_tree_queries` list."""
+    samplers, build = [], VesselSampler
+
+    def counted(*args):
+        sampler = build(*args)
+        samplers.append((sampler, _count_tree_queries(sampler)))
+        return sampler
+
+    monkeypatch.setattr(scan, "VesselSampler", counted)
+    return samplers
 
 
 class TestWindowedFrame:
@@ -355,6 +479,22 @@ class TestWindowedFrame:
         for f in result.frames:
             _assert_full_image(f, _full_grid_mask(sampler, f.probe_pose, f.width_px,
                                                   f.height_px, f.pitch))
+
+    def test_pipeline_frames_rarely_query_the_tree(self, tmp_path, monkeypatch):
+        """Over every frame of the seed-0 140 deg pipeline's scan, at most 5%
+        of the window pixels go to the k-d tree."""
+        scans, samplers = [], _counted_samplers(monkeypatch)
+
+        def keep(scene, trajectory, params):
+            scans.append(run_scan(scene, trajectory, params))
+            return scans[-1]
+
+        monkeypatch.setattr(pipeline, "run_scan", keep)
+        cfg = config_from_dict({"scene": {"elbow_angle": 140.0}})
+        run_pipeline(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+        (result,), ((_, tree_queries),) = scans, samplers
+        window_px = sum(f.window.size for f in result.frames)
+        assert window_px > 0 and sum(tree_queries) <= 0.05 * window_px
 
     def test_pipeline_frames_equal_full_image(self, tmp_path, monkeypatch):
         """Every frame of run_pipeline's scan at 140 deg, and the PGM that the
