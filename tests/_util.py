@@ -22,7 +22,9 @@ GRAPH_KEYS = ("affines", "neighbors", "positions", "sampling_radius", "translati
 # the golden run: seed-0 pipelines at these elbow angles, recorded under GOLDEN
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_ANGLES = (120.0, 140.0, 160.0)
-GOLDEN_HASHED = ("graph.json", "transferred_trajectory.csv", "executed_poses.csv")
+GOLDEN_HASHED = ("atlas_surface.ply", "scene_surface.ply", "scene_centerline.csv", "depth.pgm",
+                 "extracted_forearm.ply", "extracted_upperarm.ply", "atlas_trajectory.csv",
+                 "graph.json", "transferred_trajectory.csv", "executed_poses.csv")
 
 
 def straight_trajectory(arm, x0=100.0, x1=170.0, step=1.0):

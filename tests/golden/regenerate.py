@@ -3,7 +3,9 @@
 Runs the seed-0 pipeline at each of the golden elbow angles and writes,
 next to this file, report_<angle>.json (the run's report.json) and
 manifest.json: the numpy and scipy versions, and the sha256 of each cell's
-graph.json, transferred_trajectory.csv, executed_poses.csv and frames.
+scene-layer artifacts (the two surfaces, the scene centerline, the depth
+image, the extracted clouds and the atlas trajectory), graph.json,
+transferred_trajectory.csv, executed_poses.csv and frames.
 The hashes hold for one BLAS thread, so the script pins one before numpy
 loads. Run it from the repository root:
 
