@@ -1,4 +1,4 @@
-"""Core geometry: rigid transforms, point clouds, PCA boxes, estimate_normals at given points.
+"""Core geometry: rigid transforms, point clouds and PCA boxes.
 
 Conventions: points are float64 arrays of shape (3,) or (n, 3), units are mm.
 """
@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateConfiguration, InvalidParams
 
@@ -94,27 +93,3 @@ def pca_obb(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     extents = proj.max(axis=0) - proj.min(axis=0)
     return axes, extents
 
-
-def estimate_normals(points: np.ndarray, at: np.ndarray, k: int,
-                     up_hint: np.ndarray) -> np.ndarray:
-    """Unit normals at points[at], each from the covariance of its k nearest
-    points in the cloud, oriented toward up_hint. Returns (len(at), 3)."""
-    if k < 3:
-        raise InvalidParams("k must be >= 3")
-    p = np.asarray(points, dtype=float)
-    if p.shape[0] < k:
-        raise InvalidParams("cloud smaller than neighborhood")
-    up = np.asarray(up_hint, dtype=float).reshape(3)
-    up = up / np.linalg.norm(up)
-    _, nbr = cKDTree(p).query(p[at], k=k)
-    neigh = p[nbr]                       # (len(at), k, 3)
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    evals, evecs = np.linalg.eigh(cov)
-    if np.any(evals[:, 1] <= 1e-12 * np.maximum(evals[:, 2], 1.0)):
-        raise DegenerateConfiguration("rank-deficient normal neighborhood")
-    normals = evecs[:, :, 0]
-    flip = (normals @ up) < 0
-    normals[flip] *= -1.0
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return normals

@@ -133,10 +133,12 @@ def write_depth_pgm(path, depth_mm: np.ndarray) -> None:
 
 
 def read_depth_pgm(path) -> np.ndarray:
+    """Depth in mm from a 16-bit PGM of 0.1 mm units, 0 = invalid."""
     img, maxval = _read_pgm(path)
-    if maxval > 255:
-        return img.astype(float) / DEPTH_SCALE
-    return img.astype(float)
+    if maxval <= 255:
+        raise InvalidParams(f"{path}: a depth PGM must be 16-bit (0.1 mm units), "
+                            f"got maxval {maxval}")
+    return img.astype(float) / DEPTH_SCALE
 
 
 def write_mask_pgm(path, mask: np.ndarray) -> None:

@@ -15,16 +15,16 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import dijkstra, reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
-from .errors import (DegenerateSegment, InvalidParams, NonFiniteEnergy,
-                     OutOfBindingReach, bounded, check_fields)
-from .geometry import PointCloud3, RigidTransform, estimate_normals, pca_obb
+from .errors import (DegenerateConfiguration, DegenerateSegment, InvalidParams,
+                     NonFiniteEnergy, OutOfBindingReach, bounded, check_fields)
+from .geometry import PointCloud3, RigidTransform, pca_obb
 from .trajectory import ScanTrajectory
 
 BINDING_K = 4      # graph nodes each vertex or trajectory point is bound to
 KNN_K = 8          # neighbours per point in the graph geodesics run over
 MAX_INNER = 4      # Gauss-Newton steps per outer iteration of `solve`
 LEVENBERG = 1e-6   # damping, relative to the largest diagonal entry of H
-NORMAL_K = 20      # neighbours per target point in normal estimation
+NORMAL_K = 20      # neighbours of a probe station's target point in its normal
 
 
 @dataclass
@@ -670,12 +670,23 @@ def attach_probe_poses(traj: ScanTrajectory, target: PointCloud3,
     k = max(min(NORMAL_K, len(target)), 3)
     if len(target) < k:
         raise InvalidParams("cloud smaller than neighborhood")
-    dist, nearest = cKDTree(target.points).query(pts)
+    tree = cKDTree(target.points)
+    dist, nearest = tree.query(pts)
     # an overflowing distance comes back as inf with the out-of-range index n
     if not np.all(np.isfinite(dist)):
         raise InvalidParams("a trajectory point is too far from the target surface "
                             "for a finite distance")
-    z_axes = -estimate_normals(target.points, nearest, k=k, up_hint=up)
+    # the skin normal at each nearest point: the least principal axis of its
+    # k-neighbourhood, turned toward up
+    neigh = target.points[tree.query(target.points[nearest], k=k)[1]]
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    evals, evecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered) / k)
+    if np.any(evals[:, 1] <= 1e-12 * np.maximum(evals[:, 2], 1.0)):
+        raise DegenerateConfiguration("rank-deficient normal neighborhood")
+    normals = evecs[:, :, 0]
+    up = np.asarray(up, dtype=float).reshape(3)
+    normals[(normals @ (up / np.linalg.norm(up))) < 0] *= -1.0
+    z_axes = -normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
     n = len(pts)
     tangents = np.gradient(pts, axis=0) if n > 1 else np.array([[1.0, 0.0, 0.0]])

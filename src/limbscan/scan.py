@@ -266,6 +266,10 @@ def image_slice(scene: ArmTemplate, probe_pose: RigidTransform, width_px: int,
                             f"{width_px} x {height_px}")
     if not 0 < pitch < math.inf:
         raise InvalidParams(f"pitch must be finite and positive, got {pitch}")
+    # the image's extent enters the window's reach and every pixel's coordinates
+    if not (width_px + height_px) * pitch < math.inf:
+        raise InvalidParams(f"pitch {pitch} mm/px makes the extent of a {width_px} x "
+                            f"{height_px} image overflow")
     if sampler is None:
         sampler = VesselSampler(scene.centerline.points, scene.vessel_radius)
     ax = image_axes(probe_pose)

@@ -25,6 +25,11 @@ RING_POINTS = 104                 # surface points per ring
 JITTER = 0.12                     # standard deviation of the radial surface jitter
 CAMERA_MARGIN = 40.0              # table around the arm in the default camera's view
 DEPTH_BAND = 2.0                  # behind a pixel's nearest splat, still averaged in
+# the surfel footprint: (dr, dc) offsets from the pixel whose center is the
+# last at or before a point in both row and column; 2x2 closes the holes a
+# sparser-than-pixel-pitch point sampling would leave, and widens the
+# silhouette by at most one pixel
+FOOTPRINT = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 @dataclass
@@ -161,26 +166,16 @@ def make_template(seed: int = 0,
     total = length_forearm + length_upperarm
     b = VERTICAL_B
 
-    def a_of(s):
-        return np.interp(s, [0.0, length_forearm, total], list(WIDTH_KNOTS))
-
     s_vals = np.arange(0.0, total + 1e-9, AXIAL_STEP)
-    n_rings = len(s_vals)
     phi_base = np.linspace(0.0, 2.0 * np.pi, RING_POINTS, endpoint=False)
     # per-ring angular offset breaks grid alignment without harming invariants
-    offsets = rng.uniform(0.0, 2.0 * np.pi / RING_POINTS, size=n_rings)
-
-    pts = np.empty((n_rings * RING_POINTS, 3))
+    phi = phi_base + rng.uniform(0.0, 2.0 * np.pi / RING_POINTS, size=(len(s_vals), 1))
+    a = np.interp(s_vals, [0.0, length_forearm, total], list(WIDTH_KNOTS))
+    cos_phi = np.cos(phi)
     axial = np.repeat(s_vals, RING_POINTS)
-    top = np.empty(n_rings * RING_POINTS, dtype=bool)
-    for i, s in enumerate(s_vals):
-        a = a_of(s)
-        phi = phi_base + offsets[i]
-        sl = slice(i * RING_POINTS, (i + 1) * RING_POINTS)
-        pts[sl, 0] = s
-        pts[sl, 1] = a * np.sin(phi)
-        pts[sl, 2] = b + b * np.cos(phi)
-        top[sl] = np.cos(phi) > 0.0
+    pts = np.column_stack([axial, (a[:, None] * np.sin(phi)).ravel(),
+                           (b + b * cos_phi).ravel()])
+    top = (cos_phi > 0.0).ravel()
     center = np.stack([axial, np.zeros_like(axial), np.full_like(axial, b)], axis=1)
     radial = pts - center
     radial /= np.linalg.norm(radial, axis=1, keepdims=True)
@@ -280,30 +275,23 @@ def render_depth(posed: ArmTemplate, camera: RigidTransform, width: int, height:
         raise InvalidParams("camera must be above the scene")
     if np.any((u < 0) | (u >= width) | (v < 0) | (v >= height)):
         raise OutOfFrame("arm points project outside the image")
-    # 2x2 surfel footprint: closes the holes a sparser-than-pixel-pitch point
-    # sampling would leave; widens the silhouette by at most one pixel
     flat = np.full(height * width, table_depth)
     c0 = np.floor(u - 0.5).astype(int)  # the two pixel centers bracketing u
     r0 = np.floor(v - 0.5).astype(int)
     du = u - (c0 + 0.5)
     dv = v - (r0 + 0.5)
-    targets = []
-    for dr in (0, 1):
-        for dc in (0, 1):
-            rr = np.clip(r0 + dr, 0, height - 1)
-            cc = np.clip(c0 + dc, 0, width - 1)
-            idx = rr * width + cc
-            # bilinear weight, floored so silhouette pixels never go unfilled
-            wu = du if dc else 1.0 - du
-            wv = dv if dr else 1.0 - dv
-            targets.append((idx, np.maximum(wu * wv, 0.05)))
-            np.minimum.at(flat, idx, depths)
-    sums = np.zeros(height * width)
-    weights = np.zeros(height * width)
-    for idx, w in targets:
-        near = depths <= flat[idx] + DEPTH_BAND
-        np.add.at(sums, idx[near], (w * depths)[near])
-        np.add.at(weights, idx[near], w[near])
+    # one (point, offset) pair per entry, offset-major, so that bincount
+    # adds each pixel's terms offset by offset, in point order
+    dr, dc = FOOTPRINT[:, :1], FOOTPRINT[:, 1:]
+    idx = (np.clip(r0 + dr, 0, height - 1) * width + np.clip(c0 + dc, 0, width - 1)).ravel()
+    # bilinear weight, floored so silhouette pixels never go unfilled
+    w = np.maximum(np.where(dc, du, 1.0 - du) * np.where(dr, dv, 1.0 - dv), 0.05).ravel()
+    z = np.tile(depths, len(FOOTPRINT))
+    np.minimum.at(flat, idx, z)
+    near = z <= flat[idx] + DEPTH_BAND
+    idx, w, z = idx[near], w[near], z[near]
+    sums = np.bincount(idx, w * z, minlength=height * width)
+    weights = np.bincount(idx, w, minlength=height * width)
     hit = weights > 0
     flat[hit] = sums[hit] / weights[hit]
     depth = flat.reshape(height, width)

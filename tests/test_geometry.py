@@ -1,10 +1,10 @@
-"""Geometry core: rigid transforms, PCA boxes, normals."""
+"""Geometry core: rigid transforms, point clouds, PCA boxes."""
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from limbscan.errors import DegenerateConfiguration, InvalidParams
-from limbscan.geometry import PointCloud3, RigidTransform, estimate_normals, pca_obb
+from limbscan.geometry import PointCloud3, RigidTransform, pca_obb
 from limbscan.scan import VirtualFrame
 
 
@@ -88,51 +88,10 @@ class TestPcaObb:
             pca_obb(np.zeros((3, 3)))
 
 
-class TestEstimateNormals:
-    def test_plane_normals(self, rng):
-        pts = np.column_stack([rng.uniform(-10.0, 10.0, (400, 2)),
-                               rng.normal(0.0, 1e-4, 400)])
-        out = estimate_normals(pts, np.arange(400), k=12, up_hint=[0.0, 0.0, 1.0])
-        np.testing.assert_allclose(out, np.tile([0.0, 0.0, 1.0], (400, 1)), atol=1e-2)
-
-    def test_orientation_follows_hint(self, rng):
-        pts = np.column_stack([rng.uniform(-10.0, 10.0, (400, 2)),
-                               rng.normal(0.0, 1e-4, 400)])
-        out = estimate_normals(pts, np.arange(400), k=12, up_hint=[0.0, 0.0, -1.0])
-        assert np.all(out[:, 2] < 0)
-
-    def test_rejects_small_k(self, rng):
-        with pytest.raises(ValueError):
-            estimate_normals(rng.normal(size=(10, 3)), np.arange(10), k=2,
-                             up_hint=[0.0, 0.0, 1.0])
-
-    def test_rejects_degenerate_neighborhood(self):
-        pts = np.zeros((10, 3))
-        pts[:, 0] = np.arange(10.0)  # collinear
-        with pytest.raises(DegenerateConfiguration):
-            estimate_normals(pts, [4], k=5, up_hint=[0.0, 0.0, 1.0])
-
-    def test_only_the_asked_points(self, rng):
-        # a collinear strand far from the plane has rank-deficient
-        # neighbourhoods; asking only for plane points never looks at them
-        plane = np.column_stack([rng.uniform(-10.0, 10.0, (400, 2)), np.zeros(400)])
-        strand = np.column_stack([np.arange(30.0), np.full(30, 500.0), np.zeros(30)])
-        pts = np.vstack([plane, strand])
-        at = np.array([3, 7, 7, 399, 0])
-        out = estimate_normals(pts, at, k=12, up_hint=[0.0, 0.0, 1.0])
-        assert out.shape == (5, 3)
-        np.testing.assert_array_equal(out[1], out[2])
-        np.testing.assert_allclose(out, np.tile([0.0, 0.0, 1.0], (5, 1)), atol=1e-12)
-        with pytest.raises(DegenerateConfiguration):
-            estimate_normals(pts, [3, 410], k=12, up_hint=[0.0, 0.0, 1.0])
-        assert estimate_normals(pts, np.arange(0), k=12, up_hint=[0.0, 0.0, 1.0]).shape == (0, 3)
-
-
 @pytest.mark.parametrize("make", [
     lambda: RigidTransform(np.eye(3) * 2.0, np.zeros(3)),
     lambda: PointCloud3(np.zeros((4, 2))),
-    lambda: estimate_normals(np.eye(3), [0], k=2, up_hint=[0.0, 0.0, 1.0]),
-], ids=["RigidTransform", "PointCloud3", "estimate_normals"])
+], ids=["RigidTransform", "PointCloud3"])
 def test_bad_input_is_a_limbscan_error(make):
     """Bad geometry input raises the package's error type, so a pipeline
     stage reports it as that stage's failure."""

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -354,6 +355,14 @@ class TestSweep:
         assert "seed" in rows[0]["error"]
 
 
+def _eight_bit(pgm: bytes) -> bytes:
+    """A depth PGM as write_depth_pgm lays it out, made 8-bit: each sample's
+    high byte."""
+    head = pgm[:pgm.index(b"65535\n") + 6]
+    samples = np.frombuffer(pgm, dtype=">u2", offset=len(head))
+    return head.replace(b"65535", b"255") + (samples >> 8).astype(np.uint8).tobytes()
+
+
 @pytest.fixture(scope="module")
 def rendered_140(tmp_path_factory):
     out = tmp_path_factory.mktemp("render140")
@@ -570,6 +579,8 @@ class TestCli:
         ("depth_meta.json", lambda meta: meta.replace('"elbow": [', '"elbow": [7, '),
          None, EXIT_STAGE, "bad joint_pixels"),
         ("depth.pgm", lambda depth: depth[:1000], None, EXIT_STAGE, "PGM raster has"),
+        ("depth.pgm", _eight_bit, None, EXIT_STAGE,
+         "must be 16-bit (0.1 mm units), got maxval 255"),
         (None, None, "1,2,3 4,5,6 7,8,9", EXIT_CONFIG, "too many values to unpack"),
         ("depth_meta.json", lambda meta: json.dumps(json.loads(meta) | {"pitch": 0}),
          None, EXIT_STAGE, "must be finite and positive"),
@@ -579,7 +590,8 @@ class TestCli:
             json.loads(meta) | {"table_depth": float("nan")}),
          None, EXIT_STAGE, "must be finite and positive"),
     ], ids=["meta-no-camera", "meta-not-json", "meta-joint-triple", "depth-truncated",
-            "joints-triples", "meta-pitch-zero", "meta-pitch-negative", "meta-table-nan"])
+            "depth-8bit", "joints-triples", "meta-pitch-zero", "meta-pitch-negative",
+            "meta-table-nan"])
     def test_extract_bad_input(self, tmp_path, capsys, rendered_140, name, corrupt, joints,
                                code, message):
         files = {n: rendered_140 / n for n in ("depth.pgm", "depth_meta.json")}
@@ -631,6 +643,30 @@ class TestCli:
                              env=env, capture_output=True, text=True)
         assert run.returncode == EXIT_STAGE
         assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["pipeline", "scan"])
+    @pytest.mark.parametrize("pitch", ["5.0e+305", "1.0e+306", "1.0e+307", "1.7e+308"])
+    def test_overflowing_pitch_exits_3(self, tmp_path, capsys, command, pitch):
+        """A pitch inside (0, inf) at which a frame's extent, (width + height)
+        · pitch, overflows: image_slice names it before an inf reaches any
+        pixel coordinate, and the command fails with one line, raising no
+        RuntimeWarning on the way."""
+        p = tmp_path / "c.yaml"
+        p.write_text(f"scan: {{pitch: {pitch}}}\n")
+        if command == "pipeline":
+            argv = ["pipeline", "--angle", "140", "--out", str(tmp_path / "o")]
+        else:
+            assert main(["plan", "--out", str(tmp_path)]) == EXIT_OK
+            argv = ["scan", "--angle", "180", "--traj", str(tmp_path / "atlas_trajectory.csv"),
+                    "--out-frames", str(tmp_path / "f"), "--report", str(tmp_path / "r.json")]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--config", str(p)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (f"pitch {float(pitch):g} mm/px makes the extent of a 256 x 160 image "
+                "overflow") in err
 
     def test_missing_input_exits_3(self, tmp_path):
         assert main(["extract", "--depth", str(tmp_path / "no.pgm"),

@@ -229,6 +229,14 @@ class TestDepthPgm:
         with pytest.raises(ValueError):
             read_depth_pgm(path)
 
+    @pytest.mark.parametrize("maxval", [1, 255])
+    def test_rejects_8bit_depth_by_name(self, tmp_path, maxval):
+        # an 8-bit raster holds no 0.1 mm units: read as is it would be raw mm
+        path = tmp_path / "d8.pgm"
+        path.write_bytes(f"P5\n2 1\n{maxval}\n".encode() + bytes([0, 1]))
+        with pytest.raises(InvalidParams, match=rf"d8\.pgm.*maxval {maxval}$"):
+            read_depth_pgm(path)
+
 
 class TestMaskPgm:
     def test_roundtrip(self, tmp_path, rng):

@@ -1003,7 +1003,77 @@ def _whole_cloud_normals(p, k, up):
     return normals
 
 
+def _reference_normals(points, at, k, up_hint):
+    """geometry.estimate_normals as it stood before attach_probe_poses took
+    the normals inline, over the nearest-point query's own tree: unit normals
+    at points[at], each from the covariance of its k nearest points in the
+    cloud, oriented toward up_hint."""
+    if k < 3:
+        raise InvalidParams("k must be >= 3")
+    p = np.asarray(points, dtype=float)
+    if p.shape[0] < k:
+        raise InvalidParams("cloud smaller than neighborhood")
+    up = np.asarray(up_hint, dtype=float).reshape(3)
+    up = up / np.linalg.norm(up)
+    _, nbr = cKDTree(p).query(p[at], k=k)
+    neigh = p[nbr]                       # (len(at), k, 3)
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / k
+    evals, evecs = np.linalg.eigh(cov)
+    if np.any(evals[:, 1] <= 1e-12 * np.maximum(evals[:, 2], 1.0)):
+        raise DegenerateConfiguration("rank-deficient normal neighborhood")
+    normals = evecs[:, :, 0]
+    flip = (normals @ up) < 0
+    normals[flip] *= -1.0
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return normals
+
+
+def _z_axes(traj):
+    return np.array([p.rotation[:, 2] for p in traj.poses])
+
+
+def _plane(rng, n=400):
+    return np.column_stack([rng.uniform(-10.0, 10.0, (n, 2)), rng.normal(0.0, 1e-4, n)])
+
+
 class TestAttachProbePoses:
+    @pytest.mark.parametrize("up", [[0.0, 0.0, 1.0], [0.3, -0.2, 2.0]], ids=["up", "tilted-up"])
+    @pytest.mark.parametrize("part", ["extracted-forearm-140", "atlas-top-shell"])
+    def test_z_axes_match_reference_normals(self, template, atlas, scene_cache, part, up):
+        plan = plan_scan(atlas, PlanConfig()).surface_points
+        if part == "atlas-top-shell":
+            target, pts = atlas.top_shell()[0], plan
+        else:
+            target = scene_cache(140.0)[2].forearm
+            pts = hinge_points(plan, plan[:, 0], template.elbow, 140.0,
+                               ArticulatedPose(140.0).blend_halfwidth)
+        traj = attach_probe_poses(ScanTrajectory(pts, np.arange(len(pts))), target, up)
+
+        nearest = cKDTree(target.points).query(pts)[1]
+        ref = -_reference_normals(target.points, nearest, registration.NORMAL_K, up)
+        expected = np.array([z / np.linalg.norm(z) for z in ref])
+        np.testing.assert_array_equal(_z_axes(traj), expected)
+
+    def test_z_axes_on_a_plane(self, rng):
+        target = PointCloud3(_plane(rng))
+        pts = np.column_stack([np.linspace(-8.0, 8.0, 9), np.zeros(9), np.zeros(9)])
+        traj = attach_probe_poses(ScanTrajectory(pts, np.arange(9)), target, UP)
+        np.testing.assert_allclose(_z_axes(traj), np.tile([0.0, 0.0, -1.0], (9, 1)), atol=1e-2)
+
+    def test_orientation_follows_up(self, rng):
+        target = PointCloud3(_plane(rng))
+        pts = np.column_stack([np.linspace(-8.0, 8.0, 9), np.zeros(9), np.zeros(9)])
+        # the skin normal turns toward up, the probe z against it
+        for up, sign in (([0.0, 0.0, 1.0], -1.0), ([0.0, 0.0, -1.0], 1.0)):
+            traj = attach_probe_poses(ScanTrajectory(pts, np.arange(9)), target, up)
+            assert np.all(sign * _z_axes(traj)[:, 2] > 0.99)
+
+    def test_collinear_neighborhood_raises(self):
+        target = PointCloud3(np.column_stack([np.arange(10.0), np.zeros(10), np.zeros(10)]))
+        with pytest.raises(DegenerateConfiguration, match="rank-deficient"):
+            attach_probe_poses(ScanTrajectory([[4.0, 0.0, 0.0]], [0]), target, UP)
+
     @pytest.mark.parametrize("part", ["extracted-forearm", "top-shell"])
     def test_z_axes_match_whole_cloud_normals(self, template, atlas, scene_cache, part):
         posed, _, seg = scene_cache(140.0)

@@ -1,6 +1,9 @@
 """Virtual scan loop: imaging, centering servo, reconstruction, radius report."""
 import dataclasses
+import math
 import pickle
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -241,13 +244,29 @@ class TestImageSlice:
     @pytest.mark.parametrize("width_px, height_px, pitch", [
         (256, 160, 0.0), (256, 160, -0.1), (-5, 160, 0.1), (256, 160, float("nan")),
         (0, 160, 0.1), (2.5, 160, 0.1), (160.0, 160, 0.1), (256, 160.0, 0.1),
-        (256, 160, float("inf")),
+        (256, 160, float("inf")), (256, 160, 5e305), (256, 160, 1e306), (256, 160, 1e307),
+        (256, 160, 1.7e308),
     ], ids=["pitch-zero", "pitch-negative", "width-negative", "pitch-nan", "width-zero",
-            "width-fractional", "width-float", "height-float", "pitch-inf"])
+            "width-fractional", "width-float", "height-float", "pitch-inf",
+            "extent-overflow-5e305", "extent-overflow-1e306", "extent-overflow-1e307",
+            "extent-overflow-1.7e308"])
     def test_bad_geometry_rejected(self, atlas, width_px, height_px, pitch):
         with pytest.raises(InvalidParams, match="pitch|image size"):
             image_slice(atlas, _down_pose(x=120.0, z=2.0 * atlas.vertical_b),
                         width_px, height_px, pitch)
+
+    def test_largest_finite_extent_images_nothing(self, atlas):
+        # the largest pitch at which (256 + 160) * pitch is finite
+        pitch = sys.float_info.max / 416
+        while 416 * math.nextafter(pitch, math.inf) < math.inf:
+            pitch = math.nextafter(pitch, math.inf)
+        pose = _down_pose(x=120.0, z=2.0 * atlas.vertical_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            frame = image_slice(atlas, pose, 256, 160, pitch)
+        assert frame.area == 0 and frame.centroid is None
+        with pytest.raises(InvalidParams, match="overflow"):
+            image_slice(atlas, pose, 256, 160, math.nextafter(pitch, math.inf))
 
     def test_numpy_int_size_accepted(self, atlas):
         pose = _down_pose(x=120.0, z=2.0 * atlas.vertical_b)

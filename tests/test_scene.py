@@ -4,7 +4,8 @@ import pytest
 
 from limbscan.errors import ConfigError, InvalidParams, OutOfFrame
 from limbscan.geometry import RigidTransform
-from limbscan.scene import (WIDTH_KNOTS, ArticulatedPose, DepthImage, articulate,
+from limbscan.scene import (AXIAL_STEP, DEPTH_BAND, JITTER, RING_POINTS, VERTICAL_B,
+                            WIDTH_KNOTS, ArticulatedPose, DepthImage, articulate,
                             default_camera, hinge_points, joint_pixels,
                             make_template, render_depth)
 
@@ -213,3 +214,103 @@ class TestJointPixels:
             r, c = jp[name]
             assert 0 <= r < img.height and 0 <= c < img.width
             assert img.depth[r, c] < img.table_depth - 1.0
+
+
+# ------------------------------------------------------- reference loops
+# The per-ring template loop and the per-offset splat that the array passes
+# in scene.py replace; make_template and render_depth must give exactly
+# what they give.
+
+def _loop_template(seed, length_forearm, length_upperarm):
+    """make_template's skin points, axial coordinates and top-shell flags."""
+    rng = np.random.default_rng(seed)
+    total = length_forearm + length_upperarm
+    b = VERTICAL_B
+
+    def a_of(s):
+        return np.interp(s, [0.0, length_forearm, total], list(WIDTH_KNOTS))
+
+    s_vals = np.arange(0.0, total + 1e-9, AXIAL_STEP)
+    n_rings = len(s_vals)
+    phi_base = np.linspace(0.0, 2.0 * np.pi, RING_POINTS, endpoint=False)
+    # per-ring angular offset breaks grid alignment without harming invariants
+    offsets = rng.uniform(0.0, 2.0 * np.pi / RING_POINTS, size=n_rings)
+
+    pts = np.empty((n_rings * RING_POINTS, 3))
+    axial = np.repeat(s_vals, RING_POINTS)
+    top = np.empty(n_rings * RING_POINTS, dtype=bool)
+    for i, s in enumerate(s_vals):
+        a = a_of(s)
+        phi = phi_base + offsets[i]
+        sl = slice(i * RING_POINTS, (i + 1) * RING_POINTS)
+        pts[sl, 0] = s
+        pts[sl, 1] = a * np.sin(phi)
+        pts[sl, 2] = b + b * np.cos(phi)
+        top[sl] = np.cos(phi) > 0.0
+    center = np.stack([axial, np.zeros_like(axial), np.full_like(axial, b)], axis=1)
+    radial = pts - center
+    radial /= np.linalg.norm(radial, axis=1, keepdims=True)
+    pts = pts + radial * rng.normal(0.0, JITTER, size=(len(pts), 1))
+    return pts, axial, top
+
+
+def _loop_render(posed, camera, width, height, pitch, noise_sigma=0.0, noise_seed=0):
+    """render_depth's depth grid."""
+    table_depth = camera.translation[2]
+    p_cam = (posed.surface.points - camera.translation) @ camera.rotation
+    u = p_cam[:, 0] / pitch + width / 2.0
+    v = p_cam[:, 1] / pitch + height / 2.0
+    depths = p_cam[:, 2]
+    # 2x2 surfel footprint: closes the holes a sparser-than-pixel-pitch point
+    # sampling would leave; widens the silhouette by at most one pixel
+    flat = np.full(height * width, table_depth)
+    c0 = np.floor(u - 0.5).astype(int)  # the two pixel centers bracketing u
+    r0 = np.floor(v - 0.5).astype(int)
+    du = u - (c0 + 0.5)
+    dv = v - (r0 + 0.5)
+    targets = []
+    for dr in (0, 1):
+        for dc in (0, 1):
+            rr = np.clip(r0 + dr, 0, height - 1)
+            cc = np.clip(c0 + dc, 0, width - 1)
+            idx = rr * width + cc
+            # bilinear weight, floored so silhouette pixels never go unfilled
+            wu = du if dc else 1.0 - du
+            wv = dv if dr else 1.0 - dv
+            targets.append((idx, np.maximum(wu * wv, 0.05)))
+            np.minimum.at(flat, idx, depths)
+    sums = np.zeros(height * width)
+    weights = np.zeros(height * width)
+    for idx, w in targets:
+        near = depths <= flat[idx] + DEPTH_BAND
+        np.add.at(sums, idx[near], (w * depths)[near])
+        np.add.at(weights, idx[near], w[near])
+    hit = weights > 0
+    flat[hit] = sums[hit] / weights[hit]
+    depth = flat.reshape(height, width)
+    if noise_sigma > 0:
+        rng = np.random.default_rng(noise_seed)
+        depth = depth + rng.normal(0.0, noise_sigma, size=depth.shape)
+    return depth
+
+
+@pytest.mark.parametrize("seed, lengths", [(0, (250.0, 280.0)), (1, (250.0, 280.0)),
+                                           (2, (250.0, 280.0)), (0, (61.3, 407.9))],
+                         ids=["seed0", "seed1", "seed2", "seed0-61.3-407.9"])
+def test_template_matches_ring_loop(seed, lengths):
+    arm = make_template(seed, *lengths)
+    pts, axial, top = _loop_template(seed, *lengths)
+    np.testing.assert_array_equal(arm.surface.points, pts)
+    np.testing.assert_array_equal(arm.surface_axial, axial)
+    np.testing.assert_array_equal(arm._top_mask, top)
+
+
+@pytest.mark.parametrize("pitch", [0.5, 0.9, 1.0, 2.0])
+@pytest.mark.parametrize("angle", [100.0, 140.0, 180.0])
+def test_render_matches_offset_loop(template, angle, pitch):
+    posed = articulate(template, ArticulatedPose(angle))
+    cam, w, h = default_camera(posed, pitch=pitch)
+    for sigma in (0.0, 2.0):
+        img = render_depth(posed, cam, w, h, pitch, noise_sigma=sigma, noise_seed=3)
+        np.testing.assert_array_equal(
+            img.depth, _loop_render(posed, cam, w, h, pitch, noise_sigma=sigma, noise_seed=3))
