@@ -19,9 +19,13 @@ DOWN_ROTATION = np.array([[1.0, 0.0, 0.0],
 # what graph.json holds: the graph, without the source vertices' bindings
 GRAPH_KEYS = ("affines", "neighbors", "positions", "sampling_radius", "translations")
 
-# the golden run: seed-0 pipelines at these elbow angles, recorded under GOLDEN
+# the golden run: seed-0 pipelines, each cell's config by its name, recorded under GOLDEN
 GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_ANGLES = (120.0, 140.0, 160.0)
+GOLDEN_CELLS = {f"{angle:g}": {"scene": {"elbow_angle": angle}}
+                for angle in (100.0, 120.0, 140.0, 160.0, 180.0)} | {
+    "140-radius8": {"scene": {"elbow_angle": 140.0}, "registration": {"radius": 8.0}},
+    "140-noisy": {"scene": {"elbow_angle": 140.0, "noise_sigma": 2.0, "render_pitch": 0.9}},
+}
 GOLDEN_HASHED = ("atlas_surface.ply", "scene_surface.ply", "scene_centerline.csv", "depth.pgm",
                  "extracted_forearm.ply", "extracted_upperarm.ply", "atlas_trajectory.csv",
                  "graph.json", "transferred_trajectory.csv", "executed_poses.csv")
@@ -55,10 +59,10 @@ def library_versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def run_golden_cell(angle: float, out: Path) -> tuple[dict, dict]:
-    """One seed-0 pipeline at the elbow angle, written under out: its report
-    and the sha256 of its GOLDEN_HASHED files and frames, by relative path."""
-    run_pipeline(config_from_dict({"output_dir": str(out), "scene": {"elbow_angle": angle}}))
+def run_golden_cell(name: str, out: Path) -> tuple[dict, dict]:
+    """The golden cell's seed-0 pipeline, written under out: its report and
+    the sha256 of its GOLDEN_HASHED files and frames, by relative path."""
+    run_pipeline(config_from_dict(GOLDEN_CELLS[name] | {"output_dir": str(out)}))
     paths = [out / name for name in GOLDEN_HASHED] + sorted((out / "frames").glob("*.pgm"))
     hashes = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
               for p in paths}

@@ -1,7 +1,9 @@
 """Regenerate the golden run that tests/test_golden.py checks.
 
-Runs the seed-0 pipeline at each of the golden elbow angles and writes,
-next to this file, report_<angle>.json (the run's report.json) and
+Runs the seed-0 pipeline of each golden cell (the elbow angles 100 to
+180 deg, and 140 deg with a finer registration radius or a noisy depth
+image at another render pitch) and writes, next to this file,
+report_<cell>.json (the run's report.json) and
 manifest.json: the numpy and scipy versions, and the sha256 of each cell's
 scene-layer artifacts (the two surfaces, the scene centerline, the depth
 image, the extracted clouds and the atlas trajectory), graph.json,
@@ -25,17 +27,17 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from _util import GOLDEN, GOLDEN_ANGLES, library_versions, run_golden_cell  # noqa: E402
+from _util import GOLDEN, GOLDEN_CELLS, library_versions, run_golden_cell  # noqa: E402
 
 
 def main() -> None:
     manifest = library_versions() | {"blas_threads": 1, "sha256": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for angle in GOLDEN_ANGLES:
-            out = Path(tmp) / f"angle{angle:g}"
-            _, hashes = run_golden_cell(angle, out)
-            (GOLDEN / f"report_{angle:g}.json").write_bytes((out / "report.json").read_bytes())
-            manifest["sha256"][f"{angle:g}"] = hashes
+        for name in GOLDEN_CELLS:
+            out = Path(tmp) / name
+            _, hashes = run_golden_cell(name, out)
+            (GOLDEN / f"report_{name}.json").write_bytes((out / "report.json").read_bytes())
+            manifest["sha256"][name] = hashes
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"golden files written to {GOLDEN}")
 

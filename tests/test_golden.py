@@ -1,5 +1,7 @@
-"""The golden run: seed-0 pipelines at 120, 140 and 160 deg against the
-reports and artifact hashes recorded in tests/golden/.
+"""The golden run: the seed-0 pipelines of GOLDEN_CELLS (elbow angles 100
+to 180 deg; 140 deg with registration radius 8; 140 deg with noisy depth
+at render pitch 0.9) against the reports and artifact hashes recorded in
+tests/golden/.
 
 Counts, list lengths and strings must match exactly and every float to
 1e-9 relative, a margin over the 1e-12 that holds between BLAS thread
@@ -10,28 +12,27 @@ does not fail the test. To regenerate after a change that moves results:
 """
 import json
 
-from _util import GOLDEN, GOLDEN_ANGLES, assert_agree, library_versions, run_golden_cell
+from _util import GOLDEN, GOLDEN_CELLS, assert_agree, library_versions, run_golden_cell
 
 
 def test_golden_run(tmp_path, capsys):
     manifest = json.loads((GOLDEN / "manifest.json").read_text())
     disagreements, changed_files = [], []
-    for angle in GOLDEN_ANGLES:
-        key = f"{angle:g}"
-        report, hashes = run_golden_cell(angle, tmp_path / f"angle{key}")
+    for cell in GOLDEN_CELLS:
+        report, hashes = run_golden_cell(cell, tmp_path / cell)
         try:
-            assert_agree(report, json.loads((GOLDEN / f"report_{key}.json").read_text()),
-                         rel_tol=1e-9, path=f"report_{key}.json")
+            assert_agree(report, json.loads((GOLDEN / f"report_{cell}.json").read_text()),
+                         rel_tol=1e-9, path=f"report_{cell}.json")
         except AssertionError as exc:
             disagreements.append(str(exc))
-        recorded = manifest["sha256"][key]
-        changed_files += [f"{key}/{name}" for name in sorted(recorded.keys() | hashes.keys())
+        recorded = manifest["sha256"][cell]
+        changed_files += [f"{cell}/{name}" for name in sorted(recorded.keys() | hashes.keys())
                           if recorded.get(name) != hashes.get(name)]
     ok = not disagreements
     hash_verdict = ("all match" if not changed_files else
                     f"{len(changed_files)} differ, first {changed_files[0]}")
     with capsys.disabled():
-        print(f"[{'PASS' if ok else 'FAIL'}] golden run: seed 0 at {GOLDEN_ANGLES} deg, "
+        print(f"[{'PASS' if ok else 'FAIL'}] golden run: seed 0, cells {list(GOLDEN_CELLS)}, "
               f"reports agree to 1e-9: {ok}; artifact sha256 ({len(manifest['sha256'])} "
               f"cells): {hash_verdict}", flush=True)
     recorded_versions = {k: manifest[k] for k in ("numpy", "scipy")}
