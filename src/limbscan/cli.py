@@ -215,7 +215,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg = _load_cfg(args)
-    report = run_pipeline(cfg)
+    report = run_pipeline(cfg).report
     print(f"pipeline complete: trajectory RMS {report.trajectory_rms:.3f} mm, "
           f"radius error {report.radius_global_error:.4f} mm, "
           f"report at {Path(cfg.output_dir) / 'report.json'}")

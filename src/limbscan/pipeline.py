@@ -25,8 +25,7 @@ from .extraction import ExtractionParams, JointPixels, extract_arm
 from .geometry import PointCloud3
 from .registration import (ArmObservation, DeformationGraph, SolveParams,
                            build_graph, initial_align, solve, transfer_trajectory)
-from .scan import (RadiusReport, ScanParams, radius_report, reconstruct,
-                   run_scan)
+from .scan import RadiusReport, ScanParams, ScanResult, radius_report, reconstruct, run_scan
 from .scene import (UP, ArmTemplate, ArticulatedPose, DepthImage, articulate,
                     default_camera, joint_pixels, make_template, render_depth)
 from .trajectory import ScanTrajectory, project_trajectory, smooth_centerline
@@ -163,6 +162,21 @@ class RunReport:
         return asdict(self)
 
 
+@dataclass(frozen=True)
+class PipelineRun:
+    """What run_pipeline returns: its report and the stage values callers read."""
+    report: RunReport
+    atlas: ArmTemplate
+    posed: ArmTemplate
+    maps: dict
+    graph: DeformationGraph
+    scan: ScanResult
+
+    def to_dict(self) -> dict:
+        """What report.json holds."""
+        return self.report.to_dict()
+
+
 # ---------------------------------------------------------------- stages
 # One function per stage, shared by run_pipeline and the CLI subcommands.
 # The extract stage is extraction.extract_arm and the scan stage
@@ -262,7 +276,7 @@ def write_graph(path: Path, graph: DeformationGraph) -> None:
     Path(path).write_text(json.dumps(graph.to_dict(), sort_keys=True) + "\n")
 
 
-def run_pipeline(cfg: PipelineConfig) -> RunReport:
+def run_pipeline(cfg: PipelineConfig) -> PipelineRun:
     """Execute every stage, each writing its artifacts under cfg.output_dir,
     so a stage's time in timings.json includes its writes.
 
@@ -346,7 +360,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
     (out / "timings.json").write_text(
         json.dumps(timings, sort_keys=True, indent=2) + "\n")
-    return report
+    return PipelineRun(report, atlas, posed, maps, graph, scan_result)
 
 
 def sweep(base: PipelineConfig, angles=(120.0, 140.0, 160.0), seeds=(0,),
@@ -360,7 +374,7 @@ def sweep(base: PipelineConfig, angles=(120.0, 140.0, 160.0), seeds=(0,),
             row = dict.fromkeys(SWEEP_FIELDS, "") | {"angle": angle, "seed": seed, "status": "ok"}
             try:
                 rep = run_pipeline(replace(base, seed=seed, output_dir=str(cell_dir),
-                                           scene=replace(base.scene, elbow_angle=angle)))
+                                           scene=replace(base.scene, elbow_angle=angle))).report
                 row.update({
                     "trajectory_rms": rep.trajectory_rms,
                     "radius_global_error": rep.radius_global_error,

@@ -120,6 +120,10 @@ class DepthImage:
         if not (0 < self.pitch < np.inf and 0 < self.table_depth < np.inf):
             raise InvalidParams(f"pitch {self.pitch} and table depth {self.table_depth} "
                                 "must be finite and positive")
+        # the image's extent enters every unprojected point and extraction's widths
+        if not (self.width + self.height) * float(self.pitch) < np.inf:
+            raise InvalidParams(f"pitch {self.pitch} mm/px makes the extent of a "
+                                f"{self.width} x {self.height} image overflow")
 
     @property
     def height(self) -> int:

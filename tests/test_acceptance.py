@@ -19,16 +19,14 @@ from _util import assert_agree, straight_trajectory
 from scipy.spatial import cKDTree
 
 import limbscan
-from limbscan.extraction import ExtractionParams, JointPixels, extract_arm
+from limbscan.extraction import ExtractionParams
 from limbscan.geometry import RigidTransform
 from limbscan.pipeline import (_observation_from_atlas, build_scene, config_from_dict,
-                               plan_scan, register_atlas, render_scene, run_pipeline,
-                               transfer_plan)
-from limbscan.registration import (ArmObservation, SolveParams, attach_probe_poses,
-                                   build_graph, solve)
+                               plan_scan, run_pipeline)
+from limbscan.registration import SolveParams, attach_probe_poses, build_graph, solve
 from limbscan.scan import (ScanParams, VirtualFrame, centering_step,
                            radius_report, reconstruct, run_scan)
-from limbscan.scene import UP, joint_pixels
+from limbscan.scene import UP
 
 ANGLES = (120.0, 140.0, 160.0)
 SEEDS = (0, 1, 2, 3, 4)
@@ -40,44 +38,29 @@ def _criterion(capsys, name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _registration_run(angle, seed):
-    """The pipeline's scene -> render -> extract -> plan -> register ->
-    transfer stages, through the functions run_pipeline calls; the result
-    keeps the transferred plan and the posed scene for the scan stage."""
+def _registration_run(angle, seed, out):
+    """The numbers the criteria read from one pipeline run into out."""
     t0 = time.perf_counter()
-    cfg = config_from_dict({"seed": seed, "scene": {"elbow_angle": angle}})
-    atlas, posed = build_scene(cfg)
-    img = render_scene(posed, cfg.scene, cfg.seed)
-    jp = joint_pixels(img, posed)
-    seg = extract_arm(img, JointPixels(jp["wrist"], jp["elbow"], jp["shoulder"]),
-                      cfg.extraction)
-    traj = plan_scan(atlas, cfg.plan)
-    source = _observation_from_atlas(atlas)
-    target = ArmObservation(seg.forearm, seg.upperarm, posed.wrist, posed.elbow,
-                            posed.shoulder)
-    maps, graph, history = register_atlas(source, target, cfg.registration)
-
+    run = run_pipeline(config_from_dict({"seed": seed, "output_dir": str(out),
+                                         "scene": {"elbow_angle": angle}}))
+    elapsed = time.perf_counter() - t0
     # surface distance against the scene surface itself, not the extracted
-    # pixel cloud: the latter carries ~0.6 mm of sensor bias plus the 1 mm
-    # pixel sampling, a floor no registration can undercut
-    aligned = np.vstack([maps["forearm"](source.forearm.points),
-                         maps["upperarm"](source.upperarm.points)])
-    d, _ = cKDTree(posed.surface.points).query(graph.deform(aligned))
-    median_dist = float(np.median(d))
-
-    moved = transfer_plan(traj, atlas, maps, graph, target.forearm)
-    truth = cfg.scene.pose().apply(traj.surface_points, traj.surface_points[:, 0],
-                                   atlas.elbow)
-    diff = moved.surface_points - truth
-    rms = float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
-    return {"angle": angle, "seed": seed, "median_dist": median_dist,
-            "rms": rms, "history": history, "moved": moved, "posed": posed,
-            "scan": cfg.scan, "elapsed": time.perf_counter() - t0}
+    # pixel cloud: sampling alone puts the latter ~0.55 mm (median) from the
+    # nearest scene vertex, rings 1.6 mm apart seen on a 1 mm pixel grid, a
+    # floor no registration can undercut (its mean depth offset is < 0.06 mm)
+    source = _observation_from_atlas(run.atlas)
+    aligned = np.vstack([run.maps["forearm"](source.forearm.points),
+                         run.maps["upperarm"](source.upperarm.points)])
+    d, _ = cKDTree(run.posed.surface.points).query(run.graph.deform(aligned))
+    return {"seed": seed, "median_dist": float(np.median(d)),
+            "rms": run.report.trajectory_rms, "history": run.report.registration_history,
+            "corrections": run.report.correction_count, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="module")
-def registration_runs():
-    return [_registration_run(angle, seed) for angle in ANGLES for seed in SEEDS]
+def registration_runs(tmp_path_factory):
+    return [_registration_run(angle, seed, tmp_path_factory.mktemp(f"angle{angle:g}_seed{seed}"))
+            for angle in ANGLES for seed in SEEDS]
 
 
 def test_criterion_1_registration_under_articulation(registration_runs, capsys):
@@ -257,8 +240,7 @@ def test_criterion_9_plan_fidelity(registration_runs, capsys):
         worst_median_tilt = max(worst_median_tilt, float(np.median(tilt)))
         worst_tilt = max(worst_tilt, float(tilt.max()))
         atlas_corrections.append(len(run_scan(atlas, traj, cfg.scan).corrections))
-    pipeline_corrections = [len(run_scan(r["posed"], r["moved"], r["scan"]).corrections)
-                            for r in registration_runs if r["seed"] == 0]
+    pipeline_corrections = [r["corrections"] for r in registration_runs if r["seed"] == 0]
     ok = (worst_offset <= 0.05 and max(atlas_corrections) <= 2
           and worst_median_tilt <= 2.0 and max(pipeline_corrections) <= 3)
     _criterion(capsys, "criterion 9 plan fidelity", ok,

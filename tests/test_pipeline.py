@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -24,10 +25,9 @@ from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from limbscan.errors import ConfigError, InvalidParams, StageError
 from limbscan.extraction import ExtractionParams
 from limbscan.geometry import PointCloud3, RigidTransform
-from limbscan.pipeline import (_SECTIONS, STAGES, PipelineConfig, PlanConfig,
-                               RegistrationConfig, SceneConfig, build_scene,
-                               config_from_dict, config_to_dict, load_config,
-                               SWEEP_FIELDS, run_pipeline, sweep)
+from limbscan.pipeline import (_SECTIONS, STAGES, SWEEP_FIELDS, PipelineConfig, PlanConfig,
+                               RegistrationConfig, SceneConfig, config_from_dict,
+                               config_to_dict, load_config, run_pipeline, sweep)
 from limbscan.registration import SolveParams, build_graph
 from limbscan.scan import ScanParams
 from limbscan.scene import ArticulatedPose, articulate
@@ -235,19 +235,18 @@ class TestConfig:
 def pipeline_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline")
     cfg = replace(config_from_dict({}), output_dir=str(out))
-    report = run_pipeline(cfg)
-    return out, report
+    return out, run_pipeline(cfg)
 
 
 class TestRunPipeline:
     def test_all_stages_complete(self, pipeline_run):
-        _, report = pipeline_run
-        assert report.stages_completed == ["scene", "render", "extract", "plan",
+        _, run = pipeline_run
+        assert run.report.stages_completed == ["scene", "render", "extract", "plan",
                                            "register", "transfer", "scan",
                                            "report"]
 
     def test_artifacts_written(self, pipeline_run):
-        out, _ = pipeline_run
+        out, run = pipeline_run
         for name in ("atlas_surface.ply", "scene_surface.ply",
                      "scene_centerline.csv", "depth.pgm",
                      "extracted_forearm.ply", "extracted_upperarm.ply",
@@ -257,18 +256,15 @@ class TestRunPipeline:
             assert (out / name).exists(), name
         assert len(list((out / "frames").glob("frame_*.pgm"))) > 0
         # the atlas cloud reads back exactly
-        atlas, _ = build_scene(config_from_dict({}))
         assert np.array_equal(pointio.read_ply(out / "atlas_surface.ply").points,
-                              atlas.surface.points)
-        text = (out / "graph.json").read_text()
-        graph = json.loads(text)
-        assert json.dumps(graph, sort_keys=True) + "\n" == text
+                              run.atlas.surface.points)
+        graph = json.loads((out / "graph.json").read_text())
         assert sorted(graph) == sorted(GRAPH_KEYS)
         timings = json.loads((out / "timings.json").read_text())
         assert sorted(timings) == sorted(STAGES)
 
     def test_report_metrics_sane(self, pipeline_run):
-        _, report = pipeline_run
+        report = pipeline_run[1].report
         assert report.trajectory_rms < 2.0
         assert report.radius_global_error < 0.06
         assert len(report.radius_segments) == 14
@@ -281,17 +277,19 @@ class TestRunPipeline:
         # the bounds of acceptance criteria 1 (trajectory) and 2 (radius)
         cfg = config_from_dict({"output_dir": str(tmp_path), "seed": 0,
                                 "scene": {"elbow_angle": 140.0, "noise_sigma": sigma}})
-        report = run_pipeline(cfg)
+        report = run_pipeline(cfg).report
         assert report.trajectory_rms <= 2.0
         assert report.vessel_lost_count == 0
         assert report.radius_global_error <= 0.06
         assert max(s[3] for s in report.radius_segments) <= 0.13
 
     def test_report_json_matches_report(self, pipeline_run):
-        out, report = pipeline_run
-        on_disk = json.loads((out / "report.json").read_text())
-        assert on_disk["trajectory_rms"] == report.trajectory_rms
-        assert on_disk["config"]["seed"] == 0
+        out, run = pipeline_run
+        assert ((out / "report.json").read_text()
+                == json.dumps(run.to_dict(), sort_keys=True, indent=2) + "\n")
+        assert run.report.config["seed"] == 0
+        assert (out / "graph.json").read_text() == json.dumps(run.graph.to_dict(),
+                                                              sort_keys=True) + "\n"
 
     def test_stage_failure_names_stage(self, tmp_path):
         cfg = config_from_dict({"scene": {"camera_height": 10.0}})
@@ -589,9 +587,12 @@ class TestCli:
         ("depth_meta.json", lambda meta: json.dumps(
             json.loads(meta) | {"table_depth": float("nan")}),
          None, EXIT_STAGE, "must be finite and positive"),
+        *(("depth_meta.json", lambda meta, p=p: json.dumps(json.loads(meta) | {"pitch": p}),
+           None, EXIT_STAGE, f"pitch {p:g} mm/px makes the extent of a 570 x 133 image overflow")
+          for p in (1e306, 1e307, 1e308)),
     ], ids=["meta-no-camera", "meta-not-json", "meta-joint-triple", "depth-truncated",
             "depth-8bit", "joints-triples", "meta-pitch-zero", "meta-pitch-negative",
-            "meta-table-nan"])
+            "meta-table-nan", "meta-pitch-1e306", "meta-pitch-1e307", "meta-pitch-1e308"])
     def test_extract_bad_input(self, tmp_path, capsys, rendered_140, name, corrupt, joints,
                                code, message):
         files = {n: rendered_140 / n for n in ("depth.pgm", "depth_meta.json")}
@@ -603,11 +604,27 @@ class TestCli:
                 files[name].write_bytes(corrupt((rendered_140 / name).read_bytes()))
         argv = ["extract", "--depth", str(files["depth.pgm"]),
                 "--meta", str(files["depth_meta.json"]), "--out", str(tmp_path / "seg")]
-        assert main(argv + (["--joints", joints] if joints else [])) == code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + (["--joints", joints] if joints else [])) == code
         err = capsys.readouterr().err
         expect = "config error: --joints" if joints else f"error: {files[name]}: "
         assert err.startswith(expect) and message in err and err.count("\n") == 1
         assert not (tmp_path / "seg").exists()
+
+    def test_extract_largest_finite_extent_pitch(self, tmp_path, capsys, rendered_140):
+        """The largest meta pitch at which the image's extent stays finite
+        extracts without a RuntimeWarning; the next float up exits 3."""
+        h, w = pointio.read_depth_pgm(rendered_140 / "depth.pgm").shape
+        largest = sys.float_info.max / (w + h)
+        meta = json.loads((rendered_140 / "depth_meta.json").read_text())
+        for pitch, code in ((largest, EXIT_OK), (math.nextafter(largest, math.inf), EXIT_STAGE)):
+            (tmp_path / "meta.json").write_text(json.dumps(meta | {"pitch": pitch}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["extract", "--depth", str(rendered_140 / "depth.pgm"), "--meta",
+                             str(tmp_path / "meta.json"), "--out", str(tmp_path / "seg")]) == code
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_stage_failure_exits_3(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"

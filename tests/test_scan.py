@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from limbscan import pipeline, pointio, scan
+from limbscan import pointio, scan
 from limbscan.errors import InvalidParams, TooFewFrames, VesselLost
 from limbscan.geometry import PointCloud3, RigidTransform
 from limbscan.pipeline import config_from_dict, run_pipeline
@@ -502,35 +502,21 @@ class TestWindowedFrame:
     def test_pipeline_frames_rarely_query_the_tree(self, tmp_path, monkeypatch):
         """Over every frame of the seed-0 140 deg pipeline's scan, at most 5%
         of the window pixels go to the k-d tree."""
-        scans, samplers = [], _counted_samplers(monkeypatch)
-
-        def keep(scene, trajectory, params):
-            scans.append(run_scan(scene, trajectory, params))
-            return scans[-1]
-
-        monkeypatch.setattr(pipeline, "run_scan", keep)
-        cfg = config_from_dict({"scene": {"elbow_angle": 140.0}})
-        run_pipeline(dataclasses.replace(cfg, output_dir=str(tmp_path)))
-        (result,), ((_, tree_queries),) = scans, samplers
-        window_px = sum(f.window.size for f in result.frames)
+        samplers = _counted_samplers(monkeypatch)
+        run = run_pipeline(config_from_dict({"output_dir": str(tmp_path),
+                                             "scene": {"elbow_angle": 140.0}}))
+        ((_, tree_queries),) = samplers
+        window_px = sum(f.window.size for f in run.scan.frames)
         assert window_px > 0 and sum(tree_queries) <= 0.05 * window_px
 
-    def test_pipeline_frames_equal_full_image(self, tmp_path, monkeypatch):
+    def test_pipeline_frames_equal_full_image(self, tmp_path):
         """Every frame of run_pipeline's scan at 140 deg, and the PGM that the
         scan stage wrote from it."""
-        scans = []
-
-        def keep(scene, trajectory, params):
-            scans.append((scene, params, run_scan(scene, trajectory, params)))
-            return scans[-1][2]
-
-        monkeypatch.setattr(pipeline, "run_scan", keep)
-        cfg = config_from_dict({"scene": {"elbow_angle": 140.0}})
-        run_pipeline(dataclasses.replace(cfg, output_dir=str(tmp_path)))
-        (posed, params, result), = scans
-        sampler = VesselSampler(posed.centerline.points, posed.vessel_radius,
-                                params.resample_step)
-        for i, f in enumerate(result.frames):
+        cfg = config_from_dict({"output_dir": str(tmp_path), "scene": {"elbow_angle": 140.0}})
+        run = run_pipeline(cfg)
+        sampler = VesselSampler(run.posed.centerline.points, run.posed.vessel_radius,
+                                cfg.scan.resample_step)
+        for i, f in enumerate(run.scan.frames):
             want = _full_grid_mask(sampler, f.probe_pose, f.width_px, f.height_px, f.pitch)
             _assert_full_image(f, want)
             pointio.write_mask_pgm(tmp_path / "want.pgm", want)
