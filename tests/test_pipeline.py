@@ -242,8 +242,7 @@ class TestRunPipeline:
     def test_all_stages_complete(self, pipeline_run):
         _, run = pipeline_run
         assert run.report.stages_completed == ["scene", "render", "extract", "plan",
-                                           "register", "transfer", "scan",
-                                           "report"]
+                                               "register", "transfer", "scan", "report"]
 
     def test_artifacts_written(self, pipeline_run):
         out, run = pipeline_run
@@ -288,8 +287,8 @@ class TestRunPipeline:
         assert ((out / "report.json").read_text()
                 == json.dumps(run.to_dict(), sort_keys=True, indent=2) + "\n")
         assert run.report.config["seed"] == 0
-        assert (out / "graph.json").read_text() == json.dumps(run.graph.to_dict(),
-                                                              sort_keys=True) + "\n"
+        assert ((out / "graph.json").read_text()
+                == json.dumps(run.graph.to_dict(), sort_keys=True) + "\n")
 
     def test_stage_failure_names_stage(self, tmp_path):
         cfg = config_from_dict({"scene": {"camera_height": 10.0}})
