@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import pointio
-from .errors import ConfigError, InvalidParams, LimbscanError, TooFewFrames
+from .errors import (ConfigError, DegenerateConfiguration, InvalidParams, LimbscanError,
+                     TooFewFrames)
 from .extraction import ExtractionParams, JointPixels, extract_arm
 from .geometry import RigidTransform
 from .pipeline import (PipelineConfig, RegistrationConfig, build_scene,
@@ -182,12 +183,12 @@ def _cmd_scan(args) -> int:
                             f"last 3 values")
     pts = pts[:, -3:]
     _, posed = build_scene(cfg)
-    # probe orientations: z into the skin via the nearest scene surface normal
+    # probe orientations: z into the skin, against each station's skin plane normal
     shell, _, _ = posed.top_shell()
     try:
         traj = attach_probe_poses(ScanTrajectory(pts, np.arange(len(pts))), shell, UP)
-    except InvalidParams as exc:
-        raise InvalidParams(f"{args.traj}: {exc}") from exc
+    except (InvalidParams, DegenerateConfiguration) as exc:
+        raise type(exc)(f"{args.traj}: {exc}") from exc
     result = run_scan(posed, traj, scan_cfg)
     frames_dir = Path(args.out_frames)
     write_frames(frames_dir, result.frames)

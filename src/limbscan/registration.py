@@ -15,16 +15,16 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import dijkstra, reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
-from .errors import (DegenerateConfiguration, DegenerateSegment, InvalidParams,
-                     NonFiniteEnergy, OutOfBindingReach, bounded, check_fields)
+from .errors import (DegenerateSegment, InvalidParams, NonFiniteEnergy,
+                     OutOfBindingReach, bounded, check_fields)
 from .geometry import PointCloud3, RigidTransform, pca_obb
-from .trajectory import ScanTrajectory
+from .trajectory import ScanTrajectory, skin_planes
 
 BINDING_K = 4      # graph nodes each vertex or trajectory point is bound to
 KNN_K = 8          # neighbours per point in the graph geodesics run over
 MAX_INNER = 4      # Gauss-Newton steps per outer iteration of `solve`
 LEVENBERG = 1e-6   # damping, relative to the largest diagonal entry of H
-NORMAL_K = 20      # neighbours of a probe station's target point in its normal
+NORMAL_REACH = 6.0  # mm across up from a probe station to the skin of its plane
 
 
 @dataclass
@@ -662,31 +662,13 @@ def attach_probe_poses(traj: ScanTrajectory, target: PointCloud3,
                        up: np.ndarray) -> ScanTrajectory:
     """Probe poses at the trajectory's points on the target surface.
 
-    Probe z points into the skin (opposite the local target-surface normal),
-    probe x follows the scan direction, so the long probe axis (y) stays
-    perpendicular to the scan direction.
+    Probe z points into the skin, against the normal of each station's skin
+    plane within NORMAL_REACH mm (`skin_planes`); probe x follows the scan
+    direction, so the long probe axis (y) stays perpendicular to it.
     """
     pts = traj.surface_points
-    k = max(min(NORMAL_K, len(target)), 3)
-    if len(target) < k:
-        raise InvalidParams("cloud smaller than neighborhood")
-    tree = cKDTree(target.points)
-    dist, nearest = tree.query(pts)
-    # an overflowing distance comes back as inf with the out-of-range index n
-    if not np.all(np.isfinite(dist)):
-        raise InvalidParams("a trajectory point is too far from the target surface "
-                            "for a finite distance")
-    # the skin normal at each nearest point: the least principal axis of its
-    # k-neighbourhood, turned toward up
-    neigh = target.points[tree.query(target.points[nearest], k=k)[1]]
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    evals, evecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered) / k)
-    if np.any(evals[:, 1] <= 1e-12 * np.maximum(evals[:, 2], 1.0)):
-        raise DegenerateConfiguration("rank-deficient normal neighborhood")
-    normals = evecs[:, :, 0]
-    up = np.asarray(up, dtype=float).reshape(3)
-    normals[(normals @ (up / np.linalg.norm(up))) < 0] *= -1.0
-    z_axes = -normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    up = np.asarray(up, dtype=float).reshape(3) / np.linalg.norm(up)
+    z_axes = skin_planes(target, pts, up, NORMAL_REACH)[1] - up
 
     n = len(pts)
     tangents = np.gradient(pts, axis=0) if n > 1 else np.array([[1.0, 0.0, 0.0]])

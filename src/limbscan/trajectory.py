@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidParams, NoSurfaceAbove, TooFewPoints
+from .errors import DegenerateConfiguration, InvalidParams, NoSurfaceAbove, TooFewPoints
 from .geometry import PointCloud3, RigidTransform
 
 # mm across `up` from a centerline point to the skin points whose plane sets its height
@@ -54,30 +54,47 @@ def smooth_centerline(raw: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+def skin_planes(surface: PointCloud3, at: np.ndarray, up: np.ndarray,
+                reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares skin plane at each station of `at`, (n, 3).
+
+    A station's plane is fitted to the surface points within `reach` mm of it
+    across the unit vector `up`, as their height along `up` over their offsets
+    across it. Returns each plane's height at its station, (n,), and its slope
+    as a vector across `up`, (n, 3); `up` minus the slope is the plane's normal.
+    """
+    if len(surface) < 3:
+        raise InvalidParams(f"a skin plane needs at least 3 surface points, got {len(surface)}")
+    across = np.linalg.svd(up[None, :])[2][1:]  # (2, 3) orthonormal, normal to up
+    tree = cKDTree(surface.points @ across.T)
+    at_across = at @ across.T
+    # an overflowing distance comes back as inf, where the ball query raises
+    if not np.all(np.isfinite(tree.query(at_across)[0])):
+        raise InvalidParams("a station is too far from the target surface "
+                            "for a finite distance")
+    coefs = np.empty((len(at), 3))
+    for i, (c, idx) in enumerate(zip(at, tree.query_ball_point(at_across, reach))):
+        d = surface.points[idx] - c
+        design = np.column_stack([np.ones(len(d)), d @ across.T])
+        coef, _, rank, _ = np.linalg.lstsq(design, d @ up, rcond=None)
+        if rank < 3:
+            raise DegenerateConfiguration(f"station {i} has no skin plane within "
+                                          f"{reach:g} mm (rank-deficient neighbourhood)")
+        coefs[i] = coef
+    return coefs[:, 0], coefs[:, 1:] @ across
+
+
 def project_trajectory(centerline: np.ndarray, surface: PointCloud3,
                        up: np.ndarray) -> ScanTrajectory:
     """Carry each centerline point straight up onto the skin, one station per point.
 
     A station keeps its centerline point's position across `up` and takes the
-    height of the least-squares plane through the surface points above that
-    point within PLANE_REACH mm of it across `up`.
+    height of its skin plane within PLANE_REACH mm (`skin_planes`).
     """
     cl = np.atleast_2d(np.asarray(centerline, dtype=float))
-    up_v = np.asarray(up, dtype=float).reshape(3)
-    up_v = up_v / np.linalg.norm(up_v)
-    across = np.linalg.svd(up_v[None, :])[2][1:]  # (2, 3) orthonormal, normal to up
-    surf = surface.points
-    near = cKDTree(surf @ across.T).query_ball_point(cl @ across.T, PLANE_REACH)
-    heights = np.empty(len(cl))
-    for i, (c, idx) in enumerate(zip(cl, near)):
-        d = surf[idx] - c
-        h = d @ up_v
-        above = h > 0.0
-        design = np.column_stack([np.ones(above.sum()), d[above] @ across.T])
-        coef, _, rank, _ = np.linalg.lstsq(design, h[above], rcond=None)
-        # coef[0] is the plane's height at the centerline point itself
-        if rank < 3 or coef[0] <= 0.0:
-            raise NoSurfaceAbove(f"centerline point {i} has no skin plane above it "
-                                 f"within {PLANE_REACH} mm")
-        heights[i] = coef[0]
+    up_v = np.asarray(up, dtype=float).reshape(3) / np.linalg.norm(up)
+    heights = skin_planes(surface, cl, up_v, PLANE_REACH)[0]
+    if np.any(heights <= 0.0):
+        raise NoSurfaceAbove(f"centerline point {np.argmax(heights <= 0.0)} has no skin "
+                             f"plane above it within {PLANE_REACH} mm")
     return ScanTrajectory(cl + heights[:, None] * up_v, np.arange(len(cl)))

@@ -242,12 +242,12 @@ def test_criterion_9_plan_fidelity(registration_runs, capsys):
         atlas_corrections.append(len(run_scan(atlas, traj, cfg.scan).corrections))
     pipeline_corrections = [r["corrections"] for r in registration_runs if r["seed"] == 0]
     ok = (worst_offset <= 0.05 and max(atlas_corrections) <= 2
-          and worst_median_tilt <= 2.0 and max(pipeline_corrections) <= 3)
+          and worst_median_tilt <= 2.0 and worst_tilt <= 2.0 and max(pipeline_corrections) <= 3)
     _criterion(capsys, "criterion 9 plan fidelity", ok,
                f"atlas plan, seeds {SEEDS}; max lateral offset {worst_offset:.4f} mm "
                f"(<= 0.05), corrections {atlas_corrections} (<= 2), max median "
-               f"image-plane tilt {worst_median_tilt:.2f} deg (<= 2; largest tilt "
-               f"{worst_tilt:.2f} deg, unbounded); seed-0 pipeline corrections at "
+               f"image-plane tilt {worst_median_tilt:.2f} deg (<= 2), largest tilt "
+               f"{worst_tilt:.2f} deg (<= 2); seed-0 pipeline corrections at "
                f"{ANGLES} deg: {pipeline_corrections} (<= 3)")
 
 

@@ -31,7 +31,7 @@ from limbscan.pipeline import (_SECTIONS, STAGES, SWEEP_FIELDS, PipelineConfig, 
 from limbscan.registration import SolveParams, build_graph
 from limbscan.scan import ScanParams
 from limbscan.scene import ArticulatedPose, articulate
-from limbscan.trajectory import ScanTrajectory, smooth_centerline
+from limbscan.trajectory import ScanTrajectory, project_trajectory, smooth_centerline
 
 
 class TestConfig:
@@ -557,7 +557,8 @@ class TestCli:
         ("", "no numeric rows"),
         ("1,2\n3,4\n", "needs finite x,y,z"),
         ("1e308,1e308,1e308\n-1e308,0,0\n", "too far from the target surface"),
-    ], ids=["non-numeric", "ragged", "empty", "two-columns", "huge-finite"])
+        ("135.0,30.0,32.0\n", "station 0 has no skin plane within 6 mm"),
+    ], ids=["non-numeric", "ragged", "empty", "two-columns", "huge-finite", "off-skin"])
     def test_scan_bad_traj_exits_3(self, tmp_path, capsys, body, message):
         traj = tmp_path / "t.csv"
         traj.write_text(body)
@@ -741,13 +742,11 @@ class TestCli:
 
     def test_scan_off_vessel_at_180_gives_no_plan_hint(self, tmp_path, capsys):
         # at 180 deg the atlas plan is already the one to scan, so the error
-        # names the miss without pointing elsewhere
-        assert main(["plan", "--out", str(tmp_path)]) == EXIT_OK
-        stations = np.loadtxt(tmp_path / "atlas_trajectory.csv", delimiter=",", skiprows=1)
-        off = stations[35] + np.array([0.0, 30.0, 0.0])  # 30 mm beside the vessel
+        # names the miss without pointing elsewhere; the station is on the
+        # skin at the wrist end, before the vessel's first centerline point
+        # at x = 5 mm
         traj = tmp_path / "off.csv"
-        traj.write_text(",".join(repr(float(v)) for v in off) + "\n")
-        capsys.readouterr()
+        traj.write_text("2.0,0.0,32.0\n")
         assert main(["scan", "--angle", "180", "--traj", str(traj),
                      "--out-frames", str(tmp_path / "frames"),
                      "--report", str(tmp_path / "scan.json")]) == EXIT_STAGE
@@ -807,10 +806,12 @@ class TestCli:
     lambda d: ScanTrajectory(np.zeros((3, 3)), [0, 2, 1]),
     lambda d: ScanTrajectory(np.zeros((3, 3)), [0, 1, 2], [RigidTransform(np.eye(3), np.zeros(3))]),
     lambda d: smooth_centerline(np.zeros((10, 3)), 4),
+    lambda d: project_trajectory([[1e200, 0.0, 0.0]], PointCloud3(np.eye(3)), [0.0, 0.0, 1.0]),
     lambda d: pointio.read_ply(d / "bad.ply"),
     lambda d: pointio.read_depth_pgm(d / "bad.pgm"),
 ], ids=["build_graph-radius", "ScanTrajectory-length", "ScanTrajectory-order",
-        "ScanTrajectory-poses", "smooth_centerline-window", "read_ply", "read_depth_pgm"])
+        "ScanTrajectory-poses", "smooth_centerline-window", "project_trajectory-huge",
+        "read_ply", "read_depth_pgm"])
 def test_bad_input_is_a_limbscan_error(tmp_path, make):
     """Bad input raises the package's error type, so a stage or the CLI
     reports it instead of a traceback."""

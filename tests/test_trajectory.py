@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from limbscan.errors import NoSurfaceAbove, TooFewPoints
+from limbscan.errors import DegenerateConfiguration, NoSurfaceAbove, TooFewPoints
 from limbscan.geometry import PointCloud3, RigidTransform
 from limbscan.trajectory import (ScanTrajectory, project_trajectory,
                                  smooth_centerline)
@@ -102,7 +102,8 @@ class TestProjectTrajectory:
         # two skin points over the centerline point, the rest beyond 2 mm
         pts = np.array([[0.5, 0.0, 1.0], [0.0, 0.5, 1.0], [2.5, 0.0, 1.0],
                         [0.0, 2.5, 1.0], [-2.5, -2.5, 1.0]])
-        with pytest.raises(NoSurfaceAbove):
+        with pytest.raises(DegenerateConfiguration,
+                           match="station 0 has no skin plane within 2 mm"):
             project_trajectory(np.zeros((1, 3)), PointCloud3(pts), UP)
 
     def test_no_surface_above(self):
