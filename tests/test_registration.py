@@ -1004,10 +1004,12 @@ class TestAttachProbePoses:
     def test_z_axes_on_a_plane(self, rng):
         pts = np.column_stack([np.linspace(-8.0, 8.0, 9), np.zeros(9), np.zeros(9)])
         # a noisy flat skin, and a noise-free tilted one whose plane is exact
-        for abc, noise, atol in (((0.0, 0.0, 0.0), 1e-4, 1e-2),
-                                 ((5.0, 0.2, -0.15), 0.0, 1e-12)):
+        # under any up, unit or not
+        for abc, noise, up, atol in (((0.0, 0.0, 0.0), 1e-4, UP, 1e-2),
+                                     ((5.0, 0.2, -0.15), 0.0, UP, 1e-12),
+                                     ((5.0, 0.2, -0.15), 0.0, [0.3, -0.2, 2.0], 1e-12)):
             target = PointCloud3(_plane(rng, abc, noise))
-            traj = attach_probe_poses(ScanTrajectory(pts, np.arange(9)), target, UP)
+            traj = attach_probe_poses(ScanTrajectory(pts, np.arange(9)), target, up)
             normal = np.array([-abc[1], -abc[2], 1.0])
             np.testing.assert_allclose(_z_axes(traj),
                                        np.tile(-normal / np.linalg.norm(normal), (9, 1)),
