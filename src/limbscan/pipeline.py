@@ -234,9 +234,9 @@ def register_atlas(source: ArmObservation, target: ArmObservation,
     Returns (segment point maps, solved graph, energy history).
     """
     aligned, _, _, maps = initial_align(source, target)
-    graph = build_graph(aligned.union_points(), reg.radius)
-    graph, history = solve(graph, aligned.union_points(), target.union_points(),
-                           reg.solve_params())
+    source_points = aligned.union_points()
+    graph = build_graph(source_points, reg.radius)
+    graph, history = solve(graph, source_points, target.union_points(), reg.solve_params())
     return maps, graph, history
 
 
@@ -248,10 +248,8 @@ def transfer_plan(plan: ScanTrajectory, atlas: ArmTemplate, maps: dict,
     pts = plan.surface_points
     fm = pts[:, 0] <= atlas.elbow_axial
     pre = np.empty_like(pts)
-    if fm.any():
-        pre[fm] = maps["forearm"](pts[fm])
-    if (~fm).any():
-        pre[~fm] = maps["upperarm"](pts[~fm])
+    pre[fm] = maps["forearm"](pts[fm])
+    pre[~fm] = maps["upperarm"](pts[~fm])
     return transfer_trajectory(ScanTrajectory(pre, plan.centerline_indices), graph, target, UP)
 
 

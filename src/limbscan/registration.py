@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 from .errors import (DegenerateSegment, InvalidParams, NonFiniteEnergy,
                      OutOfBindingReach, bounded, check_fields)
 from .geometry import PointCloud3, RigidTransform, pca_obb
-from .trajectory import ScanTrajectory, skin_planes
+from .trajectory import ScanTrajectory, skin_planes, unit_up
 
 BINDING_K = 4      # graph nodes each vertex or trajectory point is bound to
 KNN_K = 8          # neighbours per point in the graph geodesics run over
@@ -667,7 +667,7 @@ def attach_probe_poses(traj: ScanTrajectory, target: PointCloud3,
     direction, so the long probe axis (y) stays perpendicular to it.
     """
     pts = traj.surface_points
-    up = np.asarray(up, dtype=float).reshape(3) / np.linalg.norm(up)
+    up = unit_up(up)
     z_axes = skin_planes(target, pts, up, NORMAL_REACH)[1] - up
 
     n = len(pts)

@@ -54,6 +54,15 @@ def smooth_centerline(raw: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+def unit_up(up) -> np.ndarray:
+    """`up` scaled to a unit 3-vector; InvalidParams unless it is finite and non-zero."""
+    v = np.asarray(up, dtype=float)
+    if v.size != 3 or not (np.all(np.isfinite(v)) and np.any(v)):
+        raise InvalidParams(f"up must be a finite non-zero 3-vector, got {v.tolist()}")
+    v = v.reshape(3) / np.abs(v).max()  # so that the norm cannot overflow or underflow
+    return v / np.linalg.norm(v)
+
+
 def skin_planes(surface: PointCloud3, at: np.ndarray, up: np.ndarray,
                 reach: float) -> tuple[np.ndarray, np.ndarray]:
     """The least-squares skin plane at each station of `at`, (n, 3).
@@ -65,6 +74,10 @@ def skin_planes(surface: PointCloud3, at: np.ndarray, up: np.ndarray,
     """
     if len(surface) < 3:
         raise InvalidParams(f"a skin plane needs at least 3 surface points, got {len(surface)}")
+    finite = np.isfinite(at).all(axis=1)
+    if not finite.all():
+        i = np.argmin(finite)
+        raise InvalidParams(f"station {i} is not finite: {at[i].tolist()}")
     across = np.linalg.svd(up[None, :])[2][1:]  # (2, 3) orthonormal, normal to up
     tree = cKDTree(surface.points @ across.T)
     at_across = at @ across.T
@@ -92,7 +105,7 @@ def project_trajectory(centerline: np.ndarray, surface: PointCloud3,
     height of its skin plane within PLANE_REACH mm (`skin_planes`).
     """
     cl = np.atleast_2d(np.asarray(centerline, dtype=float))
-    up_v = np.asarray(up, dtype=float).reshape(3) / np.linalg.norm(up)
+    up_v = unit_up(up)
     heights = skin_planes(surface, cl, up_v, PLANE_REACH)[0]
     if np.any(heights <= 0.0):
         raise NoSurfaceAbove(f"centerline point {np.argmax(heights <= 0.0)} has no skin "

