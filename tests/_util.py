@@ -1,15 +1,29 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the suite's one BLAS thread."""
 import hashlib
 import json
 import math
+import os
+import sys
 from pathlib import Path
 
-import numpy as np
-import scipy
+# The suite and tests/golden/regenerate.py run BLAS at one thread, whatever the
+# caller's environment says, as perfbench's workloads do: the golden hashes are
+# byte-exact only at the thread count they were recorded at. BLAS reads the
+# count when numpy loads, so conftest.py and regenerate.py import this module
+# before anything that loads numpy.
+BLAS_THREADS = 1
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was loaded before tests/_util.py could pin one BLAS thread; "
+                       "whatever imported it first (a plugin, a conftest) unpins the suite")
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                str(BLAS_THREADS)))
 
-from limbscan.geometry import RigidTransform
-from limbscan.pipeline import config_from_dict, run_pipeline
-from limbscan.trajectory import ScanTrajectory
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from limbscan.geometry import RigidTransform  # noqa: E402
+from limbscan.pipeline import config_from_dict, run_pipeline  # noqa: E402
+from limbscan.trajectory import ScanTrajectory  # noqa: E402
 
 # probe facing straight down with its long axis across the arm (along -y)
 DOWN_ROTATION = np.array([[1.0, 0.0, 0.0],
@@ -59,11 +73,19 @@ def library_versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def run_golden_cell(name: str, out: Path) -> tuple[dict, dict]:
-    """The golden cell's seed-0 pipeline, written under out: its report and
-    the sha256 of its GOLDEN_HASHED files and frames, by relative path."""
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def golden_manifest() -> dict:
+    return json.loads((GOLDEN / "manifest.json").read_text())
+
+
+def run_golden_cell(name: str, out: Path) -> tuple[bytes, dict]:
+    """The golden cell's seed-0 pipeline, written under out: its report.json
+    bytes and the sha256 of its GOLDEN_HASHED files and frames, by relative
+    path."""
     run_pipeline(config_from_dict(GOLDEN_CELLS[name] | {"output_dir": str(out)}))
     paths = [out / name for name in GOLDEN_HASHED] + sorted((out / "frames").glob("*.pgm"))
-    hashes = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-              for p in paths}
-    return json.loads((out / "report.json").read_text()), hashes
+    return (out / "report.json").read_bytes(), {p.relative_to(out).as_posix(): sha256(p)
+                                                 for p in paths}

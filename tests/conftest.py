@@ -1,5 +1,6 @@
 """Shared fixtures: one template and per-angle rendered/extracted scenes,
 built once per session because rendering and extraction dominate test time."""
+import _util  # noqa: F401  (first: it pins one BLAS thread before numpy loads)
 import numpy as np
 import pytest
 

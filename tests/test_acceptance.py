@@ -252,9 +252,13 @@ def test_criterion_9_plan_fidelity(registration_runs, capsys):
 
 
 def test_report_agrees_across_blas_threads(tmp_path):
-    """The BLAS thread count changes the order of floating-point sums, so
-    report.json is byte-identical only for one thread count; across counts
-    its numbers agree to rounding."""
+    """The suite's only two-thread run: tests/_util.py pins one BLAS thread,
+    so each subprocess here sets its own count. The count changes the order
+    of floating-point sums in the banded Cholesky factor, so report.json
+    bytes differ between one and two threads; every float agrees to 1.5e-15
+    relative. Bytes cannot be compared, so the tolerance stays at 1e-12:
+    room for that rounding, and no more, since no other check sees a result
+    that depends on the thread count."""
     reports = []
     for threads in ("1", "2"):
         env = os.environ | {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from _util import GRAPH_KEYS
+from _util import GRAPH_KEYS, golden_manifest, sha256
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -379,12 +379,20 @@ class TestCli:
         joints = json.loads((tmp_path / "scene_joints.json").read_text())
         rows = np.loadtxt(tmp_path / "scene_centerline.csv", delimiter=",", skiprows=1)
         assert joints["wrist"] == rows[0].tolist() and joints["shoulder"] == rows[-1].tolist()
+        # the same bytes as the golden 140 deg pipeline's scene stage
+        recorded = golden_manifest()["sha256"]["140"]
+        for name in ("atlas_surface.ply", "scene_surface.ply", "scene_centerline.csv"):
+            assert sha256(tmp_path / name) == recorded[name], name
 
     def test_plan_command(self, tmp_path):
         assert main(["plan", "--out", str(tmp_path)]) == EXIT_OK
         lines = (tmp_path / "atlas_trajectory.csv").read_text().splitlines()
         # the pipeline's plan-stage format: one x,y,z row per centerline point
         assert lines[0] == "x,y,z" and len(lines) == 1 + 71
+        # the same bytes as the plan every golden cell records
+        (recorded,) = {cell["atlas_trajectory.csv"]
+                       for cell in golden_manifest()["sha256"].values()}
+        assert sha256(tmp_path / "atlas_trajectory.csv") == recorded
 
     def test_invalid_angle_exits_2(self, tmp_path):
         assert main(["scene", "--out", str(tmp_path), "--angle", "90"]) == \
